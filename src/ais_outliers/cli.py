@@ -18,8 +18,6 @@ from dataclasses import fields
 from datetime import date, datetime
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, detect
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError
@@ -37,6 +35,7 @@ from .nn.checkpoint import load_checkpoint
 from .nn.model import RecurrentAutoencoder
 from .nn.train import train as train_model
 from .preprocess import (
+    FEATURES,
     NormalizationStats,
     build_daily_grids,
     load_corpus,
@@ -303,16 +302,8 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
 
     paths = {name: run_dir / f"{name}.csv"
              for name in ("scores", "histogram", "outliers", "offenders")}
-    if config.per_feature_rmse:
-        from .preprocess import FEATURES
-
-        pred = model.reconstruct(test_set.tensor)
-        columns = np.stack([detect.per_feature_rmse(pred[i], test_set.tensor[i])
-                            for i in range(len(test_set))])
-        detect.write_scores_csv(paths["scores"], scores, config.mask_sentinel_rmse,
-                                feature_names=FEATURES, feature_rmse=columns)
-    else:
-        detect.write_scores_csv(paths["scores"], scores, config.mask_sentinel_rmse)
+    detect.write_scores_csv(paths["scores"], scores, config.mask_sentinel_rmse,
+                            feature_names=FEATURES if config.per_feature_rmse else None)
     detect.write_histogram_csv(paths["histogram"], dist)
     detect.write_outliers_csv(paths["outliers"], report)
     detect.write_offenders_csv(paths["offenders"], offenders)

@@ -47,7 +47,6 @@ class RunConfig:
     input_dropout_rate: float = 0.0
     dense_dropout_rate: float = 0.2
     gru_convention: str = "z_gates_candidate"
-    dtype: str = "float64"
     # train
     epochs: int = 5
     batch_size: int = 256
@@ -62,7 +61,6 @@ class RunConfig:
     threshold_scores: str = "test"  # or "train"
     # misc
     seed: int = 20190306
-    deterministic: bool = True  # informational: this build is single-threaded
 
     def validate(self) -> None:
         if not 0.0 < self.max_missing_fraction < 1.0:
@@ -88,7 +86,6 @@ class RunConfig:
             input_dropout_rate=self.input_dropout_rate,
             dense_dropout_rate=self.dense_dropout_rate,
             gru_convention=self.gru_convention,
-            dtype=self.dtype,
         )
 
     def schema(self) -> dict[str, str]:

@@ -28,6 +28,7 @@ class ScoreRecord:
     mmsi: str
     day: date
     rmse: float
+    feature_rmse: tuple[float, ...] = ()  # diagnostic: unmasked RMSE per feature
 
 
 @dataclass
@@ -53,6 +54,19 @@ class OffenderReport:
     persistent: list[tuple[str, int]]  # descending by count
 
 
+def _rmse(pred: np.ndarray, truth: np.ndarray, mask_sentinel: bool) -> np.ndarray:
+    """RMSE over all cells of each sequence in a stack (leading axis)."""
+    diff2 = (pred - truth) ** 2
+    cells = tuple(range(1, diff2.ndim))
+    if not mask_sentinel:
+        return np.sqrt(diff2.mean(axis=cells))
+    keep = truth != SENTINEL
+    counts = keep.sum(axis=cells)
+    if not counts.all():
+        raise DataError("cannot mask sentinels: sequence has no observed cells")
+    return np.sqrt(np.where(keep, diff2, 0.0).sum(axis=cells) / counts)
+
+
 def rmse_per_sequence(pred: np.ndarray, truth: np.ndarray,
                       mask_sentinel: bool = False) -> float:
     """Root mean squared error over all cells of one sequence.
@@ -64,13 +78,7 @@ def rmse_per_sequence(pred: np.ndarray, truth: np.ndarray,
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ShapeError(f"rmse shapes differ: {pred.shape} vs {truth.shape}")
-    diff2 = (pred - truth) ** 2
-    if mask_sentinel:
-        keep = truth != SENTINEL
-        if not keep.any():
-            raise DataError("cannot mask sentinels: sequence has no observed cells")
-        diff2 = diff2[keep]
-    return float(np.sqrt(diff2.mean()))
+    return float(_rmse(pred[None], truth[None], mask_sentinel)[0])
 
 
 def score_set(model, sset: SequenceSet, mask_sentinel: bool = False) -> list[ScoreRecord]:
@@ -78,17 +86,18 @@ def score_set(model, sset: SequenceSet, mask_sentinel: bool = False) -> list[Sco
     if len(sset) == 0:
         return []
     pred = model.reconstruct(sset.tensor)
-    return [
-        ScoreRecord(mmsi=mmsi, day=day,
-                    rmse=rmse_per_sequence(pred[i], sset.tensor[i], mask_sentinel))
-        for i, (mmsi, day) in enumerate(sset.ids)
-    ]
+    rmse = _rmse(pred, sset.tensor, mask_sentinel)
+    features = per_feature_rmse(pred, sset.tensor)
+    return [ScoreRecord(mmsi=mmsi, day=day, rmse=float(rmse[i]),
+                        feature_rmse=tuple(map(float, features[i])))
+            for i, (mmsi, day) in enumerate(sset.ids)]
 
 
 def per_feature_rmse(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Diagnostic: RMSE per feature column for one sequence."""
+    """Diagnostic: RMSE per feature column of a (T, F) sequence or an
+    (N, T, F) stack."""
     diff2 = (np.asarray(pred) - np.asarray(truth)) ** 2
-    return np.sqrt(diff2.mean(axis=0))
+    return np.sqrt(diff2.mean(axis=-2))
 
 
 def fit_distribution(scores: list[ScoreRecord], bins: int = DEFAULT_BINS) -> ScoreDistribution:
@@ -141,8 +150,9 @@ def offender_frequency(report: OutlierReport,
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, scores: list[ScoreRecord], mask_sentinel: bool = False,
-                     feature_names: tuple[str, ...] | None = None,
-                     feature_rmse: np.ndarray | None = None) -> None:
+                     feature_names: tuple[str, ...] | None = None) -> None:
+    """`feature_names` adds one column per feature from each record's
+    `feature_rmse`."""
     rmse_col = "rmse_masked" if mask_sentinel else "rmse"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -150,10 +160,10 @@ def write_scores_csv(path, scores: list[ScoreRecord], mask_sentinel: bool = Fals
         if feature_names:
             header += [f"{rmse_col}_{name}" for name in feature_names]
         writer.writerow(header)
-        for i, s in enumerate(scores):
+        for s in scores:
             row = [s.mmsi, s.day.isoformat(), repr(s.rmse)]
             if feature_names:
-                row += [repr(float(v)) for v in feature_rmse[i]]
+                row += [repr(v) for v in s.feature_rmse]
             writer.writerow(row)
 
 

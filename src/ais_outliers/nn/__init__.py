@@ -13,7 +13,7 @@ from .cells import (
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dropout import DropoutMasks, bernoulli_mask, sample_masks
-from .layers import bidirectional_layer, dense_per_timestep, run_layer
+from .layers import dense_per_timestep, unroll, unroll_backward
 from .model import (
     ModelConfig,
     ModelParams,
@@ -38,9 +38,9 @@ __all__ = [
     "DropoutMasks",
     "bernoulli_mask",
     "sample_masks",
-    "bidirectional_layer",
     "dense_per_timestep",
-    "run_layer",
+    "unroll",
+    "unroll_backward",
     "ModelConfig",
     "ModelParams",
     "RecurrentAutoencoder",

@@ -1,14 +1,16 @@
-"""Recurrent cells: SimpleRNN and GRU steps with hand-derived backward passes.
+"""Recurrent cells: fused SimpleRNN/GRU parameters and the one step body.
 
-Weight layout is input-major: pre-activations are x @ W_x + h @ W_h + b,
-so W_x is (input, hidden) and W_h is (hidden, hidden). Everything runs in
-float64; batched inputs are (B, D).
+Weights are fused and input-major: a cell with G gates of H units stores
+w_x (D, G·H), w_h (H, G·H) and b (G·H,), so pre-activations are
+x @ w_x + h @ w_h + b. G is 1 for SimpleRNN and 3 for GRU, whose column
+blocks are the update gate z, the reset gate r and the candidate h~, in
+that order. Everything runs in float64; batched inputs are (B, D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -18,30 +20,28 @@ GRU_CONVENTIONS = ("z_gates_candidate", "z_gates_state")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5*(1 + tanh(x/2)), which cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass(frozen=True)
-class SimpleRnnCellParams:
-    """h_t = tanh(x @ w_x + h_prev @ w_h + b)."""
+class CellParams:
+    """Fused tensors of a recurrent cell with `gates` blocks of H columns."""
 
-    w_x: np.ndarray  # (D, H)
-    w_h: np.ndarray  # (H, H)
-    b: np.ndarray    # (H,)
+    w_x: np.ndarray  # (D, G·H)
+    w_h: np.ndarray  # (H, G·H)
+    b: np.ndarray    # (G·H,)
+
+    gates: ClassVar[int] = 1
 
     def __post_init__(self):
-        d, h = self.w_x.shape
-        if self.w_h.shape != (h, h) or self.b.shape != (h,):
+        h = self.w_h.shape[0]
+        width = self.gates * h
+        if (self.w_x.ndim != 2 or self.w_x.shape[1] != width
+                or self.w_h.shape != (h, width) or self.b.shape != (width,)):
             raise ShapeError(
-                f"inconsistent SimpleRNN shapes: w_x {self.w_x.shape}, "
-                f"w_h {self.w_h.shape}, b {self.b.shape}"
-            )
+                f"inconsistent {type(self).__name__} shapes for {self.gates} gate(s): "
+                f"w_x {self.w_x.shape}, w_h {self.w_h.shape}, b {self.b.shape}")
 
     @property
     def input_size(self) -> int:
@@ -49,66 +49,81 @@ class SimpleRnnCellParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_h.shape[0]
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
 
-@dataclass(frozen=True)
-class GruCellParams:
-    """Gates: update z, reset r, candidate h~; each with input, recurrent
-    and bias tensors."""
+class SimpleRnnCellParams(CellParams):
+    """h_t = tanh(x @ w_x + h_prev @ w_h + b)."""
 
-    w_xz: np.ndarray
-    w_hz: np.ndarray
-    b_z: np.ndarray
-    w_xr: np.ndarray
-    w_hr: np.ndarray
-    b_r: np.ndarray
-    w_xh: np.ndarray
-    w_hh: np.ndarray
-    b_h: np.ndarray
-
-    def __post_init__(self):
-        d, h = self.w_xz.shape
-        for name, arr in self.tensors():
-            expected = (d, h) if name.startswith("w_x") else (h, h) if name.startswith("w_h") else (h,)
-            if arr.shape != expected:
-                raise ShapeError(f"GRU tensor {name} has shape {arr.shape}, expected {expected}")
-
-    @property
-    def input_size(self) -> int:
-        return self.w_xz.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_xz.shape[1]
-
-    def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+    gates = 1
 
 
-CellParams = SimpleRnnCellParams | GruCellParams
+def _gate_view(tensor: str, gate: int) -> property:
+    def view(self):
+        h = self.hidden_size
+        return getattr(self, tensor)[..., gate * h:(gate + 1) * h]
+    return property(view, doc=f"Column block {gate} of `{tensor}` (a view).")
 
 
-def _check_step_shapes(x: np.ndarray, h_prev: np.ndarray, p: CellParams) -> None:
+class GruCellParams(CellParams):
+    """Gates: update z, reset r, candidate h~, fused in that column order.
+
+    The per-gate tensors (`w_xz`, `w_hz`, `b_z`, ... `b_h`) are views into
+    the fused ones.
+    """
+
+    gates = 3
+    w_xz, w_hz, b_z = (_gate_view(t, 0) for t in ("w_x", "w_h", "b"))
+    w_xr, w_hr, b_r = (_gate_view(t, 1) for t in ("w_x", "w_h", "b"))
+    w_xh, w_hh, b_h = (_gate_view(t, 2) for t in ("w_x", "w_h", "b"))
+
+
+def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
+         convention: str = "z_gates_candidate") -> tuple[np.ndarray, np.ndarray]:
+    """One recurrent step from the projected input `xw = x @ w_x + b` (.., G·H).
+
+    `hm` is the state on the weighted paths (h_prev under the recurrent
+    dropout mask); the direct carry of the GRU blend uses the unmasked
+    `h_prev`. Returns (h, acts), where acts holds the post-activation
+    gates: z, r, h~ for GRU and h~ (which is h) for SimpleRNN. This is the
+    loop body of `layers.unroll`.
+    """
+    h = cell.hidden_size
+    s = (cell.gates - 1) * h  # width of the sigmoid gates z, r
+    acts = np.empty_like(xw)
+    if s:
+        acts[..., :s] = sigmoid(xw[..., :s] + hm @ cell.w_h[:, :s])
+        hm = acts[..., h:s] * hm  # the reset gate scales the candidate's state
+    acts[..., s:] = np.tanh(xw[..., s:] + hm @ cell.w_h[:, s:])
+    if not s:
+        return acts, acts
+    z, cand = acts[..., :h], acts[..., s:]
+    if convention == "z_gates_candidate":
+        return (1.0 - z) * h_prev + z * cand, acts
+    return z * h_prev + (1.0 - z) * cand, acts
+
+
+def _single_step(x, h_prev, p: CellParams, convention: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
     if x.shape[-1] != p.input_size:
         raise ShapeError(f"input has {x.shape[-1]} features, cell expects {p.input_size}")
     if h_prev.shape[-1] != p.hidden_size:
         raise ShapeError(f"state has {h_prev.shape[-1]} units, cell expects {p.hidden_size}")
     if x.shape[:-1] != h_prev.shape[:-1]:
         raise ShapeError(f"batch mismatch between input {x.shape} and state {h_prev.shape}")
+    if convention not in GRU_CONVENTIONS:
+        raise ShapeError(f"unknown GRU convention {convention!r}")
+    return step(x @ p.w_x + p.b, h_prev, h_prev, p, convention)[0]
 
 
 def simple_rnn_step(x: np.ndarray, h_prev: np.ndarray, p: SimpleRnnCellParams) -> np.ndarray:
     """One SimpleRNN step: tanh(x @ w_x + h_prev @ w_h + b)."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_step_shapes(x, h_prev, p)
-    return np.tanh(x @ p.w_x + h_prev @ p.w_h + p.b)
+    return _single_step(x, h_prev, p, "z_gates_candidate")
 
 
 def gru_step(
@@ -125,90 +140,4 @@ def gru_step(
     h_t = (1 - z) * h + z * h~          ("z_gates_candidate", the default)
     h_t = z * h + (1 - z) * h~          ("z_gates_state")
     """
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_step_shapes(x, h_prev, p)
-    if convention not in GRU_CONVENTIONS:
-        raise ShapeError(f"unknown GRU convention {convention!r}")
-    z = sigmoid(x @ p.w_xz + h_prev @ p.w_hz + p.b_z)
-    r = sigmoid(x @ p.w_xr + h_prev @ p.w_hr + p.b_r)
-    h_cand = np.tanh(x @ p.w_xh + (r * h_prev) @ p.w_hh + p.b_h)
-    if convention == "z_gates_candidate":
-        return (1.0 - z) * h_prev + z * h_cand
-    return z * h_prev + (1.0 - z) * h_cand
-
-
-# ---------------------------------------------------------------------------
-# Step-level forward-with-cache / backward used by the BPTT unroller.
-# The recurrent dropout mask is applied to h_prev on the weighted paths
-# only; the direct carry h_prev in the GRU blend stays unmasked.
-# ---------------------------------------------------------------------------
-
-def rnn_step_cached(xm: np.ndarray, h_prev: np.ndarray, hm: np.ndarray,
-                    p: SimpleRnnCellParams) -> tuple[np.ndarray, dict]:
-    h = np.tanh(xm @ p.w_x + hm @ p.w_h + p.b)
-    return h, {"xm": xm, "hm": hm, "h": h}
-
-
-def rnn_step_backward(dh: np.ndarray, cache: dict, p: SimpleRnnCellParams,
-                      grads: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (d_xm, d_hm); accumulates parameter grads in `grads`."""
-    da = dh * (1.0 - cache["h"] ** 2)
-    grads["w_x"] += cache["xm"].T @ da
-    grads["w_h"] += cache["hm"].T @ da
-    grads["b"] += da.sum(axis=0)
-    return da @ p.w_x.T, da @ p.w_h.T
-
-
-def gru_step_cached(xm: np.ndarray, h_prev: np.ndarray, hm: np.ndarray,
-                    p: GruCellParams, convention: str) -> tuple[np.ndarray, dict]:
-    z = sigmoid(xm @ p.w_xz + hm @ p.w_hz + p.b_z)
-    r = sigmoid(xm @ p.w_xr + hm @ p.w_hr + p.b_r)
-    rh = r * hm
-    h_cand = np.tanh(xm @ p.w_xh + rh @ p.w_hh + p.b_h)
-    if convention == "z_gates_candidate":
-        h = (1.0 - z) * h_prev + z * h_cand
-    else:
-        h = z * h_prev + (1.0 - z) * h_cand
-    return h, {"xm": xm, "h_prev": h_prev, "hm": hm, "z": z, "r": r,
-               "rh": rh, "h_cand": h_cand}
-
-
-def gru_step_backward(dh: np.ndarray, cache: dict, p: GruCellParams,
-                      convention: str, grads: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (d_xm, d_hm, d_hprev_direct); accumulates grads."""
-    z, r, h_cand = cache["z"], cache["r"], cache["h_cand"]
-    h_prev, hm, xm = cache["h_prev"], cache["hm"], cache["xm"]
-    if convention == "z_gates_candidate":
-        dz = dh * (h_cand - h_prev)
-        dh_cand = dh * z
-        dh_prev = dh * (1.0 - z)
-    else:
-        dz = dh * (h_prev - h_cand)
-        dh_cand = dh * (1.0 - z)
-        dh_prev = dh * z
-
-    da_c = dh_cand * (1.0 - h_cand ** 2)
-    grads["w_xh"] += xm.T @ da_c
-    grads["w_hh"] += cache["rh"].T @ da_c
-    grads["b_h"] += da_c.sum(axis=0)
-    d_rh = da_c @ p.w_hh.T
-    dr = d_rh * hm
-    d_hm = d_rh * r
-    d_xm = da_c @ p.w_xh.T
-
-    da_r = dr * r * (1.0 - r)
-    grads["w_xr"] += xm.T @ da_r
-    grads["w_hr"] += hm.T @ da_r
-    grads["b_r"] += da_r.sum(axis=0)
-    d_xm += da_r @ p.w_xr.T
-    d_hm += da_r @ p.w_hr.T
-
-    da_z = dz * z * (1.0 - z)
-    grads["w_xz"] += xm.T @ da_z
-    grads["w_hz"] += hm.T @ da_z
-    grads["b_z"] += da_z.sum(axis=0)
-    d_xm += da_z @ p.w_xz.T
-    d_hm += da_z @ p.w_hz.T
-
-    return d_xm, d_hm, dh_prev
+    return _single_step(x, h_prev, p, convention)

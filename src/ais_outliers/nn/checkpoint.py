@@ -3,6 +3,10 @@
 Layout: magic, format version, config JSON, then every parameter tensor in
 declaration order as little-endian float64. A human-readable JSON manifest
 (config, seed, epoch, losses) is written next to the binary.
+
+Version 2 stores each cell's fused tensors (w_x, w_h, b). Version 1 stored
+the GRU gates separately and the config carried a `dtype` key; it is still
+read, by concatenating the per-gate tensors and dropping that key.
 """
 
 from __future__ import annotations
@@ -13,11 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
-from .model import ModelConfig, RecurrentAutoencoder, cast_params, init_params
+from ..errors import ConfigError, DataError
+from .model import ModelConfig, RecurrentAutoencoder, init_params
 
 MAGIC = b"AISRAE\x00\x01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Fused tensor -> the version-1 GRU tensors it concatenates, in gate order.
+_V1_GRU_PARTS = {"w_x": ("w_xz", "w_xr", "w_xh"),
+                 "w_h": ("w_hz", "w_hr", "w_hh"),
+                 "b": ("b_z", "b_r", "b_h")}
 
 
 def save_checkpoint(path, model: RecurrentAutoencoder,
@@ -55,6 +63,13 @@ def load_checkpoint(path) -> RecurrentAutoencoder:
     data = path.read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path} is not a model checkpoint (bad magic)")
+    try:
+        return _decode(data)
+    except (struct.error, ValueError, TypeError, KeyError, ConfigError) as exc:
+        raise DataError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
+
+
+def _decode(data: bytes) -> RecurrentAutoencoder:
     offset = len(MAGIC)
 
     def take(fmt: str):
@@ -65,20 +80,17 @@ def load_checkpoint(path) -> RecurrentAutoencoder:
         return values
 
     (version,) = take("<I")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(f"unsupported checkpoint version {version}")
     (config_len,) = take("<I")
-    config = ModelConfig.from_dict(json.loads(data[offset:offset + config_len]))
+    config_dict = json.loads(data[offset:offset + config_len])
     offset += config_len
+    if version == 1:
+        config_dict.pop("dtype", None)
+    config = ModelConfig.from_dict(config_dict)
 
-    # Structure from config, then overwrite every tensor by stored name.
-    params = init_params(config, np.random.default_rng(0))
-    flat = params.flat()
-    (n_tensors,) = take("<I")
-    if n_tensors != len(flat):
-        raise DataError(
-            f"checkpoint holds {n_tensors} tensors, config implies {len(flat)}")
     loaded: dict[str, np.ndarray] = {}
+    (n_tensors,) = take("<I")
     for _ in range(n_tensors):
         (name_len,) = take("<I")
         name = data[offset:offset + name_len].decode()
@@ -89,13 +101,29 @@ def load_checkpoint(path) -> RecurrentAutoencoder:
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         loaded[name] = arr.reshape(shape).astype(np.float64)
+    if version == 1:
+        loaded = _fuse_v1_gates(loaded)
+
+    # Structure from config, then overwrite every tensor by stored name.
+    params = init_params(config, np.random.default_rng(0))
+    flat = params.flat()
+    if set(loaded) != set(flat):
+        raise DataError(
+            f"checkpoint tensors do not match the config: missing "
+            f"{sorted(set(flat) - set(loaded))}, unexpected {sorted(set(loaded) - set(flat))}")
     for name, arr in flat.items():
-        if name not in loaded:
-            raise DataError(f"checkpoint is missing tensor {name}")
         if loaded[name].shape != arr.shape:
             raise DataError(
                 f"tensor {name} has shape {loaded[name].shape}, expected {arr.shape}")
         arr[...] = loaded[name]
-    if config.dtype == "float32":
-        params = cast_params(params, np.float32)
     return RecurrentAutoencoder(config, params)
+
+
+def _fuse_v1_gates(loaded: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Concatenate version-1 per-gate GRU tensors into the fused ones."""
+    for fused, parts in _V1_GRU_PARTS.items():
+        for name in [n for n in loaded if n.endswith("." + parts[0])]:
+            prefix = name[: -len(parts[0])]
+            loaded[prefix + fused] = np.concatenate(
+                [loaded.pop(prefix + part) for part in parts], axis=-1)
+    return loaded

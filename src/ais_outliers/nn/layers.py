@@ -1,9 +1,11 @@
-"""Sequence-level layers: unrolled recurrent passes (both directions),
-bidirectional concatenation, and the per-timestep dense output head.
+"""Sequence-level layers: the recurrent scan (either cell kind, either
+direction) with its backpropagation through time, and the per-timestep
+dense output head.
 
-Forward passes can record caches for backpropagation through time; the
-matching backward functions walk the unroll in reverse and accumulate
-parameter gradients.
+The scan follows Appleyard, Kočiský and Blunsom (arXiv:1604.01946): the
+input projection for all timesteps is one GEMM before the time loop, and
+the backward pass saves the pre-activation gradients of every step so the
+weight and input gradients are GEMMs over all timesteps after the loop.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .cells import (
-    CellParams,
-    GruCellParams,
-    gru_step_backward,
-    gru_step_cached,
-    rnn_step_backward,
-    rnn_step_cached,
-)
+from .cells import CellParams, step
 
 
 def _scan_order(timesteps: int, direction: str) -> list[int]:
@@ -37,112 +32,96 @@ def unroll(
     recurrent_mask: np.ndarray | None = None,
     gru_convention: str = "z_gates_candidate",
     want_cache: bool = False,
-):
+) -> tuple[np.ndarray, dict | None]:
     """Run one recurrent layer over a (B, T, D) sequence from a zero state.
 
     The output (B, T, H) is aligned with time for both directions: entry t
     of a backward pass is the state after consuming x[T-1..t]. Masks, when
     given, are (B, D) / (B, H) and are reapplied unchanged at every step.
-    Returns `h_seq` or `(h_seq, cache)` when `want_cache` is set.
+    Returns `(h_seq, cache)`. The cache is None unless `want_cache` is set;
+    then it holds time-major (T, B, .) arrays indexed by timestep: the
+    masked inputs `xm`, the states `h_prev` and masked states `hm` each
+    step started from, and the post-activation gates `acts`.
     """
-    batch, timesteps, _ = seq.shape
-    hidden = cell.hidden_size
-    is_gru = isinstance(cell, GruCellParams)
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim != 3 or seq.shape[-1] != cell.input_size:
+        raise ShapeError(
+            f"layer input must be (B, T, {cell.input_size}), got {seq.shape}")
+    batch, timesteps, features = seq.shape
     order = _scan_order(timesteps, direction)
 
-    h = np.zeros((batch, hidden), dtype=seq.dtype)
-    h_seq = np.empty((batch, timesteps, hidden), dtype=seq.dtype)
-    caches: list[dict] | None = [None] * timesteps if want_cache else None
+    xm = np.array(seq.transpose(1, 0, 2), order="C")  # time-major copy
+    if input_mask is not None:
+        xm *= input_mask
+    xw = (xm.reshape(-1, features) @ cell.w_x).reshape(timesteps, batch, cell.w_x.shape[1])
+    xw += cell.b
+    h = np.zeros((batch, cell.hidden_size))
+    h_seq = np.empty((timesteps, batch, cell.hidden_size))
+    cache = None
+    if want_cache:
+        cache = {"xm": xm, "h_prev": np.empty_like(h_seq), "hm": np.empty_like(h_seq),
+                 "acts": np.empty_like(xw), "order": order, "input_mask": input_mask,
+                 "recurrent_mask": recurrent_mask, "gru_convention": gru_convention}
 
     for t in order:
-        xm = seq[:, t, :] if input_mask is None else seq[:, t, :] * input_mask
         hm = h if recurrent_mask is None else h * recurrent_mask
-        if is_gru:
-            h, cache = gru_step_cached(xm, h, hm, cell, gru_convention)
-        else:
-            h, cache = rnn_step_cached(xm, h, hm, cell)
-        h_seq[:, t, :] = h
-        if want_cache:
-            caches[t] = cache
-
-    if not want_cache:
-        return h_seq
-    cache_bundle = {
-        "caches": caches,
-        "order": order,
-        "input_mask": input_mask,
-        "recurrent_mask": recurrent_mask,
-        "is_gru": is_gru,
-        "gru_convention": gru_convention,
-        "input_shape": seq.shape,
-    }
-    return h_seq, cache_bundle
+        h_prev = h
+        h, acts = step(xw[t], h_prev, hm, cell, gru_convention)
+        h_seq[t] = h
+        if cache is not None:
+            cache["h_prev"][t], cache["hm"][t], cache["acts"][t] = h_prev, hm, acts
+    return h_seq.transpose(1, 0, 2), cache
 
 
 def unroll_backward(
-    d_hseq: np.ndarray, cell: CellParams, bundle: dict
+    d_hseq: np.ndarray, cell: CellParams, cache: dict
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """BPTT through one unrolled layer.
 
-    `d_hseq` is the loss gradient w.r.t. the layer's (B, T, H) output.
-    Returns the gradient w.r.t. the layer's raw input sequence plus a
-    parameter-gradient dict keyed like the cell's tensors.
+    `d_hseq` is the loss gradient w.r.t. the layer's (B, T, H) output and
+    `cache` the one `unroll` returned. Returns the gradient w.r.t. the
+    layer's raw input sequence plus a parameter-gradient dict keyed like
+    the cell's tensors.
     """
-    grads = {name: np.zeros_like(arr) for name, arr in cell.tensors()}
-    d_x = np.empty(bundle["input_shape"], dtype=d_hseq.dtype)
-    input_mask = bundle["input_mask"]
-    recurrent_mask = bundle["recurrent_mask"]
+    xm, h_prev, hm, acts = cache["xm"], cache["h_prev"], cache["hm"], cache["acts"]
+    recurrent_mask = cache["recurrent_mask"]
+    h = cell.hidden_size
+    s = (cell.gates - 1) * h  # width of the sigmoid gates z, r
+    w_h_gates, w_h_cand = cell.w_h[:, :s], cell.w_h[:, s:]
+    d_h = d_hseq.transpose(1, 0, 2)
+    d_pre = np.empty_like(acts)  # pre-activation gradients, (T, B, G·H)
     carry = 0.0  # gradient flowing into h at the next (reversed) scan step
 
-    for t in reversed(bundle["order"]):
-        dh = d_hseq[:, t, :] + carry
-        cache = bundle["caches"][t]
-        if bundle["is_gru"]:
-            d_xm, d_hm, d_direct = gru_step_backward(
-                dh, cache, cell, bundle["gru_convention"], grads)
+    for t in reversed(cache["order"]):
+        dh = d_h[t] + carry
+        cand = acts[t, :, s:]
+        if s:
+            z, r = acts[t, :, :h], acts[t, :, h:s]
+            if cache["gru_convention"] == "z_gates_candidate":
+                dz, d_cand, d_direct = dh * (cand - h_prev[t]), dh * z, dh * (1.0 - z)
+            else:
+                dz, d_cand, d_direct = dh * (h_prev[t] - cand), dh * (1.0 - z), dh * z
         else:
-            d_xm, d_hm = rnn_step_backward(dh, cache, cell, grads)
-            d_direct = 0.0
+            d_cand, d_direct = dh, 0.0
+        d_pre[t, :, s:] = d_cand * (1.0 - cand ** 2)
+        d_hm = d_pre[t, :, s:] @ w_h_cand.T
+        if s:
+            d_pre[t, :, h:s] = d_hm * hm[t] * r * (1.0 - r)
+            d_pre[t, :, :h] = dz * z * (1.0 - z)
+            d_hm = d_hm * r + d_pre[t, :, :s] @ w_h_gates.T
         carry = d_direct + (d_hm if recurrent_mask is None else d_hm * recurrent_mask)
-        d_x[:, t, :] = d_xm if input_mask is None else d_xm * input_mask
-    return d_x, grads
 
-
-def run_layer(
-    seq: np.ndarray,
-    cell: CellParams,
-    direction: str = "forward",
-    input_mask: np.ndarray | None = None,
-    recurrent_mask: np.ndarray | None = None,
-    gru_convention: str = "z_gates_candidate",
-) -> np.ndarray:
-    """Single-direction recurrent layer; accepts (T, D) or (B, T, D)."""
-    seq = np.asarray(seq, dtype=np.float64)
-    squeeze = seq.ndim == 2
-    if squeeze:
-        seq = seq[None]
-    out = unroll(seq, cell, direction, input_mask, recurrent_mask, gru_convention)
-    return out[0] if squeeze else out
-
-
-def bidirectional_layer(
-    seq: np.ndarray,
-    cell_fwd: CellParams,
-    cell_bwd: CellParams,
-    input_mask_fwd: np.ndarray | None = None,
-    recurrent_mask_fwd: np.ndarray | None = None,
-    input_mask_bwd: np.ndarray | None = None,
-    recurrent_mask_bwd: np.ndarray | None = None,
-    gru_convention: str = "z_gates_candidate",
-) -> np.ndarray:
-    """Concatenate forward and backward passes per timestep: (.., T, 2H)."""
-    if cell_fwd.hidden_size != cell_bwd.hidden_size:
-        raise ShapeError("bidirectional cells must share a hidden size")
-    fwd = run_layer(seq, cell_fwd, "forward", input_mask_fwd,
-                    recurrent_mask_fwd, gru_convention)
-    bwd = run_layer(seq, cell_bwd, "backward", input_mask_bwd,
-                    recurrent_mask_bwd, gru_convention)
-    return np.concatenate([fwd, bwd], axis=-1)
+    flat = d_pre.reshape(-1, d_pre.shape[-1])
+    cand_state = hm if not s else acts[..., h:s] * hm  # the candidate's recurrent input
+    d_w_h = np.empty_like(cell.w_h)
+    d_w_h[:, :s] = hm.reshape(-1, h).T @ flat[:, :s]
+    d_w_h[:, s:] = cand_state.reshape(-1, h).T @ flat[:, s:]
+    grads = {"w_x": xm.reshape(-1, xm.shape[-1]).T @ flat, "w_h": d_w_h,
+             "b": flat.sum(axis=0)}
+    d_x = (flat @ cell.w_x.T).reshape(xm.shape)
+    if cache["input_mask"] is not None:
+        d_x *= cache["input_mask"]
+    return d_x.transpose(1, 0, 2), grads
 
 
 def dense_per_timestep(hidden_seq: np.ndarray, w_out: np.ndarray,

@@ -16,7 +16,8 @@ from .cells import GRU_CONVENTIONS, CellParams, GruCellParams, SimpleRnnCellPara
 from .dropout import DropoutMasks, sample_masks
 from .layers import dense_backward, dense_per_timestep, unroll, unroll_backward
 
-CELL_KINDS = ("simple_rnn", "gru")
+CELLS = {"simple_rnn": SimpleRnnCellParams, "gru": GruCellParams}
+CELL_KINDS = tuple(CELLS)
 
 
 @dataclass
@@ -32,7 +33,6 @@ class ModelConfig:
     timesteps: int = 48
     features: int = 4
     gru_convention: str = "z_gates_candidate"
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.cell_kind not in CELL_KINDS:
@@ -48,8 +48,6 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError("dtype must be 'float64' or 'float32'")
 
     @property
     def directions(self) -> int:
@@ -83,6 +81,14 @@ class LayerParams:
     forward_cell: CellParams
     backward_cell: CellParams | None = None
 
+    def directions(self) -> list[tuple[str, str, CellParams]]:
+        """(scan direction, parameter-name tag, cell) for each direction the
+        layer runs; their outputs are concatenated in this order."""
+        out = [("forward", "fwd", self.forward_cell)]
+        if self.backward_cell is not None:
+            out.append(("backward", "bwd", self.backward_cell))
+        return out
+
 
 @dataclass
 class ModelParams:
@@ -101,11 +107,9 @@ class ModelParams:
     def flat(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
-            for name, arr in layer.forward_cell.tensors():
-                out[f"layer{i}.fwd.{name}"] = arr
-            if layer.backward_cell is not None:
-                for name, arr in layer.backward_cell.tensors():
-                    out[f"layer{i}.bwd.{name}"] = arr
+            for _, tag, cell in layer.directions():
+                for name, arr in cell.tensors():
+                    out[f"layer{i}.{tag}.{name}"] = arr
         out["dense.w"] = self.w_out
         out["dense.b"] = self.b_out
         return out
@@ -123,18 +127,15 @@ def _orthogonal(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _init_cell(kind: str, rng: np.random.Generator, d_in: int, hidden: int) -> CellParams:
-    if kind == "simple_rnn":
-        return SimpleRnnCellParams(
-            w_x=_glorot_uniform(rng, d_in, hidden),
-            w_h=_orthogonal(rng, hidden),
-            b=np.zeros(hidden),
-        )
-    tensors = {}
-    for gate in ("z", "r", "h"):
-        tensors[f"w_x{gate}"] = _glorot_uniform(rng, d_in, hidden)
-        tensors[f"w_h{gate}"] = _orthogonal(rng, hidden)
-        tensors[f"b_{gate}"] = np.zeros(hidden)
-    return GruCellParams(**tensors)
+    # Each gate draws its own input and recurrent kernel (z, r, h~ order);
+    # the fused tensors are their concatenation.
+    cls = CELLS[kind]
+    w_x, w_h = [], []
+    for _ in range(cls.gates):
+        w_x.append(_glorot_uniform(rng, d_in, hidden))
+        w_h.append(_orthogonal(rng, hidden))
+    return cls(np.concatenate(w_x, axis=1), np.concatenate(w_h, axis=1),
+               np.zeros(cls.gates * hidden))
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -149,24 +150,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     top = config.hidden * config.directions
     params.w_out = _glorot_uniform(rng, top, config.features)
     params.b_out = np.zeros(config.features)
-    if config.dtype == "float32":
-        params = cast_params(params, np.float32)
     return params
-
-
-def cast_params(params: ModelParams, dtype) -> ModelParams:
-    """Rebuild the parameter tree with every tensor cast to `dtype`."""
-    layers = []
-    for layer in params.layers:
-        fwd = type(layer.forward_cell)(
-            **{n: a.astype(dtype) for n, a in layer.forward_cell.tensors()})
-        bwd = None
-        if layer.backward_cell is not None:
-            bwd = type(layer.backward_cell)(
-                **{n: a.astype(dtype) for n, a in layer.backward_cell.tensors()})
-        layers.append(LayerParams(forward_cell=fwd, backward_cell=bwd))
-    return ModelParams(layers=layers, w_out=params.w_out.astype(dtype),
-                       b_out=params.b_out.astype(dtype))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray,
@@ -195,49 +179,40 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 
 
 def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
-                  masks: DropoutMasks | None):
-    """Forward pass returning (pred, trace) where trace carries everything
-    the backward pass needs. `masks=None` means eval mode."""
+                  masks: DropoutMasks | None, want_cache: bool):
+    """Forward pass returning (pred, caches, dense_input). `caches[i][k]` is
+    the BPTT cache of layer i, direction k, or None unless `want_cache` is
+    set. `masks=None` means eval mode."""
     if batch.ndim != 3 or batch.shape[1] != config.timesteps or batch.shape[2] != config.features:
         raise ShapeError(
             f"batch must be Bx{config.timesteps}x{config.features}, got {batch.shape}")
-    dtype = np.float64 if config.dtype == "float64" else np.float32
-    seq = np.asarray(batch, dtype=dtype)
+    seq = np.asarray(batch, dtype=np.float64)
     # Saturating activations can silently absorb an inf input, so the
     # batch itself is part of the finiteness contract.
     _check_finite(seq, "model input (layer 0 input)")
-    trace = {"layer_inputs": [], "bundles": [], "post_dropout": []}
+    caches = []
 
     for i, layer in enumerate(params.layers):
-        trace["layer_inputs"].append(seq)
-        if config.bidirectional:
-            im_f, im_b = (masks.input_masks[i] if masks else (None, None))
-            rm_f, rm_b = (masks.recurrent_masks[i] if masks else (None, None))
-            fwd, bundle_f = unroll(seq, layer.forward_cell, "forward", im_f, rm_f,
-                                   config.gru_convention, want_cache=True)
-            bwd, bundle_b = unroll(seq, layer.backward_cell, "backward", im_b, rm_b,
-                                   config.gru_convention, want_cache=True)
-            out = np.concatenate([fwd, bwd], axis=-1)
-            trace["bundles"].append((bundle_f, bundle_b))
-        else:
-            im = masks.input_masks[i][0] if masks else None
-            rm = masks.recurrent_masks[i][0] if masks else None
-            out, bundle = unroll(seq, layer.forward_cell, "forward", im, rm,
-                                 config.gru_convention, want_cache=True)
-            trace["bundles"].append((bundle, None))
+        outs, layer_caches = [], []
+        for k, (direction, _, cell) in enumerate(layer.directions()):
+            im = masks.input_masks[i][k] if masks else None
+            rm = masks.recurrent_masks[i][k] if masks else None
+            out, cache = unroll(seq, cell, direction, im, rm, config.gru_convention,
+                                want_cache)
+            outs.append(out)
+            layer_caches.append(cache)
+        out = np.concatenate(outs, axis=-1)
+        caches.append(layer_caches)
         _check_finite(out, f"recurrent layer {i}")
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
             out = out * masks.interlayer[i]
-        trace["post_dropout"].append(out)
         seq = out
 
     if masks is not None and masks.dense is not None:
         seq = seq * masks.dense
-    trace["dense_input"] = seq
     pred = dense_per_timestep(seq, params.w_out, params.b_out)
     _check_finite(pred, "dense output layer")
-    trace["pred"] = pred
-    return pred, trace
+    return pred, caches, seq
 
 
 def forward(params: ModelParams, config: ModelConfig, batch: np.ndarray,
@@ -246,7 +221,8 @@ def forward(params: ModelParams, config: ModelConfig, batch: np.ndarray,
     """Reconstruct a (B, T, F) batch.
 
     Train mode applies dropout masks (fresh ones are sampled from `rng`
-    when not supplied); eval mode ignores dropout entirely.
+    when not supplied); eval mode ignores dropout entirely. Neither keeps
+    a BPTT cache.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -256,7 +232,7 @@ def forward(params: ModelParams, config: ModelConfig, batch: np.ndarray,
         masks = sample_masks(config, batch.shape[0], rng)
     if mode == "eval":
         masks = None
-    pred, _ = _forward_full(params, config, batch, masks)
+    pred, _, _ = _forward_full(params, config, batch, masks, want_cache=False)
     return pred
 
 
@@ -270,7 +246,8 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
     `mask_sentinel` drops -1 target cells from the objective.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    pred, trace = _forward_full(params, config, batch, masks)
+    pred, caches, dense_input = _forward_full(params, config, batch, masks,
+                                              want_cache=True)
     loss = mse_loss(pred, batch, mask_sentinel)
 
     grads: dict[str, np.ndarray] = {}
@@ -279,30 +256,23 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
         d_pred = 2.0 * keep * (pred - batch) / keep.sum()
     else:
         d_pred = 2.0 * (pred - batch) / pred.size
-    d_seq, d_w, d_b = dense_backward(d_pred, trace["dense_input"], pred, params.w_out)
+    d_seq, d_w, d_b = dense_backward(d_pred, dense_input, pred, params.w_out)
     grads["dense.w"] = d_w
     grads["dense.b"] = d_b
     if masks is not None and masks.dense is not None:
         d_seq = d_seq * masks.dense
 
+    h = config.hidden
     for i in range(config.layers - 1, -1, -1):
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
             d_seq = d_seq * masks.interlayer[i]
-        layer = params.layers[i]
-        bundle_f, bundle_b = trace["bundles"][i]
-        if config.bidirectional:
-            h = config.hidden
-            d_fwd, g_f = unroll_backward(d_seq[..., :h], layer.forward_cell, bundle_f)
-            d_bwd, g_b = unroll_backward(d_seq[..., h:], layer.backward_cell, bundle_b)
-            d_seq = d_fwd + d_bwd
-            for name, g in g_f.items():
-                grads[f"layer{i}.fwd.{name}"] = g
-            for name, g in g_b.items():
-                grads[f"layer{i}.bwd.{name}"] = g
-        else:
-            d_seq, g_f = unroll_backward(d_seq, layer.forward_cell, bundle_f)
-            for name, g in g_f.items():
-                grads[f"layer{i}.fwd.{name}"] = g
+        d_input = 0.0
+        for k, (_, tag, cell) in enumerate(params.layers[i].directions()):
+            d_x, g = unroll_backward(d_seq[..., k * h:(k + 1) * h], cell, caches[i][k])
+            d_input = d_input + d_x
+            for name, arr in g.items():
+                grads[f"layer{i}.{tag}.{name}"] = arr
+        d_seq = d_input
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

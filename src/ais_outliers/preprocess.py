@@ -33,17 +33,6 @@ DEFAULT_MAX_MISSING_FRACTION = 0.30
 SENTINEL = -1.0
 
 
-@dataclass(frozen=True)
-class FeatureTuple:
-    lat: float
-    lon: float
-    sog: float
-    cog: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lat, self.lon, self.sog, self.cog], dtype=np.float64)
-
-
 @dataclass
 class DailyGrid:
     """One vessel's day on the half-hour grid: slot i is 00:00 + i*30min.
@@ -62,11 +51,6 @@ class DailyGrid:
             raise DataError(f"daily grid must be {N_SLOTS}x{N_FEATURES}, got {self.values.shape}")
         if self.mask.shape != (N_SLOTS,):
             raise DataError(f"daily mask must have {N_SLOTS} entries")
-
-    def slot(self, i: int) -> FeatureTuple | None:
-        if not self.mask[i]:
-            return None
-        return FeatureTuple(*self.values[i])
 
     @property
     def present_count(self) -> int:
@@ -398,7 +382,12 @@ def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, da
         if header != ["record_index", "mmsi", "day"]:
             raise DataError(f"unexpected sidecar header in {index_path}: {header}")
         for row in reader:
-            ids.append((row[1], date.fromisoformat(row[2])))
+            try:
+                _, mmsi, day = row
+                ids.append((mmsi, date.fromisoformat(day)))
+            except ValueError:
+                raise DataError(f"{index_path} line {reader.line_num}: expected "
+                                f"record_index,mmsi,day, got {row}") from None
     if len(ids) != tensor.shape[0]:
         raise DataError(
             f"sidecar lists {len(ids)} days but tensor holds {tensor.shape[0]}"

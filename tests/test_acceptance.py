@@ -172,13 +172,12 @@ def test_recurrent_dropout_invariant():
         # must equal h_prev * the one sampled mask, bitwise.
         rec_mask = masks.recurrent_masks[0][0]
         cell = model.params.layers[0].forward_cell
-        h_seq, bundle = unroll(batch, cell, "forward",
-                               input_mask=masks.input_masks[0][0],
-                               recurrent_mask=rec_mask, want_cache=True)
+        h_seq, cache = unroll(batch, cell, "forward",
+                              input_mask=masks.input_masks[0][0],
+                              recurrent_mask=rec_mask, want_cache=True)
         h_prev = np.zeros((2, cfg.hidden))
         for t in range(48):
-            cached = bundle["caches"][t]
-            npt.assert_array_equal(cached["hm"], h_prev * rec_mask,
+            npt.assert_array_equal(cache["hm"][t], h_prev * rec_mask,
                                    err_msg=f"recurrent mask changed at t={t}")
             h_prev = h_seq[:, t, :]
 

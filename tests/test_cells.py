@@ -16,21 +16,22 @@ from ais_outliers.nn.cells import (
 from oracles import gru_step_loop, rnn_step_loop, sigmoid_scalar
 
 
+def _random_fused(rng, d, h, gates, scale):
+    # Per-gate draws in z, r, h~ order, concatenated into the fused layout.
+    w_x, w_h, b = [], [], []
+    for _ in range(gates):
+        w_x.append(rng.uniform(-scale, scale, (d, h)))
+        w_h.append(rng.uniform(-scale, scale, (h, h)))
+        b.append(rng.uniform(-scale, scale, h))
+    return np.concatenate(w_x, axis=1), np.concatenate(w_h, axis=1), np.concatenate(b)
+
+
 def random_rnn_params(rng, d, h, scale=0.5):
-    return SimpleRnnCellParams(
-        w_x=rng.uniform(-scale, scale, (d, h)),
-        w_h=rng.uniform(-scale, scale, (h, h)),
-        b=rng.uniform(-scale, scale, h),
-    )
+    return SimpleRnnCellParams(*_random_fused(rng, d, h, 1, scale))
 
 
 def random_gru_params(rng, d, h, scale=0.5):
-    tensors = {}
-    for gate in ("z", "r", "h"):
-        tensors[f"w_x{gate}"] = rng.uniform(-scale, scale, (d, h))
-        tensors[f"w_h{gate}"] = rng.uniform(-scale, scale, (h, h))
-        tensors[f"b_{gate}"] = rng.uniform(-scale, scale, h)
-    return GruCellParams(**tensors)
+    return GruCellParams(*_random_fused(rng, d, h, 3, scale))
 
 
 def zero_rnn_params(d, h):
@@ -38,9 +39,7 @@ def zero_rnn_params(d, h):
 
 
 def zero_gru_params(d, h):
-    return GruCellParams(*[np.zeros((d, h)) if i % 3 == 0 else
-                           np.zeros((h, h)) if i % 3 == 1 else np.zeros(h)
-                           for i in range(9)])
+    return GruCellParams(np.zeros((d, 3 * h)), np.zeros((h, 3 * h)), np.zeros(3 * h))
 
 
 def test_sigmoid_matches_scalar_form(rng):
@@ -144,9 +143,18 @@ def test_gru_batched_matches_rowwise(rng):
         npt.assert_allclose(batched[i], gru_step(x[i], h_prev[i], p), atol=1e-15)
 
 
+def test_gru_per_gate_tensors_are_views_of_fused(rng):
+    p = random_gru_params(rng, 4, 3)
+    assert [name for name, _ in p.tensors()] == ["w_x", "w_h", "b"]
+    npt.assert_array_equal(np.concatenate([p.w_xz, p.w_xr, p.w_xh], axis=1), p.w_x)
+    npt.assert_array_equal(np.concatenate([p.w_hz, p.w_hr, p.w_hh], axis=1), p.w_h)
+    npt.assert_array_equal(np.concatenate([p.b_z, p.b_r, p.b_h]), p.b)
+    assert np.shares_memory(p.w_hr, p.w_h)
+
+
 def test_gru_shape_validation(rng):
     with pytest.raises(ShapeError):
-        GruCellParams(*[np.zeros((4, 3))] * 9)
+        GruCellParams(np.zeros((4, 3)), np.zeros((3, 3)), np.zeros(3))
     p = random_gru_params(rng, 4, 3)
     with pytest.raises(ShapeError):
         gru_step(np.zeros(3), np.zeros(3), p)

@@ -1,11 +1,16 @@
 import json
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ais_outliers.cli import main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
+from ais_outliers.nn.checkpoint import save_checkpoint
+from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
+from ais_outliers.preprocess import NormalizationStats, NormalizedDay, save_corpus
 from ais_outliers.synthetic import generate_days, write_ais_csv
 
 
@@ -39,6 +44,14 @@ def test_config_precedence(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown configuration key"):
         load_config(None, ["not_a_key=1"])
+
+
+@pytest.mark.parametrize("key", ["dtype=float32", "deterministic=true"])
+def test_removed_config_keys_rejected(tmp_path, capsys, key):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(key + "\n")
+    assert main(["ingest", "--config", str(config_file), "--print-config"]) == 1
+    assert "unknown configuration key" in capsys.readouterr().err
 
 
 def test_print_config(capsys):
@@ -148,3 +161,27 @@ def test_usage_error_exit_code_is_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("score", "truncated_checkpoint"),
+    ("export-geojson", "short_index_row"),
+])
+def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
+    run_dir = tmp_path / "run"
+    (run_dir / "checkpoints").mkdir(parents=True)
+    NormalizationStats(np.zeros(4), np.ones(4)).save(run_dir / "stats.txt")
+    days = [NormalizedDay(f"36700000{i}", date(2019, 3, 6), np.full((48, 4), 0.5))
+            for i in range(2)]
+    save_corpus(days, run_dir / "test.f64", run_dir / "test_index.csv")
+    checkpoint = run_dir / "checkpoints" / "epoch_001.ckpt"
+    save_checkpoint(checkpoint, RecurrentAutoencoder.initialize(ModelConfig(hidden=4), 0))
+    if damage == "truncated_checkpoint":
+        checkpoint.write_bytes(checkpoint.read_bytes()[:-100])
+    else:
+        index = run_dir / "test_index.csv"
+        index.write_text(index.read_text() + "2,367000009\n")
+
+    assert main([command, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:"), err

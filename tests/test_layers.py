@@ -3,30 +3,36 @@ import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ShapeError
-from ais_outliers.nn.layers import bidirectional_layer, dense_per_timestep, run_layer
+from ais_outliers.nn.layers import dense_per_timestep, unroll
 
 from test_cells import random_gru_params, random_rnn_params, zero_gru_params, zero_rnn_params
 from oracles import gru_step_loop, rnn_step_loop
 
 
+def run(seq, cell, direction="forward", **masks):
+    """Scan one (T, D) sequence; returns its (T, H) states."""
+    return unroll(seq[None], cell, direction, **masks)[0][0]
+
+
 def test_zero_weights_give_zero_outputs(rng):
     seq = rng.uniform(-1, 1, (48, 4))
-    out = run_layer(seq, zero_rnn_params(4, 3))
-    npt.assert_array_equal(out, np.zeros((48, 3)))
+    for cell in (zero_rnn_params(4, 3), zero_gru_params(4, 3)):
+        for direction in ("forward", "backward"):
+            npt.assert_array_equal(run(seq, cell, direction), np.zeros((48, 3)))
 
 
 def test_backward_of_reversed_input_mirrors_forward(rng):
     cell = random_gru_params(rng, 4, 3)
     seq = rng.uniform(-1, 1, (10, 4))
-    fwd_on_reversed = run_layer(seq[::-1].copy(), cell, "forward")
-    bwd = run_layer(seq, cell, "backward")
+    fwd_on_reversed = run(seq[::-1].copy(), cell, "forward")
+    bwd = run(seq, cell, "backward")
     npt.assert_allclose(bwd, fwd_on_reversed[::-1], atol=1e-15)
 
 
 def test_three_step_manual_unroll(rng):
     cell = random_rnn_params(rng, 2, 3)
     seq = rng.uniform(-1, 1, (3, 2))
-    out = run_layer(seq, cell)
+    out = run(seq, cell)
     h = np.zeros(3)
     for t in range(3):
         h = rnn_step_loop(seq[t], h, cell.w_x, cell.w_h, cell.b)
@@ -36,41 +42,11 @@ def test_three_step_manual_unroll(rng):
 def test_gru_layer_manual_unroll(rng):
     cell = random_gru_params(rng, 2, 2)
     seq = rng.uniform(-1, 1, (4, 2))
-    out = run_layer(seq, cell)
+    out = run(seq, cell)
     h = np.zeros(2)
     for t in range(4):
         h = gru_step_loop(seq[t], h, cell)
         npt.assert_allclose(out[t], h, atol=1e-12)
-
-
-def test_bidirectional_zero_cells(rng):
-    seq = rng.uniform(-1, 1, (48, 4))
-    out = bidirectional_layer(seq, zero_gru_params(4, 5), zero_gru_params(4, 5))
-    assert out.shape == (48, 10)
-    npt.assert_array_equal(out, 0.0)
-
-
-def test_bidirectional_columns_decompose(rng):
-    fwd_cell = random_gru_params(rng, 4, 3)
-    bwd_cell = random_gru_params(rng, 4, 3)
-    seq = rng.uniform(-1, 1, (12, 4))
-    both = bidirectional_layer(seq, fwd_cell, bwd_cell)
-    npt.assert_array_equal(both[:, :3], run_layer(seq, fwd_cell, "forward"))
-    npt.assert_array_equal(both[:, 3:], run_layer(seq, bwd_cell, "backward"))
-
-
-def test_bidirectional_h1_toy(rng):
-    fwd_cell = random_rnn_params(rng, 4, 1)
-    bwd_cell = random_rnn_params(rng, 4, 1)
-    seq = rng.uniform(-1, 1, (6, 4))
-    both = bidirectional_layer(seq, fwd_cell, bwd_cell)
-    npt.assert_array_equal(both[:, 0:1], run_layer(seq, fwd_cell))
-
-
-def test_bidirectional_requires_equal_hidden(rng):
-    with pytest.raises(ShapeError):
-        bidirectional_layer(np.zeros((4, 4)), random_rnn_params(rng, 4, 2),
-                            random_rnn_params(rng, 4, 3))
 
 
 def test_dense_zero_weights(rng):
@@ -112,7 +88,7 @@ def test_masks_reapplied_every_step(rng):
     cell = random_rnn_params(rng, 3, 2)
     seq = rng.uniform(-1, 1, (1, 6, 3))
     mask = np.array([[1.0, 0.0, 1.0]])
-    masked_out = run_layer(seq, cell, input_mask=mask)
+    masked_out = unroll(seq, cell, input_mask=mask)[0]
     zeroed = seq.copy()
     zeroed[:, :, 1] = 0.0
-    npt.assert_allclose(masked_out, run_layer(zeroed, cell), atol=1e-15)
+    npt.assert_allclose(masked_out, unroll(zeroed, cell)[0], atol=1e-15)

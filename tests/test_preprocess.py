@@ -357,3 +357,17 @@ def test_corpus_roundtrip_and_layout(tmp_path, rng):
     first = struct.unpack("<4d", raw[:32])
     npt.assert_array_equal(first, days[0].matrix[0])
     assert len(raw) == 3 * N_SLOTS * 4 * 8
+
+
+@pytest.mark.parametrize("bad_row", ["1,367000001", "1,367000001,2019-03-06,x",
+                                     "1,367000001,not-a-day"])
+def test_malformed_sidecar_row_is_data_error(tmp_path, rng, bad_row):
+    days = [NormalizedDay(mmsi=f"36700000{i}", day=DAY, matrix=rng.uniform(0, 1, (N_SLOTS, 4)))
+            for i in range(2)]
+    tensor_path = tmp_path / "corpus.f64"
+    index_path = tmp_path / "corpus_index.csv"
+    save_corpus(days, tensor_path, index_path)
+    lines = index_path.read_text().splitlines()
+    index_path.write_text("\n".join(lines[:-1] + [bad_row]) + "\n")
+    with pytest.raises(DataError, match="line 3"):
+        load_corpus(tensor_path, index_path)
