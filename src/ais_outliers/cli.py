@@ -15,20 +15,22 @@ import glob
 import sys
 import time
 from dataclasses import fields
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, detect
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError
 from .geojson import export_days
 from .ingest import (
-    AisRecord,
     IngestReport,
-    VesselTrack,
     filter_by_length,
     group_and_sort,
+    load_tracks,
     parse_ais_csv,
+    save_tracks,
 )
 from .manifest import RunManifest
 from .nn.checkpoint import load_checkpoint
@@ -52,7 +54,7 @@ from .sequence import (
     write_split_manifest,
 )
 
-TRACKS_FILE = "tracks.csv"
+TRACKS_FILE = "tracks.npy"
 CORPUS_FILE = "corpus.f64"
 CORPUS_INDEX = "corpus_index.csv"
 STATS_FILE = "stats.txt"
@@ -109,24 +111,24 @@ def cmd_ingest(config: RunConfig) -> int:
     if not paths:
         raise ConfigError(f"input glob matched no files: {config.input_glob!r}")
 
-    records: list[AisRecord] = []
+    tables = []
     report = IngestReport()
     for path in paths:
-        file_records, file_report = parse_ais_csv(path, config.schema())
-        records.extend(file_records)
+        table, file_report = parse_ais_csv(path, config.schema())
+        tables.append(table)
         report.merge(file_report)
 
-    vessels_before = {r.mmsi for r in records}
+    records = np.concatenate(tables)
     kept = filter_by_length(records, config.min_length)
-    vessels_after = {r.mmsi for r in kept}
-    report.vessels_dropped_by_length = len(vessels_before - vessels_after)
+    report.vessels_dropped_by_length = (len(np.unique(records["mmsi"]))
+                                        - len(np.unique(kept["mmsi"])))
 
     tracks = group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
 
     run_dir = _run_dir(config)
     tracks_path = run_dir / TRACKS_FILE
-    _save_tracks(tracks, tracks_path)
+    save_tracks(tracks_path, tracks)
     (run_dir / "ingest_report.txt").write_text(report.to_text())
     (run_dir / "ingest_report.csv").write_text(report.to_csv_text())
 
@@ -139,43 +141,10 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
-def _save_tracks(tracks: list[VesselTrack], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mmsi", "timestamp", "lat", "lon", "sog", "cog", "length"])
-        for track in tracks:
-            for r in track.records:
-                writer.writerow([
-                    r.mmsi, r.timestamp.strftime("%Y-%m-%dT%H:%M:%S"),
-                    repr(r.lat), repr(r.lon), repr(r.sog), repr(r.cog),
-                    "" if r.length is None else repr(r.length),
-                ])
-
-
-def _load_tracks(path: Path) -> list[VesselTrack]:
-    if not path.exists():
-        raise DataError(f"track store not found: {path} (run `ingest` first)")
-    from datetime import timezone
-
-    buckets: dict[str, list[AisRecord]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            record = AisRecord(
-                mmsi=row[0],
-                timestamp=datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%S").replace(
-                    tzinfo=timezone.utc),
-                lat=float(row[2]), lon=float(row[3]), sog=float(row[4]),
-                cog=float(row[5]), length=float(row[6]) if row[6] else None)
-            buckets.setdefault(record.mmsi, []).append(record)
-    return [VesselTrack(mmsi=m, records=tuple(buckets[m])) for m in sorted(buckets)]
-
-
 def cmd_preprocess(config: RunConfig) -> int:
     started = time.monotonic()
     run_dir = _run_dir(config)
-    tracks = _load_tracks(run_dir / TRACKS_FILE)
+    tracks = load_tracks(run_dir / TRACKS_FILE)
 
     grids, summary = build_daily_grids(
         tracks, config.tolerance_s, config.min_entries, config.max_fill)
@@ -322,13 +291,18 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
     return 0
 
 
-def _read_scores_csv(path: Path) -> dict[tuple[str, date], float]:
-    out = {}
+def _read_csv_rows(path: Path, parse, expected: str) -> list:
+    """`parse` each row after the header; a row it cannot read is a DataError."""
+    out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
-            out[(row[0], date.fromisoformat(row[1]))] = float(row[2])
+            try:
+                out.append(parse(row))
+            except (IndexError, ValueError):
+                raise DataError(f"{path} line {reader.line_num}: expected {expected}, "
+                                f"got {row}") from None
     return out
 
 
@@ -339,7 +313,9 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
     stats = NormalizationStats.load(run_dir / STATS_FILE)
     test_set = load_set(run_dir / "test.f64", run_dir / "test_index.csv")
     scores_path = run_dir / "scores.csv"
-    rmse_by_id = _read_scores_csv(scores_path) if scores_path.exists() else {}
+    rmse_by_id = dict(_read_csv_rows(
+        scores_path, lambda row: ((row[0], date.fromisoformat(row[1])), float(row[2])),
+        "mmsi,day,rmse")) if scores_path.exists() else {}
 
     if mmsi or day:
         if not (mmsi and day):
@@ -350,12 +326,9 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
         if not outliers_path.exists():
             raise DataError(f"no outlier report at {outliers_path}; "
                             "run `score` first or select --mmsi/--day")
-        selection = []
-        with open(outliers_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                selection.append((row[1], date.fromisoformat(row[2])))
+        selection = _read_csv_rows(
+            outliers_path, lambda row: (row[1], date.fromisoformat(row[2])),
+            "rank,mmsi,day,...")
 
     out_path = Path(output) if output else run_dir / "outliers.geojson"
     collection = export_days(out_path, selection, test_set.tensor,

@@ -1,8 +1,8 @@
 """AIS CSV ingestion.
 
-Parses MarineCadastre-style AIS exports into validated records, filters
-vessels by length, and groups records into time-sorted per-vessel tracks.
-Malformed rows are tallied per reason, never silently dropped.
+Parses MarineCadastre-style AIS exports into a table of validated records,
+filters vessels by length, and groups the table into time-sorted per-vessel
+tracks. Malformed rows are tallied per reason, never silently dropped.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -35,29 +37,26 @@ _TIMESTAMP_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S")
 DEFAULT_MIN_LENGTH_M = 20.0
 
 
-@dataclass(frozen=True)
-class AisRecord:
-    """One validated AIS message row. `length` is None when not reported."""
-
-    mmsi: str
-    timestamp: datetime  # tz-aware UTC
-    lat: float
-    lon: float
-    sog: float
-    cog: float
-    length: float | None
-
-    def payload(self) -> tuple:
-        """Value fields used for exact-duplicate comparison."""
-        return (self.lat, self.lon, self.sog, self.cog, self.length)
+# One accepted AIS row, in memory and in the `tracks.npy` store: MMSI as an
+# integer (rebuilt as a zero-padded 9-digit string), time as UTC epoch
+# seconds, and `length` NaN when not reported.
+TRACK_DTYPE = np.dtype([
+    ("mmsi", "<i8"), ("t", "<i8"), ("lat", "<f8"), ("lon", "<f8"),
+    ("sog", "<f8"), ("cog", "<f8"), ("length", "<f8"),
+])
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 
 
 @dataclass(frozen=True)
 class VesselTrack:
-    """All accepted records of one MMSI, ascending in time, deduplicated."""
+    """All accepted records of one MMSI, ascending in time, deduplicated.
+
+    `records` is a TRACK_DTYPE view into the table the track came from.
+    """
 
     mmsi: str
-    records: tuple[AisRecord, ...]
+    records: np.ndarray
 
     def __len__(self) -> int:
         return len(self.records)
@@ -113,10 +112,11 @@ class IngestReport:
         return out.getvalue()
 
 
-def _parse_timestamp(text: str) -> datetime | None:
+def _parse_timestamp(text: str) -> int | None:
+    """UTC epoch seconds of a timestamp in one of the accepted formats."""
     for fmt in _TIMESTAMP_FORMATS:
         try:
-            return datetime.strptime(text, fmt).replace(tzinfo=timezone.utc)
+            return (datetime.strptime(text, fmt) - _EPOCH) // _SECOND
         except ValueError:
             continue
     return None
@@ -143,14 +143,15 @@ def _open_text(source) -> tuple[IO[str], bool]:
 
 def parse_ais_csv(
     source, schema: dict[str, str] | None = None
-) -> tuple[list[AisRecord], IngestReport]:
-    """Parse one AIS CSV into validated records plus a rejection report.
+) -> tuple[np.ndarray, IngestReport]:
+    """Parse one AIS CSV into a TRACK_DTYPE table plus a rejection report.
 
     `source` may be a path, an open text stream, or an open byte stream.
     `schema` maps logical fields (mmsi, timestamp, lat, lon, sog, cog,
     length) to column names; defaults match MarineCadastre headers.
-    A missing required column raises ConfigError; an unreadable stream
-    raises DataError. Bad rows never raise: they are tallied by reason.
+    Accepted rows keep their input order. A missing required column raises
+    ConfigError; an unreadable stream raises DataError. Bad rows never
+    raise: they are tallied by reason.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -160,14 +161,14 @@ def parse_ais_csv(
         columns.update(schema)
 
     stream, owned = _open_text(source)
-    records: list[AisRecord] = []
+    rows: list[tuple] = []
     report = IngestReport()
     try:
         reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:
-            return records, report
+            return np.array(rows, dtype=TRACK_DTYPE), report
 
         index: dict[str, int] = {}
         for logical, column in columns.items():
@@ -190,22 +191,22 @@ def parse_ais_csv(
             if record is None:
                 report.reject(reason)
             else:
-                records.append(record)
+                rows.append(record)
     except (UnicodeDecodeError, csv.Error, OSError) as exc:
         raise DataError(f"unreadable AIS stream: {exc}") from exc
     finally:
         if owned:
             stream.close()
-    return records, report
+    return np.array(rows, dtype=TRACK_DTYPE), report
 
 
-def _parse_row(row: list[str], index: dict[str, int]) -> tuple[AisRecord | None, str]:
+def _parse_row(row: list[str], index: dict[str, int]) -> tuple[tuple | None, str]:
     mmsi = row[index["mmsi"]].strip()
-    if len(mmsi) != 9 or not mmsi.isdigit():
+    if len(mmsi) != 9 or not (mmsi.isascii() and mmsi.isdigit()):
         return None, "bad_mmsi"
 
-    timestamp = _parse_timestamp(row[index["timestamp"]].strip())
-    if timestamp is None:
+    t = _parse_timestamp(row[index["timestamp"]].strip())
+    if t is None:
         return None, "bad_timestamp"
 
     lat = _parse_float(row[index["lat"]])
@@ -235,55 +236,86 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[AisRecord | None,
         cog = 0.0
 
     # Length is optional in the data; unknown/unparsable/negative values are
-    # recorded as None and removed later by the length filter.
+    # recorded as NaN and removed later by the length filter.
     raw_length = row[index["length"]].strip()
     length = _parse_float(raw_length) if raw_length else None
-    if length is not None and length < 0.0:
-        length = None
+    if length is None or length < 0.0:
+        length = math.nan
 
-    return AisRecord(mmsi, timestamp, lat, lon, sog, cog, length), ""
+    return (int(mmsi), t, lat, lon, sog, cog, length), ""
 
 
 def filter_by_length(
-    records: Iterable[AisRecord], min_length: float = DEFAULT_MIN_LENGTH_M
-) -> list[AisRecord]:
+    records: np.ndarray, min_length: float = DEFAULT_MIN_LENGTH_M
+) -> np.ndarray:
     """Keep records of vessels strictly longer than `min_length` meters.
 
-    Records with unknown length are dropped: the filter is defined on
+    Records with unknown (NaN) length are dropped: the filter is defined on
     length and cannot be evaluated without it.
     """
     if min_length < 0:
         raise ConfigError("min_length must be >= 0")
-    return [r for r in records if r.length is not None and r.length > min_length]
+    return records[records["length"] > min_length]
 
 
 def group_and_sort(
-    records: Iterable[AisRecord], report: IngestReport | None = None
+    records: np.ndarray, report: IngestReport | None = None
 ) -> list[VesselTrack]:
     """Group records per MMSI and sort each track ascending in time.
 
     Rows sharing (MMSI, timestamp) are collapsed to the first one in input
-    order: identical payloads tally as "duplicate_row", differing payloads
-    as "duplicate_timestamp" when a report is supplied. Tracks are returned
-    ordered by MMSI so output is stable across runs.
+    order: rows equal to it in every value field tally as "duplicate_row",
+    differing rows as "duplicate_timestamp" when a report is supplied.
+    Tracks are returned ordered by MMSI so output is stable across runs.
     """
-    buckets: dict[str, list[AisRecord]] = {}
-    for record in records:
-        buckets.setdefault(record.mmsi, []).append(record)
+    # lexsort is stable, so input order survives among equal (mmsi, t).
+    table = records[np.lexsort((records["t"], records["mmsi"]))]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = ((table["mmsi"][1:] != table["mmsi"][:-1])
+                 | (table["t"][1:] != table["t"][:-1]))
+    if report is not None:
+        head = table[np.maximum.accumulate(np.where(first, np.arange(len(table)), 0))]
+        same = ~first
+        for name in ("lat", "lon", "sog", "cog", "length"):
+            a, b = table[name], head[name]
+            same &= (a == b) | (np.isnan(a) & np.isnan(b))
+        exact, conflicting = int(same.sum()), int((~first).sum() - same.sum())
+        if exact:
+            report.reject("duplicate_row", exact)
+        if conflicting:
+            report.reject("duplicate_timestamp", conflicting)
+    return _split_tracks(table[first])
 
-    tracks = []
-    for mmsi in sorted(buckets):
-        # Stable sort keeps input order among equal timestamps (first wins).
-        ordered = sorted(buckets[mmsi], key=lambda r: r.timestamp)
-        kept: list[AisRecord] = []
-        for record in ordered:
-            if kept and kept[-1].timestamp == record.timestamp:
-                if report is not None:
-                    if record.payload() == kept[-1].payload():
-                        report.reject("duplicate_row")
-                    else:
-                        report.reject("duplicate_timestamp")
-                continue
-            kept.append(record)
-        tracks.append(VesselTrack(mmsi=mmsi, records=tuple(kept)))
-    return tracks
+
+def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
+    """Cut a table sorted by (mmsi, t) into one track per MMSI (views)."""
+    if not len(table):
+        return []
+    cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
+    return [VesselTrack(mmsi=f"{chunk['mmsi'][0]:09d}", records=chunk)
+            for chunk in np.split(table, cuts)]
+
+
+def save_tracks(path, tracks: list[VesselTrack]) -> None:
+    """Write every track's rows, in order, as one TRACK_DTYPE `.npy` file."""
+    table = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
+    with open(path, "wb") as fh:
+        np.save(fh, table)
+
+
+def load_tracks(path) -> list[VesselTrack]:
+    """Read a track store written by save_tracks; damage is a DataError."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"track store not found: {path} (run `ingest` first)")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"track store {path} is damaged: {exc}") from None
+    if table.dtype != TRACK_DTYPE or table.ndim != 1:
+        raise DataError(f"track store {path} holds {table.dtype} {table.shape}, "
+                        f"not a table of {TRACK_DTYPE}")
+    mmsi_step, t_step = np.diff(table["mmsi"]), np.diff(table["t"])
+    if ((mmsi_step < 0) | ((mmsi_step == 0) & (t_step <= 0))).any():
+        raise DataError(f"track store {path} is not sorted by MMSI then time")
+    return _split_tracks(table)

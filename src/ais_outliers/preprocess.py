@@ -9,9 +9,8 @@ and surviving values are min-max normalized with missing slots set to -1.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +23,9 @@ from .ingest import VesselTrack
 FEATURES = ("lat", "lon", "sog", "cog")
 N_FEATURES = len(FEATURES)
 N_SLOTS = 48
-SLOT_SECONDS = 1800.0  # 30-minute grid
+SLOT_SECONDS = 1800  # 30-minute grid
+DAY_SECONDS = N_SLOTS * SLOT_SECONDS
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 DEFAULT_TOLERANCE_S = 60.0
 DEFAULT_MIN_ENTRIES = 20
@@ -95,7 +96,11 @@ class NormalizationStats:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            entries[key.strip()] = float(value)
+            try:
+                entries[key.strip()] = float(value)
+            except ValueError:
+                raise DataError(f"stats file: {key.strip()} is not a number: "
+                                f"{value.strip()!r}") from None
         minimum = np.empty(N_FEATURES)
         maximum = np.empty(N_FEATURES)
         for j, name in enumerate(FEATURES):
@@ -126,18 +131,10 @@ class NormalizedDay:
     matrix: np.ndarray  # (48, 4) float64
 
 
-def _day_start(day: date) -> datetime:
-    return datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
-
-
 def vessel_days(track: VesselTrack) -> list[date]:
     """UTC days touched by the track, judged by each record's nearest slot."""
-    days = set()
-    for record in track.records:
-        epoch = record.timestamp.timestamp()
-        snapped = math.floor(epoch / SLOT_SECONDS + 0.5) * SLOT_SECONDS
-        days.add(datetime.fromtimestamp(snapped, tz=timezone.utc).date())
-    return sorted(days)
+    slots = (track.records["t"] + SLOT_SECONDS // 2) // SLOT_SECONDS
+    return [date.fromordinal(_EPOCH_ORDINAL + int(d)) for d in np.unique(slots // N_SLOTS)]
 
 
 def resample_daily(
@@ -147,32 +144,28 @@ def resample_daily(
 
     Slot i takes the record closest to its grid instant within +/-
     tolerance; ties prefer the earlier record. Each record can fill at
-    most one slot (its nearest one).
+    most one slot (its nearest one). Only the records whose nearest slot
+    lies in the day are read; the track must be sorted by time.
     """
     if tolerance_s < 0:
         raise ConfigError("tolerance must be >= 0 seconds")
-    start = _day_start(day).timestamp()
-    # Per slot: (abs offset, arrival order, feature row) of the best candidate.
-    best: list[tuple[float, int, np.ndarray] | None] = [None] * N_SLOTS
-    for order, record in enumerate(track.records):
-        offset = record.timestamp.timestamp() - start
-        slot = math.floor(offset / SLOT_SECONDS + 0.5)  # nearest slot, half rounds up
-        if not 0 <= slot < N_SLOTS:
-            continue
-        distance = abs(offset - slot * SLOT_SECONDS)
-        if distance > tolerance_s:
-            continue
-        candidate = (distance, order, np.array(
-            [record.lat, record.lon, record.sog, record.cog], dtype=np.float64))
-        if best[slot] is None or candidate[:2] < best[slot][:2]:
-            best[slot] = candidate
+    start = (day.toordinal() - _EPOCH_ORDINAL) * DAY_SECONDS
+    half = SLOT_SECONDS // 2
+    lo, hi = np.searchsorted(track.records["t"], [start - half, start + DAY_SECONDS - half])
+    window = track.records[lo:hi]
+    offset = window["t"] - start
+    slot = (offset + half) // SLOT_SECONDS  # nearest slot, half rounds up
+    distance = np.abs(offset - slot * SLOT_SECONDS)
+    near = np.flatnonzero(distance <= tolerance_s)
+    # Per slot, the nearest record; the stable sort keeps the earlier on ties.
+    near = near[np.lexsort((distance[near], slot[near]))]
+    best = near[np.unique(slot[near], return_index=True)[1]]
 
     values = np.full((N_SLOTS, N_FEATURES), np.nan)
     mask = np.zeros(N_SLOTS, dtype=bool)
-    for i, candidate in enumerate(best):
-        if candidate is not None:
-            values[i] = candidate[2]
-            mask[i] = True
+    for j, name in enumerate(FEATURES):
+        values[slot[best], j] = window[name][best]
+    mask[slot[best]] = True
     return DailyGrid(mmsi=track.mmsi, day=day, values=values, mask=mask)
 
 

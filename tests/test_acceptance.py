@@ -214,7 +214,7 @@ def test_pipeline_oracle():
 
         kept = filter_by_length(records, 20.0)
         assert len(kept) == fixture_ais.EXPECTED_AFTER_LENGTH_FILTER
-        dropped_vessels = {r.mmsi for r in records} - {r.mmsi for r in kept}
+        dropped_vessels = set(records["mmsi"]) - set(kept["mmsi"])
         assert len(dropped_vessels) == fixture_ais.EXPECTED_VESSELS_DROPPED_BY_LENGTH
 
         tracks = group_and_sort(kept, report)

@@ -8,10 +8,13 @@ import pytest
 from ais_outliers.cli import main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
+from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
 from ais_outliers.nn.checkpoint import save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import NormalizationStats, NormalizedDay, save_corpus
 from ais_outliers.synthetic import generate_days, write_ais_csv
+
+from conftest import make_record, make_table, utc
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +81,25 @@ def test_score_without_stats_refused(tmp_path, capsys):
 def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
-    tracks = (run_dir / "tracks.csv").read_text().splitlines()[1:]
-    mmsis = [line.split(",")[0] for line in tracks]
-    assert mmsis == sorted(mmsis)  # one store, ordered by MMSI then time
-    assert len(set(mmsis)) == 10  # 60 days / 6 per vessel
+    table = np.load(run_dir / "tracks.npy", allow_pickle=False)
+    assert table.dtype == TRACK_DTYPE
+    # One store, ordered by MMSI then time.
+    assert (np.lexsort((table["t"], table["mmsi"])) == np.arange(len(table))).all()
+    assert len(np.unique(table["mmsi"])) == 10  # 60 days / 6 per vessel
+
+
+def test_leading_zero_mmsi_survives_ingest_and_preprocess(tmp_path):
+    # The store holds MMSI as an integer; the 9-digit string is rebuilt.
+    rows = [f"012345678,2019-03-06T{i // 2:02d}:{30 * (i % 2):02d}:00,"
+            f"{30 + 0.01 * i!r},{-80 - 0.01 * i!r},{5 + 0.1 * i!r},{float(i)!r},100.0"
+            for i in range(48)]
+    csv_path = tmp_path / "ais.csv"
+    csv_path.write_text("MMSI,BaseDateTime,LAT,LON,SOG,COG,Length\n" + "\n".join(rows) + "\n")
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess"):
+        assert main([command, "--input-glob", str(csv_path), "--run-dir", str(run_dir)]) == 0
+    assert (run_dir / "corpus_index.csv").read_text().splitlines()[1:] == \
+        ["0,012345678,2019-03-06"]
 
 
 def test_full_pipeline(tmp_path, corpus_dir, capsys):
@@ -91,7 +109,7 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
         code = main(run_args(corpus_dir, run_dir, command))
         assert code == 0, f"{command} failed"
 
-    for artifact in ("tracks.csv", "ingest_report.txt", "corpus.f64",
+    for artifact in ("tracks.npy", "ingest_report.txt", "corpus.f64",
                      "corpus_index.csv", "stats.txt", "train.f64", "val.f64",
                      "test.f64", "split_manifest.txt", "history.csv",
                      "scores.csv", "histogram.csv", "outliers.csv",
@@ -112,7 +130,7 @@ def test_ingest_rerun_is_deterministic(tmp_path, corpus_dir):
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     assert main(run_args(corpus_dir, run_a, "ingest")) == 0
     assert main(run_args(corpus_dir, run_b, "ingest")) == 0
-    assert (run_a / "tracks.csv").read_bytes() == (run_b / "tracks.csv").read_bytes()
+    assert (run_a / "tracks.npy").read_bytes() == (run_b / "tracks.npy").read_bytes()
     assert (run_a / "ingest_report.txt").read_bytes() == \
         (run_b / "ingest_report.txt").read_bytes()
 
@@ -166,21 +184,41 @@ def test_usage_error_exit_code_is_one(capsys):
 @pytest.mark.parametrize("command, damage", [
     ("score", "truncated_checkpoint"),
     ("export-geojson", "short_index_row"),
+    ("score", "damaged_stats"),
+    ("export-geojson", "short_scores_row"),
+    ("export-geojson", "short_outliers_row"),
+    ("preprocess", "truncated_tracks"),
+    ("preprocess", "tracks_not_npy"),
+    ("preprocess", "tracks_other_dtype"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
     (run_dir / "checkpoints").mkdir(parents=True)
-    NormalizationStats(np.zeros(4), np.ones(4)).save(run_dir / "stats.txt")
+    stats = run_dir / "stats.txt"
+    NormalizationStats(np.zeros(4), np.ones(4)).save(stats)
     days = [NormalizedDay(f"36700000{i}", date(2019, 3, 6), np.full((48, 4), 0.5))
             for i in range(2)]
-    save_corpus(days, run_dir / "test.f64", run_dir / "test_index.csv")
+    index = run_dir / "test_index.csv"
+    save_corpus(days, run_dir / "test.f64", index)
     checkpoint = run_dir / "checkpoints" / "epoch_001.ckpt"
     save_checkpoint(checkpoint, RecurrentAutoencoder.initialize(ModelConfig(hidden=4), 0))
-    if damage == "truncated_checkpoint":
-        checkpoint.write_bytes(checkpoint.read_bytes()[:-100])
-    else:
-        index = run_dir / "test_index.csv"
-        index.write_text(index.read_text() + "2,367000009\n")
+    scores, outliers = run_dir / "scores.csv", run_dir / "outliers.csv"
+    scores.write_text("mmsi,day,rmse\n367000000,2019-03-06,0.5\n")
+    outliers.write_text("rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-03-06,0.5,0.4,6.0\n")
+    tracks = run_dir / "tracks.npy"
+    save_tracks(tracks, group_and_sort(make_table(
+        make_record(ts=utc(2019, 3, 6, h)) for h in range(3))))
+    damages = {
+        "truncated_checkpoint": lambda: checkpoint.write_bytes(checkpoint.read_bytes()[:-100]),
+        "short_index_row": lambda: index.write_text(index.read_text() + "2,367000009\n"),
+        "damaged_stats": lambda: stats.write_text("lat_min="),
+        "short_scores_row": lambda: scores.write_text(scores.read_text() + "367000001\n"),
+        "short_outliers_row": lambda: outliers.write_text(outliers.read_text() + "2\n"),
+        "truncated_tracks": lambda: tracks.write_bytes(tracks.read_bytes()[:-10]),
+        "tracks_not_npy": lambda: tracks.write_text("mmsi,timestamp,lat\n"),
+        "tracks_other_dtype": lambda: np.save(tracks, np.zeros((3, 7))),
+    }
+    damages[damage]()
 
     assert main([command, "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,6 @@
+import math
 import struct
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import numpy.testing as npt
@@ -89,6 +90,53 @@ def test_each_record_fills_at_most_one_slot():
     grid = resample_daily(track, DAY, tolerance_s=3000.0)
     assert grid.present_count == 1
     assert grid.mask[2]
+
+
+def _resample_by_scan(track, day, tolerance_s):
+    """Reference: visit every record of the track, keep the (distance,
+    arrival order) minimum per slot."""
+    start = (day - date(1970, 1, 1)).days * 86400
+    best = {}
+    for order, record in enumerate(track.records):
+        offset = int(record["t"]) - start
+        slot = math.floor(offset / 1800 + 0.5)
+        distance = abs(offset - slot * 1800)
+        if 0 <= slot < N_SLOTS and distance <= tolerance_s:
+            best[slot] = min(best.get(slot, (distance, order)), (distance, order))
+    values = np.full((N_SLOTS, 4), np.nan)
+    for slot, (_, order) in best.items():
+        values[slot] = [track.records[order][f] for f in FEATURES]
+    return values
+
+
+def test_resample_matches_whole_track_scan(rng):
+    # Three days of jittered half-hour fixes plus random extras, so slots see
+    # near-midnight records and records out of tolerance.
+    base = int(utc(2019, 3, 5, 23).timestamp())
+    t = np.unique(np.concatenate([base + 1800 * np.arange(150) + rng.integers(-120, 121, 150),
+                                  base + rng.integers(0, 4 * 86400, 150)]))
+    track = make_track("367000001", [
+        make_record(ts=datetime.fromtimestamp(int(s), timezone.utc),
+                    lat=float(rng.uniform(-80, 80)), sog=float(i)) for i, s in enumerate(t)])
+    days = vessel_days(track)
+    assert days == [date(2019, 3, 5) + timedelta(days=i) for i in range(5)]
+    for day in days:
+        for tolerance in (0.0, 60.0, 900.0):
+            grid = resample_daily(track, day, tolerance)
+            expected = _resample_by_scan(track, day, tolerance)
+            npt.assert_array_equal(grid.values, expected)
+            npt.assert_array_equal(grid.mask, ~np.isnan(expected[:, 0]))
+
+
+def test_day_window_edges():
+    # 23:45:00 is half a slot before midnight and rounds up into the next
+    # day's slot 0; 23:44:59 is the last instant of a day's slot 47.
+    track = make_track("367000001", [make_record(ts=utc(2019, 3, 6, 23, 45, 0), lat=1.0),
+                                     make_record(ts=utc(2019, 3, 7, 23, 44, 59), lat=2.0)])
+    assert resample_daily(track, DAY, tolerance_s=900.0).present_count == 0
+    grid = resample_daily(track, date(2019, 3, 7), tolerance_s=900.0)
+    assert np.flatnonzero(grid.mask).tolist() == [0, 47]
+    assert grid.values[[0, 47], 0].tolist() == [1.0, 2.0]
 
 
 def test_vessel_days_enumerates_touched_days():
