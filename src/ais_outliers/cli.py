@@ -47,11 +47,9 @@ from .preprocess import (
 from .sequence import (
     SequenceSet,
     SplitSpec,
-    file_sha256,
     load_set,
     save_set,
     split as split_set,
-    write_split_manifest,
 )
 
 TRACKS_FILE = "tracks.npy"
@@ -130,13 +128,12 @@ def cmd_ingest(config: RunConfig) -> int:
     tracks_path = run_dir / TRACKS_FILE
     save_tracks(tracks_path, tracks)
     (run_dir / "ingest_report.txt").write_text(report.to_text())
-    (run_dir / "ingest_report.csv").write_text(report.to_csv_text())
 
     print(report.to_text(), end="")
     print(f"track rows kept: {sum(len(t) for t in tracks)}")
     RunManifest(run_dir).record_stage(
         "ingest", config.to_text(), __version__, paths,
-        [tracks_path, run_dir / "ingest_report.txt", run_dir / "ingest_report.csv"],
+        [tracks_path, run_dir / "ingest_report.txt"],
         time.monotonic() - started)
     return 0
 
@@ -191,18 +188,14 @@ def cmd_split(config: RunConfig) -> int:
         index_path = run_dir / f"{name}_index.csv"
         save_set(subset, tensor_path, index_path)
         outputs += [tensor_path, index_path]
-    manifest_path = run_dir / "split_manifest.txt"
-    write_split_manifest(manifest_path, spec, file_sha256(run_dir / CORPUS_FILE),
-                         {"train": len(train_s), "val": len(val_s), "test": len(test_s)},
-                         config.split_by_vessel)
-    outputs.append(manifest_path)
 
     print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
           f"seed={spec.seed}")
     RunManifest(run_dir).record_stage(
         "split", config.to_text(), __version__,
         [run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX], outputs,
-        time.monotonic() - started)
+        time.monotonic() - started,
+        extra={"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)})
     return 0
 
 

@@ -102,15 +102,6 @@ class IngestReport:
         lines.append(f"vessels_dropped_by_length={self.vessels_dropped_by_length}")
         return "\n".join(lines) + "\n"
 
-    def to_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for line in self.to_text().strip().split("\n"):
-            key, value = line.split("=", 1)
-            writer.writerow([key, value])
-        return out.getvalue()
-
 
 def _parse_timestamp(text: str) -> int | None:
     """UTC epoch seconds of a timestamp in one of the accepted formats."""

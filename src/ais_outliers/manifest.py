@@ -4,22 +4,36 @@ and wall time. A run is reconstructible from this file plus the inputs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
-from .sequence import file_sha256
+from .errors import DataError
 
 MANIFEST_NAME = "manifest.json"
+
+
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class RunManifest:
     def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / MANIFEST_NAME
+        self.data = {"stages": {}}
         if self.path.exists():
-            self.data = json.loads(self.path.read_text())
-        else:
-            self.data = {"stages": {}}
+            try:
+                self.data = json.loads(self.path.read_text())
+            except ValueError:  # not UTF-8 or not JSON, e.g. truncated
+                self.data = None
+            if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
+                raise DataError(f"{self.path} is truncated or not a run manifest "
+                                f"(a JSON object with a 'stages' object)")
 
     def record_stage(self, name: str, config_text: str, version: str,
                      inputs: list, outputs: list, wall_seconds: float,

@@ -24,10 +24,10 @@ DEFAULT_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter dict."""
+    """First/second moment vectors shaped like the parameter vector."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     alpha: float = DEFAULT_ALPHA
     beta1: float = DEFAULT_BETA1
@@ -35,37 +35,27 @@ class AdamState:
     eps: float = DEFAULT_EPS
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], alpha: float = DEFAULT_ALPHA,
+    def for_params(cls, params: np.ndarray, alpha: float = DEFAULT_ALPHA,
                    beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
                    eps: float = DEFAULT_EPS) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            alpha=alpha, beta1=beta1, beta2=beta2, eps=eps,
-        )
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
+                   alpha=alpha, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam step. Parameter arrays are updated in place;
-    the (params, state) pair is returned for chaining."""
-    if set(params) != set(grads):
-        raise ShapeError("parameter and gradient dictionaries disagree")
+def adam_update(params: np.ndarray, grads: np.ndarray,
+                state: AdamState) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam step over the whole parameter vector, updated
+    in place; the (params, state) pair is returned for chaining."""
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeError(f"gradient shape {grads.shape} and moment shape "
+                         f"{state.m.shape} must equal parameter shape {params.shape}")
     state.step += 1
-    t = state.step
-    correction1 = 1.0 - state.beta1 ** t
-    correction2 = 1.0 - state.beta2 ** t
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient for {key} has shape {g.shape}, expected {p.shape}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** state.step)
+    v_hat = v / (1.0 - state.beta2 ** state.step)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .model import ModelConfig, RecurrentAutoencoder, init_params
+from .model import ModelConfig, ModelParams, RecurrentAutoencoder
 
 MAGIC = b"AISRAE\x00\x01"
 FORMAT_VERSION = 2
@@ -100,12 +100,12 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
         count = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        loaded[name] = arr.reshape(shape).astype(np.float64)
+        loaded[name] = arr.reshape(shape)
     if version == 1:
         loaded = _fuse_v1_gates(loaded)
 
-    # Structure from config, then overwrite every tensor by stored name.
-    params = init_params(config, np.random.default_rng(0))
+    # Layout from config, then fill every tensor by stored name.
+    params = ModelParams.zeros(config)
     flat = params.flat()
     if set(loaded) != set(flat):
         raise DataError(

@@ -8,7 +8,8 @@ the model never predicts future timesteps.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
@@ -92,17 +93,35 @@ class LayerParams:
 
 @dataclass
 class ModelParams:
-    """All weights of a configured model.
-
-    `flat()` exposes the underlying arrays by dotted name in declaration
-    order (layer ascending, forward before backward, cell tensors in field
-    order, dense head last); the arrays are shared, not copied, so in-place
-    optimizer updates are visible to the model.
+    """All weights of a configured model as views into one float64 `vector`,
+    which they tile without gaps in declaration order (layer ascending,
+    forward before backward, cell tensors in field order, dense head last).
+    `flat()` names the same views, so in-place optimizer updates of
+    `vector` are visible to the model.
     """
 
-    layers: list[LayerParams] = field(default_factory=list)
-    w_out: np.ndarray | None = None
-    b_out: np.ndarray | None = None
+    vector: np.ndarray
+    layers: list[LayerParams]
+    w_out: np.ndarray
+    b_out: np.ndarray
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """The zero-filled layout of `config`'s weights."""
+        cell = CELLS[config.cell_kind]
+        h, width = config.hidden, cell.gates * config.hidden
+        shapes = []
+        for layer in range(config.layers):
+            d_in = config.layer_input_size(layer)
+            shapes += [(d_in, width), (h, width), (width,)] * config.directions
+        shapes += [(h * config.directions, config.features), (config.features,)]
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        vector = np.zeros(ends[-1])
+        views = iter([part.reshape(s) for part, s in zip(np.split(vector, ends[:-1]), shapes)])
+        layers = [LayerParams(*[cell(next(views), next(views), next(views))
+                                for _ in range(config.directions)])
+                  for _ in range(config.layers)]
+        return cls(vector, layers, next(views), next(views))
 
     def flat(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -126,30 +145,19 @@ def _orthogonal(rng: np.random.Generator, size: int) -> np.ndarray:
     return q * np.sign(np.diag(r))  # fix signs so the draw is unique
 
 
-def _init_cell(kind: str, rng: np.random.Generator, d_in: int, hidden: int) -> CellParams:
-    # Each gate draws its own input and recurrent kernel (z, r, h~ order);
-    # the fused tensors are their concatenation.
-    cls = CELLS[kind]
-    w_x, w_h = [], []
-    for _ in range(cls.gates):
-        w_x.append(_glorot_uniform(rng, d_in, hidden))
-        w_h.append(_orthogonal(rng, hidden))
-    return cls(np.concatenate(w_x, axis=1), np.concatenate(w_h, axis=1),
-               np.zeros(cls.gates * hidden))
-
-
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Fan-based uniform input kernels, orthogonal recurrent kernels,
-    zero biases. Draw order is fixed for reproducibility."""
-    params = ModelParams()
-    for layer in range(config.layers):
-        d_in = config.layer_input_size(layer)
-        fwd = _init_cell(config.cell_kind, rng, d_in, config.hidden)
-        bwd = _init_cell(config.cell_kind, rng, d_in, config.hidden) if config.bidirectional else None
-        params.layers.append(LayerParams(forward_cell=fwd, backward_cell=bwd))
-    top = config.hidden * config.directions
-    params.w_out = _glorot_uniform(rng, top, config.features)
-    params.b_out = np.zeros(config.features)
+    zero biases. Draw order is fixed for reproducibility: per gate, the
+    input kernel, then the recurrent kernel."""
+    params = ModelParams.zeros(config)
+    h = config.hidden
+    for layer in params.layers:
+        for _, _, cell in layer.directions():
+            for gate in range(cell.gates):
+                block = slice(gate * h, (gate + 1) * h)
+                cell.w_x[:, block] = _glorot_uniform(rng, cell.input_size, h)
+                cell.w_h[:, block] = _orthogonal(rng, h)
+    params.w_out[...] = _glorot_uniform(rng, *params.w_out.shape)
     return params
 
 
@@ -238,8 +246,8 @@ def forward(params: ModelParams, config: ModelConfig, batch: np.ndarray,
 
 def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarray,
                        masks: DropoutMasks | None,
-                       mask_sentinel: bool = False) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE of reconstructing `batch` plus gradients for every parameter.
+                       mask_sentinel: bool = False) -> tuple[float, ModelParams]:
+    """MSE of reconstructing `batch` plus its gradients, laid out as `params`.
 
     The same `masks` must be used for any paired loss evaluation (e.g.
     finite differences); passing None differentiates the eval-mode path.
@@ -250,15 +258,15 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
                                               want_cache=True)
     loss = mse_loss(pred, batch, mask_sentinel)
 
-    grads: dict[str, np.ndarray] = {}
+    grads = ModelParams.zeros(config)
+    named = grads.flat()
     if mask_sentinel:
         keep = (batch != -1.0).astype(np.float64)
         d_pred = 2.0 * keep * (pred - batch) / keep.sum()
     else:
         d_pred = 2.0 * (pred - batch) / pred.size
-    d_seq, d_w, d_b = dense_backward(d_pred, dense_input, pred, params.w_out)
-    grads["dense.w"] = d_w
-    grads["dense.b"] = d_b
+    d_seq, named["dense.w"][...], named["dense.b"][...] = dense_backward(
+        d_pred, dense_input, pred, params.w_out)
     if masks is not None and masks.dense is not None:
         d_seq = d_seq * masks.dense
 
@@ -271,12 +279,12 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
             d_x, g = unroll_backward(d_seq[..., k * h:(k + 1) * h], cell, caches[i][k])
             d_input = d_input + d_x
             for name, arr in g.items():
-                grads[f"layer{i}.{tag}.{name}"] = arr
+                named[f"layer{i}.{tag}.{name}"][...] = arr
         d_seq = d_input
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
+    if not np.all(np.isfinite(grads.vector)):
+        bad = next(name for name, g in named.items() if not np.all(np.isfinite(g)))
+        raise NumericError(f"non-finite gradient for {bad}")
     return loss, grads
 
 
@@ -308,7 +316,7 @@ class RecurrentAutoencoder:
         return forward(self.params, self.config, batch, mode="eval")
 
     def loss_and_gradients(self, batch: np.ndarray, masks: DropoutMasks | None,
-                           mask_sentinel: bool = False) -> tuple[float, dict[str, np.ndarray]]:
+                           mask_sentinel: bool = False) -> tuple[float, ModelParams]:
         return loss_and_gradients(self.params, self.config, batch, masks, mask_sentinel)
 
     def config_json(self) -> str:

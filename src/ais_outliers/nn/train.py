@@ -72,7 +72,7 @@ def train(
         raise ConfigError("training set is empty")
 
     rng = np.random.default_rng(seed)
-    state = AdamState.for_params(model.params.flat(), alpha=learning_rate)
+    state = AdamState.for_params(model.params.vector, alpha=learning_rate)
     history = TrainingHistory()
     last_checkpoint: Path | None = None
     if checkpoint_dir is not None:
@@ -96,7 +96,7 @@ def train(
                 raise TrainingDivergedError(
                     f"epoch {epoch}: non-finite training loss; last good "
                     f"checkpoint: {last_checkpoint or 'none'}")
-            adam_update(model.params.flat(), grads, state)
+            adam_update(model.params.vector, grads.vector, state)
             batch_losses.append(loss)
 
         val_loss = (mse_loss(model.reconstruct(val_set), val_set, mask_sentinel_loss)

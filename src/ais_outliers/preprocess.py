@@ -376,11 +376,14 @@ def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, da
             raise DataError(f"unexpected sidecar header in {index_path}: {header}")
         for row in reader:
             try:
-                _, mmsi, day = row
+                index, mmsi, day = row
                 ids.append((mmsi, date.fromisoformat(day)))
             except ValueError:
                 raise DataError(f"{index_path} line {reader.line_num}: expected "
                                 f"record_index,mmsi,day, got {row}") from None
+            if index != str(len(ids) - 1):  # a moved row would mislabel a tensor row
+                raise DataError(f"{index_path} line {reader.line_num}: record_index "
+                                f"{index!r} out of order, expected {len(ids) - 1}")
     if len(ids) != tensor.shape[0]:
         raise DataError(
             f"sidecar lists {len(ids)} days but tensor holds {tensor.shape[0]}"

@@ -7,10 +7,8 @@ from the recorded seed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -127,26 +125,3 @@ def save_set(sset: SequenceSet, tensor_path, index_path) -> None:
 def load_set(tensor_path, index_path) -> SequenceSet:
     tensor, ids = load_corpus(tensor_path, index_path)
     return SequenceSet(tensor, tuple(ids))
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_split_manifest(path, spec: SplitSpec, source_checksum: str,
-                         sizes: dict[str, int], by_vessel: bool) -> None:
-    lines = [
-        f"seed={spec.seed}",
-        f"test_fraction={spec.test_fraction!r}",
-        f"val_fraction={spec.val_fraction!r}",
-        f"by_vessel={int(by_vessel)}",
-        f"source_sha256={source_checksum}",
-        f"shuffle=numpy-PCG64",
-    ]
-    for name in ("train", "val", "test"):
-        lines.append(f"n_{name}={sizes[name]}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -125,3 +125,50 @@ def max_relative_error(analytic, numeric, floor=1e-6):
             scale = max(abs(x), abs(y), floor)
             worst = max(worst, abs(x - y) / scale)
     return worst
+
+
+def reference_init_params(config, rng):
+    """Same-seed initial weights by dotted name, drawn as separate per-gate
+    blocks (input kernel, then recurrent kernel; z, r, h~ order) and
+    concatenated: cell by cell, layer ascending, forward before backward,
+    the dense kernel last, all biases zero."""
+
+    def glorot(fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def orthogonal(size):
+        q, r = np.linalg.qr(rng.standard_normal((size, size)))
+        return q * np.sign(np.diag(r))
+
+    gates = 3 if config.cell_kind == "gru" else 1
+    h = config.hidden
+    out = {}
+    for layer in range(config.layers):
+        d_in = config.features if layer == 0 else h * config.directions
+        for tag in ("fwd", "bwd")[:config.directions]:
+            w_x, w_h = [], []
+            for _ in range(gates):
+                w_x.append(glorot(d_in, h))
+                w_h.append(orthogonal(h))
+            out[f"layer{layer}.{tag}.w_x"] = np.concatenate(w_x, axis=1)
+            out[f"layer{layer}.{tag}.w_h"] = np.concatenate(w_h, axis=1)
+            out[f"layer{layer}.{tag}.b"] = np.zeros(gates * h)
+    out["dense.w"] = glorot(h * config.directions, config.features)
+    out["dense.b"] = np.zeros(config.features)
+    return out
+
+
+def reference_adam_update(params, grads, m, v, step, alpha=1e-3, beta1=0.9,
+                          beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step `step` (1-based), tensor by tensor over
+    name-keyed dicts; `params`, `m` and `v` are updated in place."""
+    for key, p in params.items():
+        g = grads[key]
+        m[key] *= beta1
+        m[key] += (1.0 - beta1) * g
+        v[key] *= beta2
+        v[key] += (1.0 - beta2) * g * g
+        m_hat = m[key] / (1.0 - beta1 ** step)
+        v_hat = v[key] / (1.0 - beta2 ** step)
+        p -= alpha * m_hat / (np.sqrt(v_hat) + eps)

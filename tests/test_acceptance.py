@@ -83,7 +83,7 @@ def test_gradient_oracle():
                         numeric = finite_difference_gradients(
                             lambda: model.loss_and_gradients(batch, masks)[0],
                             model.params.flat(), step=1e-5)
-                        worst = max_relative_error(analytic, numeric, floor=1e-6)
+                        worst = max_relative_error(analytic.flat(), numeric, floor=1e-6)
                         assert worst < 1e-4, (
                             f"{cell_kind} bidir={bidirectional} dropout={dropout} "
                             f"H={hidden} T={timesteps}: rel err {worst:.3e}")
@@ -110,7 +110,7 @@ def test_gradient_oracle():
             numeric = finite_difference_gradients(
                 lambda: model.loss_and_gradients(batch, masks)[0],
                 model.params.flat(), step=1e-5)
-            worst = max_relative_error(analytic, numeric, floor=1e-6)
+            worst = max_relative_error(analytic.flat(), numeric, floor=1e-6)
             assert worst < 1e-4
             worst_overall = max(worst_overall, worst)
             checked += 1

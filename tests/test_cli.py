@@ -9,6 +9,7 @@ from ais_outliers.cli import main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
 from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
+from ais_outliers.manifest import RunManifest
 from ais_outliers.nn.checkpoint import save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import NormalizationStats, NormalizedDay, save_corpus
@@ -111,7 +112,7 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
 
     for artifact in ("tracks.npy", "ingest_report.txt", "corpus.f64",
                      "corpus_index.csv", "stats.txt", "train.f64", "val.f64",
-                     "test.f64", "split_manifest.txt", "history.csv",
+                     "test.f64", "history.csv",
                      "scores.csv", "histogram.csv", "outliers.csv",
                      "offenders.csv", "outliers.geojson", "manifest.json"):
         assert (run_dir / artifact).exists(), artifact
@@ -124,6 +125,10 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
         for path, digest in entry["outputs"].items():
             assert Path(path).exists()
             assert len(digest) == 64
+    split = manifest["stages"]["split"]["extra"]
+    assert split["n_train"] + split["n_val"] + split["n_test"] == \
+        len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
+    assert split["n_test"] == len((run_dir / "test_index.csv").read_text().splitlines()) - 1
 
 
 def test_ingest_rerun_is_deterministic(tmp_path, corpus_dir):
@@ -190,6 +195,10 @@ def test_usage_error_exit_code_is_one(capsys):
     ("preprocess", "truncated_tracks"),
     ("preprocess", "tracks_not_npy"),
     ("preprocess", "tracks_other_dtype"),
+    ("export-geojson", "truncated_manifest"),
+    ("report", "manifest_not_object"),
+    ("score", "reordered_index_row"),
+    ("score", "duplicated_index_row"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
@@ -208,6 +217,9 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     tracks = run_dir / "tracks.npy"
     save_tracks(tracks, group_and_sort(make_table(
         make_record(ts=utc(2019, 3, 6, h)) for h in range(3))))
+    manifest = run_dir / "manifest.json"
+    RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
+    index_rows = index.read_text().splitlines()
     damages = {
         "truncated_checkpoint": lambda: checkpoint.write_bytes(checkpoint.read_bytes()[:-100]),
         "short_index_row": lambda: index.write_text(index.read_text() + "2,367000009\n"),
@@ -217,6 +229,12 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "truncated_tracks": lambda: tracks.write_bytes(tracks.read_bytes()[:-10]),
         "tracks_not_npy": lambda: tracks.write_text("mmsi,timestamp,lat\n"),
         "tracks_other_dtype": lambda: np.save(tracks, np.zeros((3, 7))),
+        "truncated_manifest": lambda: manifest.write_bytes(manifest.read_bytes()[:100]),
+        "manifest_not_object": lambda: manifest.write_text('["stages"]\n'),
+        "reordered_index_row": lambda: index.write_text(
+            "\n".join(index_rows[:1] + index_rows[:0:-1]) + "\n"),
+        "duplicated_index_row": lambda: index.write_text(
+            "\n".join(index_rows[:2] + index_rows[1:2]) + "\n"),
     }
     damages[damage]()
 

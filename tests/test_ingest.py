@@ -240,6 +240,3 @@ def test_report_text_and_csv_roundtrip():
     assert "rows_read=10" in text
     assert "reject.bad_lat=2" in text
     assert "rows_accepted=8" in text
-    csv_text = report.to_csv_text()
-    assert csv_text.splitlines()[0] == "key,value"
-    assert "vessels_kept,3" in csv_text

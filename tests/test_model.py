@@ -9,7 +9,8 @@ from ais_outliers.nn.dropout import sample_masks
 from ais_outliers.nn.layers import dense_per_timestep, unroll
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder, mse_loss
 
-from oracles import finite_difference_gradients, max_relative_error, mse_loop
+from oracles import (finite_difference_gradients, max_relative_error, mse_loop,
+                     reference_init_params)
 
 
 def toy_config(**kw):
@@ -49,6 +50,50 @@ def test_variant_presets_match_documented_defaults():
     assert bidir.bidirectional and bidir.layers == 1 and bidir.hidden == 32
     assert bidir.recurrent_dropout_rate == 0.2
     assert bidir.dense_dropout_rate == 0.2
+
+
+# -- parameter layout --------------------------------------------------------
+
+def _assert_tiles_vector(params, cfg):
+    """Every named tensor is a view of `params.vector`, and together they
+    tile it in declaration order with no gaps."""
+    tags = ("fwd", "bwd")[:cfg.directions]
+    expected = [f"layer{i}.{tag}.{name}" for i in range(cfg.layers) for tag in tags
+                for name in ("w_x", "w_h", "b")] + ["dense.w", "dense.b"]
+    flat = params.flat()
+    assert list(flat) == expected
+    assert params.vector.dtype == np.float64 and params.vector.ndim == 1
+    base = params.vector.__array_interface__["data"][0]
+    offset = 0
+    for name, arr in flat.items():
+        assert np.shares_memory(arr, params.vector), name
+        assert arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] - base == offset * 8, name
+        offset += arr.size
+    assert offset == params.vector.size
+
+
+@pytest.mark.parametrize("cell", ["simple_rnn", "gru"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_weights_and_gradients_tile_one_vector(rng, cell, bidirectional):
+    cfg = toy_config(cell_kind=cell, bidirectional=bidirectional, layers=2)
+    model = make_model(cfg)
+    _assert_tiles_vector(model.params, cfg)
+    _, grads = model.loss_and_gradients(batch_for(cfg, rng), None)
+    _assert_tiles_vector(grads, cfg)
+    model.params.vector[0] = 7.0  # the views see writes to the vector
+    assert model.params.layers[0].forward_cell.w_x[0, 0] == 7.0
+
+
+@pytest.mark.parametrize("cell", ["simple_rnn", "gru"])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_init_matches_per_gate_reference_bitwise(cell, bidirectional):
+    cfg = toy_config(cell_kind=cell, bidirectional=bidirectional, layers=2)
+    params = make_model(cfg, seed=11).params
+    reference = reference_init_params(cfg, np.random.default_rng(11))
+    assert list(params.flat()) == list(reference)
+    npt.assert_array_equal(params.vector,
+                           np.concatenate([a.ravel() for a in reference.values()]))
 
 
 # -- forward -----------------------------------------------------------------
@@ -204,7 +249,7 @@ def gradient_check(cfg, seed, batch_size=2, with_dropout=False, floor=1e-6):
     flat = model.params.flat()
     numeric = finite_difference_gradients(
         lambda: model.loss_and_gradients(batch, masks)[0], flat, step=1e-5)
-    return max_relative_error(analytic, numeric, floor=floor)
+    return max_relative_error(analytic.flat(), numeric, floor=floor)
 
 
 def test_zero_loss_point_has_zero_gradients():
@@ -215,7 +260,7 @@ def test_zero_loss_point_has_zero_gradients():
     batch = np.zeros((2, cfg.timesteps, cfg.features))
     loss, grads = model.loss_and_gradients(batch, None)
     assert loss == 0.0
-    for g in grads.values():
+    for g in grads.flat().values():
         npt.assert_array_equal(g, np.zeros_like(g))
 
 
@@ -268,4 +313,4 @@ def test_gradients_with_masked_sentinel_loss(rng):
     numeric = finite_difference_gradients(
         lambda: model.loss_and_gradients(batch, None, mask_sentinel=True)[0],
         model.params.flat(), step=1e-5)
-    assert max_relative_error(analytic, numeric, floor=1e-6) < 1e-4
+    assert max_relative_error(analytic.flat(), numeric, floor=1e-6) < 1e-4

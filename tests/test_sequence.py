@@ -10,11 +10,9 @@ from ais_outliers.sequence import (
     SequenceSet,
     SplitSpec,
     assemble,
-    file_sha256,
     load_set,
     save_set,
     split,
-    write_split_manifest,
 )
 
 DAY = date(2019, 3, 6)
@@ -124,15 +122,3 @@ def test_set_persistence_roundtrip(tmp_path, rng):
     loaded = load_set(tmp_path / "t.f64", tmp_path / "t_index.csv")
     npt.assert_array_equal(loaded.tensor, tensor)
     assert loaded.ids == ids
-
-
-def test_split_manifest_contents(tmp_path):
-    (tmp_path / "corpus.f64").write_bytes(b"\x00" * 16)
-    digest = file_sha256(tmp_path / "corpus.f64")
-    write_split_manifest(tmp_path / "m.txt", SplitSpec(seed=9), digest,
-                         {"train": 10, "val": 3, "test": 4}, by_vessel=False)
-    text = (tmp_path / "m.txt").read_text()
-    assert "seed=9" in text
-    assert f"source_sha256={digest}" in text
-    assert "shuffle=numpy-PCG64" in text
-    assert "n_test=4" in text
