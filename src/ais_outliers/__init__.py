@@ -12,7 +12,6 @@ from .errors import (
     AisOutliersError,
     ConfigError,
     DataError,
-    DayRejectedError,
     NumericError,
     ShapeError,
     TrainingDivergedError,
@@ -28,7 +27,6 @@ __all__ = [
     "AisOutliersError",
     "ConfigError",
     "DataError",
-    "DayRejectedError",
     "NumericError",
     "ShapeError",
     "TrainingDivergedError",

@@ -145,14 +145,12 @@ def cmd_preprocess(config: RunConfig) -> int:
 
     grids, summary = build_daily_grids(
         tracks, config.tolerance_s, config.min_entries, config.max_fill)
-    days, stats = normalize_corpus(
-        grids, max_missing_fraction=config.max_missing_fraction, summary=summary)
-    days.sort(key=lambda d: (d.mmsi, d.day))
+    tensor, ids, stats = normalize_corpus(grids, config.max_missing_fraction, summary)
 
     corpus_path = run_dir / CORPUS_FILE
     index_path = run_dir / CORPUS_INDEX
     stats_path = run_dir / STATS_FILE
-    save_corpus(days, corpus_path, index_path)
+    save_corpus(tensor, ids, corpus_path, index_path)
     stats.save(stats_path)
     report_path = run_dir / "preprocess_report.txt"
     report_path.write_text(summary.to_text())
@@ -341,8 +339,12 @@ def cmd_report(config: RunConfig) -> int:
         raise DataError(f"no recorded stages under {run_dir}")
     print(f"run directory: {run_dir}")
     for name, entry in manifest.data["stages"].items():
-        outputs = ", ".join(Path(p).name for p in entry["outputs"])
-        print(f"  {name}: {entry['wall_seconds']}s -> {outputs}")
+        try:
+            outputs = ", ".join(Path(p).name for p in entry["outputs"])
+            print(f"  {name}: {entry['wall_seconds']}s -> {outputs}")
+        except (KeyError, TypeError):
+            raise DataError(f"{manifest.path}: stage {name!r} needs 'wall_seconds' "
+                            f"and an 'outputs' object of files") from None
     for report_file in ("ingest_report.txt", "preprocess_report.txt"):
         path = run_dir / report_file
         if path.exists():

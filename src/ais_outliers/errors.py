@@ -22,10 +22,6 @@ class ShapeError(DataError):
     """Tensor shapes inconsistent with the configured model or operation."""
 
 
-class DayRejectedError(DataError):
-    """A vessel-day exceeded the allowed missing-value fraction."""
-
-
 class NumericError(AisOutliersError):
     """A non-finite value appeared where the numerics contract forbids it."""
 

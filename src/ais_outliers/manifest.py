@@ -51,6 +51,3 @@ class RunManifest:
         self.data["stages"][name] = entry
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
-
-    def stage(self, name: str) -> dict | None:
-        return self.data["stages"].get(name)

@@ -1,8 +1,7 @@
 """Versioned binary checkpoints.
 
 Layout: magic, format version, config JSON, then every parameter tensor in
-declaration order as little-endian float64. A human-readable JSON manifest
-(config, seed, epoch, losses) is written next to the binary.
+declaration order as little-endian float64.
 
 Version 2 stores each cell's fused tensors (w_x, w_h, b). Version 1 stored
 the GRU gates separately and the config carried a `dtype` key; it is still
@@ -28,10 +27,8 @@ _V1_GRU_PARTS = {"w_x": ("w_xz", "w_xr", "w_xh"),
                  "b": ("b_z", "b_r", "b_h")}
 
 
-def save_checkpoint(path, model: RecurrentAutoencoder,
-                    manifest: dict | None = None) -> None:
-    """Write the model to `path` and its manifest to `path + '.manifest.json'`."""
-    path = Path(path)
+def save_checkpoint(path, model: RecurrentAutoencoder) -> None:
+    """Write the model's config and weights to `path`."""
     flat = model.params.flat()
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -47,12 +44,6 @@ def save_checkpoint(path, model: RecurrentAutoencoder,
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    meta = {"config": model.config.to_dict(), "format_version": FORMAT_VERSION}
-    if manifest:
-        meta.update(manifest)
-    manifest_path = path.with_name(path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> RecurrentAutoencoder:

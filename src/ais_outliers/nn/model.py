@@ -7,7 +7,6 @@ the model never predicts future timesteps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 import numpy as np
@@ -318,6 +317,3 @@ class RecurrentAutoencoder:
     def loss_and_gradients(self, batch: np.ndarray, masks: DropoutMasks | None,
                            mask_sentinel: bool = False) -> tuple[float, ModelParams]:
         return loss_and_gradients(self.params, self.config, batch, masks, mask_sentinel)
-
-    def config_json(self) -> str:
-        return json.dumps(self.config.to_dict(), sort_keys=True)

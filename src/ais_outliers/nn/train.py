@@ -111,12 +111,5 @@ def train(
 
         if checkpoint_dir is not None:
             last_checkpoint = checkpoint_dir / f"epoch_{epoch:03d}.ckpt"
-            save_checkpoint(last_checkpoint, model, manifest={
-                "seed": seed,
-                "epoch": epoch,
-                "train_loss": stats.train_loss,
-                "val_loss": stats.val_loss,
-                "learning_rate": learning_rate,
-                "batch_size": batch_size,
-            })
+            save_checkpoint(last_checkpoint, model)
     return history

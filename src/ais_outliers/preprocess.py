@@ -3,7 +3,8 @@
 Each vessel-day becomes a 48-slot x 4-feature matrix on a 30-minute grid
 anchored at 00:00 UTC. Sparse days are dropped, interior gaps are linearly
 interpolated up to a cap, days with too many missing slots are excluded,
-and surviving values are min-max normalized with missing slots set to -1.
+and the surviving days are min-max normalized into one (N, 48, 4) tensor
+with missing slots set to -1.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DayRejectedError
+from .errors import ConfigError, DataError
 from .ingest import VesselTrack
 
 # Canonical feature order of every matrix artifact in this package.
@@ -122,15 +123,6 @@ class NormalizationStats:
         return cls.from_text(path.read_text())
 
 
-@dataclass
-class NormalizedDay:
-    """Model-ready day: every cell is in [0, 1] or exactly -1 (missing)."""
-
-    mmsi: str
-    day: date
-    matrix: np.ndarray  # (48, 4) float64
-
-
 def vessel_days(track: VesselTrack) -> list[date]:
     """UTC days touched by the track, judged by each record's nearest slot."""
     slots = (track.records["t"] + SLOT_SECONDS // 2) // SLOT_SECONDS
@@ -169,13 +161,6 @@ def resample_daily(
     return DailyGrid(mmsi=track.mmsi, day=day, values=values, mask=mask)
 
 
-def drop_sparse_day(grid: DailyGrid, min_entries: int = DEFAULT_MIN_ENTRIES) -> DailyGrid | None:
-    """Return the grid iff it has at least `min_entries` present slots."""
-    if not 0 <= min_entries <= N_SLOTS:
-        raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
-    return grid if grid.present_count >= min_entries else None
-
-
 def interpolate_gaps(grid: DailyGrid, max_fill: int = DEFAULT_MAX_FILL) -> DailyGrid:
     """Fill interior missing runs of length <= max_fill by per-feature
     linear interpolation over slot index.
@@ -207,55 +192,6 @@ def interpolate_gaps(grid: DailyGrid, max_fill: int = DEFAULT_MAX_FILL) -> Daily
     return out
 
 
-def compute_global_stats(grids: Iterable[DailyGrid]) -> NormalizationStats:
-    """Per-feature min/max over every present cell of every grid."""
-    minimum = np.full(N_FEATURES, np.inf)
-    maximum = np.full(N_FEATURES, -np.inf)
-    any_present = False
-    for grid in grids:
-        present = grid.values[grid.mask]
-        if present.size == 0:
-            continue
-        any_present = True
-        np.minimum(minimum, present.min(axis=0), out=minimum)
-        np.maximum(maximum, present.max(axis=0), out=maximum)
-    if not any_present:
-        raise DataError("cannot compute normalization stats: no present values")
-    return NormalizationStats(minimum=minimum, maximum=maximum)
-
-
-def normalize_day(
-    grid: DailyGrid,
-    stats: NormalizationStats,
-    max_missing_fraction: float = DEFAULT_MAX_MISSING_FRACTION,
-) -> NormalizedDay:
-    """Min-max normalize present cells into [0, 1]; missing slots become -1.
-
-    Values outside the stats range (possible at scoring time) are clamped.
-    Days missing more than `max_missing_fraction` of their slots are
-    rejected with DayRejectedError.
-    """
-    if grid.missing_fraction > max_missing_fraction:
-        raise DayRejectedError(
-            f"{grid.mmsi} {grid.day}: {grid.missing_fraction:.1%} missing "
-            f"exceeds the {max_missing_fraction:.0%} limit"
-        )
-    span = stats.maximum - stats.minimum
-    scaled = (grid.values - stats.minimum) / span
-    scaled = np.clip(scaled, 0.0, 1.0)
-    matrix = np.full((N_SLOTS, N_FEATURES), SENTINEL)
-    matrix[grid.mask] = scaled[grid.mask]
-    return NormalizedDay(mmsi=grid.mmsi, day=grid.day, matrix=matrix)
-
-
-def count_clamped(grid: DailyGrid, stats: NormalizationStats) -> int:
-    """Present cells falling outside [global_min, global_max]."""
-    present = grid.values[grid.mask]
-    if present.size == 0:
-        return 0
-    return int(((present < stats.minimum) | (present > stats.maximum)).sum())
-
-
 def denormalize(value: float, feature: int | str, stats: NormalizationStats) -> float:
     """Invert min-max normalization; the -1 sentinel passes through."""
     if value == SENTINEL:
@@ -274,7 +210,6 @@ class PreprocessSummary:
     days_sparse_dropped: int = 0
     days_missing_dropped: int = 0
     days_kept: int = 0
-    clamped_cells: int = 0
     # Missing-fraction histogram over post-interpolation grids, 10 bins on [0, 1].
     missing_histogram: list[int] | None = None
 
@@ -284,7 +219,6 @@ class PreprocessSummary:
             f"days_sparse_dropped={self.days_sparse_dropped}",
             f"days_missing_dropped={self.days_missing_dropped}",
             f"days_kept={self.days_kept}",
-            f"clamped_cells={self.clamped_cells}",
         ]
         if self.missing_histogram is not None:
             for i, count in enumerate(self.missing_histogram):
@@ -298,14 +232,17 @@ def build_daily_grids(
     min_entries: int = DEFAULT_MIN_ENTRIES,
     max_fill: int = DEFAULT_MAX_FILL,
 ) -> tuple[list[DailyGrid], PreprocessSummary]:
-    """Resample every vessel-day, drop sparse days, interpolate gaps."""
+    """Resample every vessel-day, drop days with fewer than `min_entries`
+    present slots, interpolate gaps."""
+    if not 0 <= min_entries <= N_SLOTS:
+        raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
     grids: list[DailyGrid] = []
     summary = PreprocessSummary(missing_histogram=[0] * 10)
     for track in tracks:
         for day in vessel_days(track):
             summary.days_total += 1
             grid = resample_daily(track, day, tolerance_s)
-            if drop_sparse_day(grid, min_entries) is None:
+            if grid.present_count < min_entries:
                 summary.days_sparse_dropped += 1
                 continue
             grid = interpolate_gaps(grid, max_fill)
@@ -317,46 +254,44 @@ def build_daily_grids(
 
 def normalize_corpus(
     grids: Sequence[DailyGrid],
-    stats: NormalizationStats | None = None,
     max_missing_fraction: float = DEFAULT_MAX_MISSING_FRACTION,
     summary: PreprocessSummary | None = None,
-) -> tuple[list[NormalizedDay], NormalizationStats]:
-    """Apply the 30%-missing rule, then normalize the surviving days.
+) -> tuple[np.ndarray, list[tuple[str, date]], NormalizationStats]:
+    """Apply the 30%-missing rule, then min-max normalize the surviving days.
 
-    Stats are computed over the surviving (post-interpolation) grids when
-    not supplied; supplying train-time stats reproduces scoring conditions,
-    in which case out-of-range cells are clamped and counted.
+    The stats are each feature's extrema over every present cell of the
+    surviving (post-interpolation) grids, so present cells land in [0, 1];
+    missing slots become -1. Returns the (N, 48, 4) tensor, the
+    (mmsi, day) id of each row, and the stats.
     """
     survivors = [g for g in grids if g.missing_fraction <= max_missing_fraction]
     if summary is not None:
         summary.days_missing_dropped += len(grids) - len(survivors)
         summary.days_kept += len(survivors)
-    if stats is None:
-        stats = compute_global_stats(survivors)
-    days = []
-    for grid in survivors:
-        if summary is not None:
-            summary.clamped_cells += count_clamped(grid, stats)
-        days.append(normalize_day(grid, stats, max_missing_fraction))
-    return days, stats
+    values = np.array([g.values for g in survivors]).reshape(-1, N_SLOTS, N_FEATURES)
+    mask = np.array([g.mask for g in survivors], dtype=bool).reshape(-1, N_SLOTS)
+    present = values[mask]
+    if present.size == 0:
+        raise DataError("cannot compute normalization stats: no present values")
+    stats = NormalizationStats(minimum=present.min(axis=0), maximum=present.max(axis=0))
+    tensor = np.full(values.shape, SENTINEL)
+    tensor[mask] = (present - stats.minimum) / (stats.maximum - stats.minimum)
+    return tensor, [(g.mmsi, g.day) for g in survivors], stats
 
 
 # ---------------------------------------------------------------------------
 # Corpus persistence: flat little-endian float64 binary + CSV sidecar.
 # ---------------------------------------------------------------------------
 
-def save_corpus(days: Sequence[NormalizedDay], tensor_path, index_path) -> None:
-    """Write a corpus as raw row-major '<f8' cells plus an id sidecar."""
-    if days:
-        tensor = np.stack([d.matrix for d in days]).astype("<f8")
-    else:
-        tensor = np.zeros((0, N_SLOTS, N_FEATURES), dtype="<f8")
-    Path(tensor_path).write_bytes(tensor.tobytes(order="C"))
+def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
+                tensor_path, index_path) -> None:
+    """Write (N, 48, 4) days as raw row-major '<f8' cells plus an id sidecar."""
+    Path(tensor_path).write_bytes(np.asarray(tensor, dtype="<f8").tobytes(order="C"))
     with open(index_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_index", "mmsi", "day"])
-        for i, d in enumerate(days):
-            writer.writerow([i, d.mmsi, d.day.isoformat()])
+        for i, (mmsi, day) in enumerate(ids):
+            writer.writerow([i, mmsi, day.isoformat()])
 
 
 def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, date]]]:
@@ -385,7 +320,6 @@ def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, da
                 raise DataError(f"{index_path} line {reader.line_num}: record_index "
                                 f"{index!r} out of order, expected {len(ids) - 1}")
     if len(ids) != tensor.shape[0]:
-        raise DataError(
-            f"sidecar lists {len(ids)} days but tensor holds {tensor.shape[0]}"
-        )
+        raise DataError(f"{index_path} lists {len(ids)} days but {tensor_path} "
+                        f"holds {tensor.shape[0]}")
     return tensor, ids

@@ -1,4 +1,4 @@
-"""Assemble normalized days into model tensors and split them reproducibly.
+"""Hold the normalized days as one tensor and split it reproducibly.
 
 The MMSI/day sidecar travels with every tensor row but is never a model
 input. Shuffling uses numpy's PCG64 generator so splits are reproducible
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .preprocess import N_FEATURES, N_SLOTS, NormalizedDay, load_corpus, save_corpus
+from .preprocess import N_FEATURES, N_SLOTS, load_corpus, save_corpus
 
 DEFAULT_TEST_FRACTION = 0.20
 DEFAULT_VAL_FRACTION = 0.20
@@ -54,16 +53,6 @@ class SplitSpec:
                             ("val_fraction", self.val_fraction)):
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must be strictly inside (0, 1), got {value}")
-
-
-def assemble(days: Sequence[NormalizedDay]) -> SequenceSet:
-    """Stack days into a tensor, deterministically ordered by (MMSI, day)."""
-    ordered = sorted(days, key=lambda d: (d.mmsi, d.day))
-    if not ordered:
-        return SequenceSet(np.zeros((0, N_SLOTS, N_FEATURES)), ())
-    tensor = np.stack([d.matrix for d in ordered])
-    ids = tuple((d.mmsi, d.day) for d in ordered)
-    return SequenceSet(tensor, ids)
 
 
 def split(
@@ -110,16 +99,11 @@ def split(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: per-subset tensor + sidecar, plus a split manifest.
+# Persistence: per-subset tensor + sidecar, in the corpus format.
 # ---------------------------------------------------------------------------
 
-def _ids_to_days(sset: SequenceSet) -> list[NormalizedDay]:
-    return [NormalizedDay(mmsi=m, day=d, matrix=sset.tensor[i])
-            for i, (m, d) in enumerate(sset.ids)]
-
-
 def save_set(sset: SequenceSet, tensor_path, index_path) -> None:
-    save_corpus(_ids_to_days(sset), tensor_path, index_path)
+    save_corpus(sset.tensor, sset.ids, tensor_path, index_path)
 
 
 def load_set(tensor_path, index_path) -> SequenceSet:

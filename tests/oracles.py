@@ -172,3 +172,25 @@ def reference_adam_update(params, grads, m, v, step, alpha=1e-3, beta1=0.9,
         m_hat = m[key] / (1.0 - beta1 ** step)
         v_hat = v[key] / (1.0 - beta2 ** step)
         p -= alpha * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_normalize_corpus(grids, max_missing_fraction):
+    """Day-by-day normalization: the 30%-missing rule, then per-feature
+    extrema accumulated grid by grid over the present cells, then each
+    surviving grid scaled on its own, clipped to [0, 1], and its missing
+    slots written as -1. Returns (matrices, ids, minimum, maximum)."""
+    survivors = [g for g in grids if g.missing_fraction <= max_missing_fraction]
+    minimum = np.full(4, np.inf)
+    maximum = np.full(4, -np.inf)
+    for grid in survivors:
+        present = grid.values[grid.mask]
+        if present.size:
+            np.minimum(minimum, present.min(axis=0), out=minimum)
+            np.maximum(maximum, present.max(axis=0), out=maximum)
+    matrices = []
+    for grid in survivors:
+        scaled = np.clip((grid.values - minimum) / (maximum - minimum), 0.0, 1.0)
+        matrix = np.full((grid.values.shape[0], 4), -1.0)
+        matrix[grid.mask] = scaled[grid.mask]
+        matrices.append(matrix)
+    return matrices, [(g.mmsi, g.day) for g in survivors], minimum, maximum

@@ -28,7 +28,7 @@ from ais_outliers.preprocess import (
     denormalize,
     normalize_corpus,
 )
-from ais_outliers.sequence import SequenceSet, SplitSpec, assemble, split
+from ais_outliers.sequence import SequenceSet, SplitSpec, split
 from ais_outliers.synthetic import day_matrices, generate_days, normalize_raw, write_ais_csv
 
 import fixture_ais
@@ -229,10 +229,10 @@ def test_pipeline_oracle():
         assert summary.days_total == 5
         assert summary.days_sparse_dropped == fixture_ais.EXPECTED_SPARSE_DROPPED
 
-        days, stats = normalize_corpus(grids, max_missing_fraction=0.30,
-                                       summary=summary)
+        tensor, ids, stats = normalize_corpus(grids, max_missing_fraction=0.30,
+                                              summary=summary)
         assert summary.days_missing_dropped == fixture_ais.EXPECTED_MISSING_DROPPED
-        assert tuple(sorted(d.mmsi for d in days)) == fixture_ais.EXPECTED_SURVIVORS
+        assert tuple(sorted(mmsi for mmsi, _ in ids)) == fixture_ais.EXPECTED_SURVIVORS
 
         # Post-interpolation grids match the closed-form construction exactly.
         expected = fixture_ais.expected_surviving_grids()
@@ -251,15 +251,15 @@ def test_pipeline_oracle():
         npt.assert_array_equal(stats.maximum, cells.max(axis=0))
 
         # Normalization: bounds, sentinels, and round-trip within 1e-9.
-        by_mmsi = {d.mmsi: d for d in days}
-        sentinel_cells = sum(int((d.matrix == SENTINEL).sum()) for d in days)
+        by_mmsi = {mmsi: tensor[i] for i, (mmsi, _) in enumerate(ids)}
+        sentinel_cells = int((tensor == SENTINEL).sum())
         assert sentinel_cells == fixture_ais.EXPECTED_SENTINEL_CELLS
         npt.assert_array_equal(
-            by_mmsi[fixture_ais.B].matrix[list(fixture_ais.B_MISSING_LEADING)],
+            by_mmsi[fixture_ais.B][list(fixture_ais.B_MISSING_LEADING)],
             SENTINEL)
 
         for mmsi, (exp_values, exp_mask) in expected.items():
-            matrix = by_mmsi[mmsi].matrix
+            matrix = by_mmsi[mmsi]
             in_unit = (matrix >= 0.0) & (matrix <= 1.0)
             npt.assert_array_equal(in_unit.all(axis=1), exp_mask)
             for i in np.flatnonzero(exp_mask):
@@ -272,10 +272,9 @@ def test_pipeline_oracle():
                         1e-9 * max(1.0, abs(exp_values[i, j]))
 
         # Eq. (2) endpoints: the global extrema map to exactly 0 and 1.
-        all_matrices = np.stack([d.matrix for d in days])
-        observed = all_matrices[all_matrices != SENTINEL]
+        observed = tensor[tensor != SENTINEL]
         assert observed.min() == 0.0 and observed.max() == 1.0
-        print(f"\n  200 rows -> {len(days)} surviving days, "
+        print(f"\n  200 rows -> {len(ids)} surviving days, "
               f"{sentinel_cells} sentinel cells, stats + round-trip exact")
 
 
@@ -406,12 +405,8 @@ def test_cli_determinism(tmp_path):
 
 def test_tensor_shape_and_split_conformance(rng):
     with criterion("shape-and-split-conformance"):
-        from ais_outliers.preprocess import NormalizedDay
-
-        days = [NormalizedDay(mmsi=f"3670000{i:02d}", day=date(2019, 3, 6),
-                              matrix=rng.uniform(0, 1, (48, 4)))
-                for i in range(100)]
-        sset = assemble(days)
+        sset = SequenceSet(rng.uniform(0, 1, (100, 48, 4)),
+                           [(f"3670000{i:02d}", date(2019, 3, 6)) for i in range(100)])
         assert sset.tensor.shape == (100, 48, 4)
 
         train_s, val_s, test_s = split(sset, SplitSpec(

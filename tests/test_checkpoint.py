@@ -21,23 +21,11 @@ def test_roundtrip_is_bit_exact(tmp_path, rng):
     batch = rng.uniform(0, 1, (3, 6, 4))
     before = model.forward(batch)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, manifest={"seed": 4, "epoch": 1,
-                                           "train_loss": 0.1, "val_loss": 0.2})
+    save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     after = loaded.forward(batch)
     npt.assert_array_equal(before, after)
     assert loaded.config == model.config
-
-
-def test_manifest_is_human_readable(tmp_path):
-    model = build_model()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, manifest={"seed": 4, "epoch": 2,
-                                           "train_loss": 0.5, "val_loss": 0.6})
-    manifest = json.loads((tmp_path / "model.ckpt.manifest.json").read_text())
-    assert manifest["epoch"] == 2
-    assert manifest["config"]["hidden"] == 5
-    assert manifest["seed"] == 4
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -12,7 +12,7 @@ from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
 from ais_outliers.manifest import RunManifest
 from ais_outliers.nn.checkpoint import save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
-from ais_outliers.preprocess import NormalizationStats, NormalizedDay, save_corpus
+from ais_outliers.preprocess import NormalizationStats, save_corpus
 from ais_outliers.synthetic import generate_days, write_ais_csv
 
 from conftest import make_record, make_table, utc
@@ -101,6 +101,22 @@ def test_leading_zero_mmsi_survives_ingest_and_preprocess(tmp_path):
         assert main([command, "--input-glob", str(csv_path), "--run-dir", str(run_dir)]) == 0
     assert (run_dir / "corpus_index.csv").read_text().splitlines()[1:] == \
         ["0,012345678,2019-03-06"]
+
+
+def test_corpus_index_in_mmsi_then_day_order(tmp_path):
+    # Several vessels over several days, written newest day and highest
+    # MMSI first; the corpus rows come out in (MMSI, day) order.
+    days = generate_days(12, anomaly_fraction=0.0, seed=405, days_per_vessel=3)
+    csv_path = tmp_path / "ais.csv"
+    write_ais_csv(days[::-1], csv_path)
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess"):
+        assert main([command, "--input-glob", str(csv_path), "--run-dir", str(run_dir)]) == 0
+    rows = [line.split(",") for line in
+            (run_dir / "corpus_index.csv").read_text().splitlines()[1:]]
+    ids = [(mmsi, day) for _, mmsi, day in rows]
+    assert len({mmsi for mmsi, _ in ids}) == 4 and len(ids) == 12
+    assert ids == sorted(ids)
 
 
 def test_full_pipeline(tmp_path, corpus_dir, capsys):
@@ -199,16 +215,18 @@ def test_usage_error_exit_code_is_one(capsys):
     ("report", "manifest_not_object"),
     ("score", "reordered_index_row"),
     ("score", "duplicated_index_row"),
+    ("score", "tensor_cut_by_one_day"),
+    ("report", "empty_stage_entry"),
+    ("report", "null_stage_outputs"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
     (run_dir / "checkpoints").mkdir(parents=True)
     stats = run_dir / "stats.txt"
     NormalizationStats(np.zeros(4), np.ones(4)).save(stats)
-    days = [NormalizedDay(f"36700000{i}", date(2019, 3, 6), np.full((48, 4), 0.5))
-            for i in range(2)]
-    index = run_dir / "test_index.csv"
-    save_corpus(days, run_dir / "test.f64", index)
+    index, tensor = run_dir / "test_index.csv", run_dir / "test.f64"
+    save_corpus(np.full((2, 48, 4), 0.5), [(f"36700000{i}", date(2019, 3, 6)) for i in range(2)],
+                tensor, index)
     checkpoint = run_dir / "checkpoints" / "epoch_001.ckpt"
     save_checkpoint(checkpoint, RecurrentAutoencoder.initialize(ModelConfig(hidden=4), 0))
     scores, outliers = run_dir / "scores.csv", run_dir / "outliers.csv"
@@ -220,6 +238,12 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     manifest = run_dir / "manifest.json"
     RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
     index_rows = index.read_text().splitlines()
+
+    def set_stage(name, entry):
+        data = json.loads(manifest.read_text())
+        data["stages"][name] = entry
+        manifest.write_text(json.dumps(data))
+
     damages = {
         "truncated_checkpoint": lambda: checkpoint.write_bytes(checkpoint.read_bytes()[:-100]),
         "short_index_row": lambda: index.write_text(index.read_text() + "2,367000009\n"),
@@ -235,9 +259,18 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
             "\n".join(index_rows[:1] + index_rows[:0:-1]) + "\n"),
         "duplicated_index_row": lambda: index.write_text(
             "\n".join(index_rows[:2] + index_rows[1:2]) + "\n"),
+        "tensor_cut_by_one_day": lambda: tensor.write_bytes(tensor.read_bytes()[:-48 * 4 * 8]),
+        "empty_stage_entry": lambda: set_stage("split", {}),
+        "null_stage_outputs": lambda: set_stage("score", {"wall_seconds": 0.1, "outputs": None}),
     }
+    # The files (and stage) the message must name.
+    named = {"tensor_cut_by_one_day": ("test.f64", "test_index.csv"),
+             "empty_stage_entry": ("manifest.json", "'split'"),
+             "null_stage_outputs": ("manifest.json", "'score'")}
     damages[damage]()
 
     assert main([command, "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error:"), err
+    for name in named.get(damage, ()):
+        assert name in err[0], err

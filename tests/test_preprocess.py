@@ -6,27 +6,26 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ais_outliers.errors import DataError, DayRejectedError
+from ais_outliers.errors import ConfigError, DataError
 from ais_outliers.preprocess import (
     FEATURES,
     N_SLOTS,
     SENTINEL,
     DailyGrid,
     NormalizationStats,
-    NormalizedDay,
-    compute_global_stats,
-    count_clamped,
+    PreprocessSummary,
+    build_daily_grids,
     denormalize,
-    drop_sparse_day,
     interpolate_gaps,
     load_corpus,
-    normalize_day,
+    normalize_corpus,
     resample_daily,
     save_corpus,
     vessel_days,
 )
 
 from conftest import make_record, make_track, utc
+from oracles import reference_normalize_corpus
 
 DAY = date(2019, 3, 6)
 
@@ -148,15 +147,22 @@ def test_vessel_days_enumerates_touched_days():
     assert vessel_days(track) == [date(2019, 3, 6), date(2019, 3, 7), date(2019, 3, 8)]
 
 
-# -- drop_sparse_day --------------------------------------------------------
+# -- sparse days in build_daily_grids ---------------------------------------
 
 @pytest.mark.parametrize("present,kept", [(19, False), (20, True), (48, True)])
 def test_sparse_day_boundary(present, kept):
-    mask = np.zeros(N_SLOTS, dtype=bool)
-    mask[:present] = True
-    grid = grid_from_mask(mask)
-    result = drop_sparse_day(grid, min_entries=20)
-    assert (result is not None) == kept
+    # One fix on each of the first `present` slots of the day.
+    track = make_track("367000001", [make_record(ts=utc(2019, 3, 6, i // 2, 30 * (i % 2)))
+                                     for i in range(present)])
+    grids, summary = build_daily_grids([track], min_entries=20)
+    assert (len(grids) == 1) == kept
+    assert summary.days_sparse_dropped == (not kept)
+
+
+@pytest.mark.parametrize("min_entries", [-1, N_SLOTS + 1])
+def test_min_entries_outside_slot_range_rejected(min_entries):
+    with pytest.raises(ConfigError, match="min_entries"):
+        build_daily_grids([], min_entries=min_entries)
 
 
 # -- interpolate_gaps -------------------------------------------------------
@@ -238,7 +244,12 @@ def test_filled_values_lie_between_endpoints(rng):
             assert (out.values[slot] <= hi + 1e-12).all()
 
 
-# -- compute_global_stats ---------------------------------------------------
+# -- normalization stats ----------------------------------------------------
+
+def corpus_stats(grids):
+    """The stats normalize_corpus derives, with every day kept."""
+    return normalize_corpus(grids, max_missing_fraction=1.0)[2]
+
 
 def test_two_point_extrema():
     mask = np.zeros(N_SLOTS, dtype=bool)
@@ -246,7 +257,7 @@ def test_two_point_extrema():
     grid = grid_from_mask(mask)
     grid.values[0] = [10.0, -1.0, 0.0, 5.0]
     grid.values[1] = [20.0, -2.0, 1.0, 6.0]
-    stats = compute_global_stats([grid])
+    stats = corpus_stats([grid])
     assert stats.minimum[0] == 10.0 and stats.maximum[0] == 20.0
 
 
@@ -257,7 +268,7 @@ def test_missing_cells_excluded_from_extrema():
     grid.values[0] = [10.0, 1.0, 0.0, 5.0]
     grid.values[1] = [20.0, 2.0, 1.0, 6.0]
     grid.values[5] = [99.0, 99.0, 99.0, 99.0]  # present data in a masked slot
-    stats = compute_global_stats([grid])
+    stats = corpus_stats([grid])
     assert stats.maximum[0] == 20.0
 
 
@@ -269,7 +280,7 @@ def test_stats_match_bruteforce_scan(rng):
         grid = grid_from_mask(mask)
         grid.values[mask] = rng.uniform(-100, 100, size=(mask.sum(), 4))
         grids.append(grid)
-    stats = compute_global_stats(grids)
+    stats = corpus_stats(grids)
     # Independent linear scan, one cell at a time.
     lo = [float("inf")] * 4
     hi = [float("-inf")] * 4
@@ -290,7 +301,7 @@ def test_degenerate_feature_is_fatal_and_named():
     grid.values[0] = [10.0, 1.0, 7.0, 5.0]
     grid.values[1] = [20.0, 2.0, 7.0, 6.0]  # sog constant
     with pytest.raises(DataError, match="sog"):
-        compute_global_stats([grid])
+        corpus_stats([grid])
 
 
 # -- normalize / denormalize ------------------------------------------------
@@ -305,49 +316,61 @@ def test_normalize_bounds_and_sentinel():
     mask[5] = False
     grid = grid_from_mask(mask)
     stats = stats_4feat()
+    grid.values[:] = (stats.minimum + stats.maximum) / 2
     grid.values[0] = stats.minimum
     grid.values[1] = stats.maximum
-    day = normalize_day(grid, stats)
-    npt.assert_array_equal(day.matrix[0], [0.0, 0.0, 0.0, 0.0])
-    npt.assert_array_equal(day.matrix[1], [1.0, 1.0, 1.0, 1.0])
-    npt.assert_array_equal(day.matrix[5], [SENTINEL] * 4)
+    tensor, _, _ = normalize_corpus([grid])
+    npt.assert_array_equal(tensor[0, 0], [0.0, 0.0, 0.0, 0.0])
+    npt.assert_array_equal(tensor[0, 1], [1.0, 1.0, 1.0, 1.0])
+    npt.assert_array_equal(tensor[0, 5], [SENTINEL] * 4)
 
 
 def test_day_over_missing_budget_rejected():
     mask = np.zeros(N_SLOTS, dtype=bool)
     mask[:33] = True  # 15 missing of 48 = 31.25% > 30%
-    grid = grid_from_mask(mask)
-    with pytest.raises(DayRejectedError):
-        normalize_day(grid, stats_4feat())
+    over = grid_from_mask(mask, mmsi="367000001")
     mask[:34] = True  # 14 missing = 29.2% passes
-    normalize_day(grid_from_mask(mask), stats_4feat())
-
-
-def test_out_of_range_values_clamped_and_countable():
-    mask = np.zeros(N_SLOTS, dtype=bool)
-    mask[:48] = True
-    grid = grid_from_mask(mask)
-    stats = stats_4feat()
-    grid.values[:] = np.tile((stats.minimum + stats.maximum) / 2, (N_SLOTS, 1))
-    grid.values[0, 0] = stats.maximum[0] + 5.0
-    grid.values[1, 1] = stats.minimum[1] - 5.0
-    assert count_clamped(grid, stats) == 2
-    day = normalize_day(grid, stats)
-    assert day.matrix[0, 0] == 1.0
-    assert day.matrix[1, 1] == 0.0
+    within = grid_from_mask(mask, mmsi="367000002")
+    summary = PreprocessSummary()
+    _, ids, _ = normalize_corpus([over, within], summary=summary)
+    assert ids == [("367000002", DAY)]
+    assert (summary.days_missing_dropped, summary.days_kept) == (1, 1)
 
 
 def test_every_cell_in_unit_interval_xor_sentinel(rng):
-    stats = stats_4feat()
+    grids = []
     for _ in range(10):
         mask = rng.random(N_SLOTS) < 0.9
         mask[: int(0.8 * N_SLOTS)] = True
         grid = grid_from_mask(mask)
         grid.values[grid.mask] = rng.uniform(-200, 400, size=(grid.mask.sum(), 4))
-        day = normalize_day(grid, stats)
-        in_unit = (day.matrix >= 0.0) & (day.matrix <= 1.0)
-        is_sentinel = day.matrix == SENTINEL
-        assert np.logical_xor(in_unit, is_sentinel).all()
+        grids.append(grid)
+    tensor, _, _ = normalize_corpus(grids)
+    assert tensor.shape == (10, N_SLOTS, 4)
+    in_unit = (tensor >= 0.0) & (tensor <= 1.0)
+    is_sentinel = tensor == SENTINEL
+    assert np.logical_xor(in_unit, is_sentinel).all()
+
+
+def test_normalize_corpus_matches_day_by_day_reference(rng):
+    # Random grids with missing slots on both sides of the 30% rule, some
+    # with values far outside the others' range.
+    grids = []
+    for i in range(40):
+        mask = rng.random(N_SLOTS) < rng.uniform(0.55, 1.0)
+        grid = grid_from_mask(mask, mmsi=f"3670000{i % 7:02d}", day=DAY + timedelta(days=i))
+        grid.values[mask] = rng.uniform(-500, 500, size=(mask.sum(), 4)) * rng.uniform(0.01, 3)
+        grids.append(grid)
+    survivors = sum(g.missing_fraction <= 0.30 for g in grids)
+    assert 0 < survivors < len(grids)
+
+    tensor, ids, stats = normalize_corpus(grids, max_missing_fraction=0.30)
+    matrices, ref_ids, minimum, maximum = reference_normalize_corpus(grids, 0.30)
+    assert tensor.shape == (survivors, N_SLOTS, 4)
+    assert tensor.tobytes() == np.stack(matrices).tobytes()
+    assert ids == ref_ids
+    assert stats.minimum.tobytes() == minimum.tobytes()
+    assert stats.maximum.tobytes() == maximum.tobytes()
 
 
 def test_denormalize_examples():
@@ -385,36 +408,32 @@ def test_missing_stats_file_is_data_error(tmp_path):
 # -- corpus persistence -----------------------------------------------------
 
 def test_corpus_roundtrip_and_layout(tmp_path, rng):
-    days = []
-    for i in range(3):
-        matrix = rng.uniform(0, 1, size=(N_SLOTS, 4))
-        matrix[4] = SENTINEL
-        days.append(NormalizedDay(mmsi=f"36700000{i}", day=DAY + timedelta(days=i),
-                                  matrix=matrix))
+    days = rng.uniform(0, 1, size=(3, N_SLOTS, 4))
+    days[:, 4] = SENTINEL
+    day_ids = [(f"36700000{i}", DAY + timedelta(days=i)) for i in range(3)]
     tensor_path = tmp_path / "corpus.f64"
     index_path = tmp_path / "corpus_index.csv"
-    save_corpus(days, tensor_path, index_path)
+    save_corpus(days, day_ids, tensor_path, index_path)
 
     tensor, ids = load_corpus(tensor_path, index_path)
     assert tensor.shape == (3, N_SLOTS, 4)
-    npt.assert_array_equal(tensor[0], days[0].matrix)
+    npt.assert_array_equal(tensor[0], days[0])
     assert ids[1] == ("367000001", DAY + timedelta(days=1))
 
     # Byte layout: first four cells are row 0's lat, lon, sog, cog as <f8.
     raw = tensor_path.read_bytes()
     first = struct.unpack("<4d", raw[:32])
-    npt.assert_array_equal(first, days[0].matrix[0])
+    npt.assert_array_equal(first, days[0, 0])
     assert len(raw) == 3 * N_SLOTS * 4 * 8
 
 
 @pytest.mark.parametrize("bad_row", ["1,367000001", "1,367000001,2019-03-06,x",
                                      "1,367000001,not-a-day"])
 def test_malformed_sidecar_row_is_data_error(tmp_path, rng, bad_row):
-    days = [NormalizedDay(mmsi=f"36700000{i}", day=DAY, matrix=rng.uniform(0, 1, (N_SLOTS, 4)))
-            for i in range(2)]
     tensor_path = tmp_path / "corpus.f64"
     index_path = tmp_path / "corpus_index.csv"
-    save_corpus(days, tensor_path, index_path)
+    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), [(f"36700000{i}", DAY) for i in range(2)],
+                tensor_path, index_path)
     lines = index_path.read_text().splitlines()
     index_path.write_text("\n".join(lines[:-1] + [bad_row]) + "\n")
     with pytest.raises(DataError, match="line 3"):

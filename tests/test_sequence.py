@@ -5,50 +5,37 @@ import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ConfigError, DataError
-from ais_outliers.preprocess import N_SLOTS, NormalizedDay
-from ais_outliers.sequence import (
-    SequenceSet,
-    SplitSpec,
-    assemble,
-    load_set,
-    save_set,
-    split,
-)
+from ais_outliers.preprocess import N_SLOTS
+from ais_outliers.sequence import SequenceSet, SplitSpec, load_set, save_set, split
 
 DAY = date(2019, 3, 6)
 
 
-def make_days(n, vessels=1):
-    days = []
-    for i in range(n):
-        matrix = np.full((N_SLOTS, 4), float(i))
-        days.append(NormalizedDay(mmsi=f"3670000{i % vessels:02d}",
-                                  day=DAY + timedelta(days=i // vessels),
-                                  matrix=matrix))
-    return days
+def make_set(n, vessels=1):
+    """Day i is constant-i, of vessel i % vessels; rows in (MMSI, day)
+    order, as the corpus stores them."""
+    ids = [(f"3670000{i % vessels:02d}", DAY + timedelta(days=i // vessels)) for i in range(n)]
+    order = sorted(range(n), key=ids.__getitem__)
+    return SequenceSet(np.array([np.full((N_SLOTS, 4), float(i)) for i in order]),
+                       [ids[i] for i in order])
 
 
 def test_single_day_shape():
-    sset = assemble(make_days(1))
+    sset = make_set(1)
     assert sset.tensor.shape == (1, N_SLOTS, 4)
     assert len(sset.ids) == 1
 
 
-def test_assemble_orders_by_mmsi_then_day():
-    days = make_days(3, vessels=2)
-    np.random.default_rng(0).shuffle(days)
-    sset = assemble(days)
-    assert sset.ids == tuple(sorted(sset.ids))
-
-
-def test_assemble_empty_is_valid():
-    sset = assemble([])
+def test_assemble_empty_is_valid(tmp_path):
+    sset = SequenceSet(np.zeros((0, N_SLOTS, 4)), ())
     assert sset.tensor.shape == (0, N_SLOTS, 4)
     assert len(sset) == 0
+    save_set(sset, tmp_path / "t.f64", tmp_path / "t_index.csv")
+    assert len(load_set(tmp_path / "t.f64", tmp_path / "t_index.csv")) == 0
 
 
 def test_split_sizes_follow_floor_rule():
-    sset = assemble(make_days(100))
+    sset = make_set(100)
     train, val, test = split(sset, SplitSpec(seed=1))
     n_test = int(100 * 0.20)
     n_val = int((100 - n_test) * 0.20)
@@ -58,7 +45,7 @@ def test_split_sizes_follow_floor_rule():
 
 
 def test_split_is_deterministic_per_seed():
-    sset = assemble(make_days(50))
+    sset = make_set(50)
     a = split(sset, SplitSpec(seed=7))
     b = split(sset, SplitSpec(seed=7))
     for x, y in zip(a, b):
@@ -67,7 +54,7 @@ def test_split_is_deterministic_per_seed():
 
 
 def test_different_seeds_shuffle_differently():
-    sset = assemble(make_days(50))
+    sset = make_set(50)
     a = split(sset, SplitSpec(seed=1))
     b = split(sset, SplitSpec(seed=2))
     assert [len(s) for s in a] == [len(s) for s in b]
@@ -75,8 +62,7 @@ def test_different_seeds_shuffle_differently():
 
 
 def test_split_partition_is_exact(rng):
-    days = make_days(37, vessels=5)
-    sset = assemble(days)
+    sset = make_set(37, vessels=5)
     train, val, test = split(sset, SplitSpec(seed=3))
     all_ids = sorted(train.ids + val.ids + test.ids)
     assert all_ids == sorted(sset.ids)
@@ -86,7 +72,7 @@ def test_split_partition_is_exact(rng):
 
 def test_rows_travel_with_their_ids():
     # Row i is constant-i, so any id/tensor divorce is visible.
-    sset = assemble(make_days(30))
+    sset = make_set(30)
     lookup = {ids: float(sset.tensor[i, 0, 0]) for i, ids in enumerate(sset.ids)}
     for subset in split(sset, SplitSpec(seed=11)):
         for i, ids in enumerate(subset.ids):
@@ -95,7 +81,7 @@ def test_rows_travel_with_their_ids():
 
 def test_too_few_sequences_rejected():
     with pytest.raises(DataError):
-        split(assemble(make_days(4)), SplitSpec(seed=0))
+        split(make_set(4), SplitSpec(seed=0))
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
@@ -105,7 +91,7 @@ def test_fractions_must_be_interior(bad):
 
 
 def test_vessel_level_split_keeps_vessels_whole():
-    sset = assemble(make_days(60, vessels=12))
+    sset = make_set(60, vessels=12)
     train, val, test = split(sset, SplitSpec(seed=5), by_vessel=True)
     groups = [{m for m, _ in s.ids} for s in (train, val, test)]
     assert not (groups[0] & groups[1])
