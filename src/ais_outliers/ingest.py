@@ -12,11 +12,14 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataError
 
 # Logical field -> column header as shipped by MarineCadastre.gov exports.
@@ -35,6 +38,24 @@ DEFAULT_SCHEMA = {
 _TIMESTAMP_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S")
 
 DEFAULT_MIN_LENGTH_M = 20.0
+
+# Reject reasons of the per-row checks, in check order: a row is tallied
+# under the first check it fails.
+_CHECKS = ("bad_mmsi", "bad_timestamp", "bad_lat", "lat_out_of_range", "bad_lon",
+           "lon_out_of_range", "bad_sog", "sog_out_of_range", "bad_cog",
+           "cog_out_of_range")
+# Rows parsed per block: parse memory beyond the returned table grows with
+# this, not with the file.
+_BLOCK_ROWS = 1024
+
+_ZERO = ord("0")
+_MMSI_WEIGHTS = 10 ** np.arange(8, -1, -1, dtype=np.int64)
+# Fixed-width stamps, YYYY-MM-DD[T ]hh:mm:ss: digit and punctuation columns.
+_STAMP_WIDTH = 19
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_PUNCT = [4, 7, 13, 16]
+_STAMP_PUNCT_CODES = np.array([ord(c) for c in "--::"])
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 # One accepted AIS row, in memory and in the `tracks.npy` store: MMSI as an
@@ -121,6 +142,10 @@ def _parse_float(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _parse_length(text: str) -> float | None:
+    return _parse_float(text.strip())
+
+
 def _open_text(source) -> tuple[IO[str], bool]:
     """Accept a path, text stream, or byte stream. Returns (stream, owned)."""
     if isinstance(source, (str, Path)):
@@ -143,6 +168,9 @@ def parse_ais_csv(
     Accepted rows keep their input order. A missing required column raises
     ConfigError; an unreadable stream raises DataError. Bad rows never
     raise: they are tallied by reason.
+
+    Rows are read and validated in blocks of _BLOCK_ROWS, one column at a
+    time, so memory beyond the returned table is bounded by the block.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -152,14 +180,15 @@ def parse_ais_csv(
         columns.update(schema)
 
     stream, owned = _open_text(source)
-    rows: list[tuple] = []
+    tables = [np.empty(0, TRACK_DTYPE)]
+    tally = np.zeros(len(_CHECKS) + 1, dtype=np.int64)  # last: accepted
     report = IngestReport()
     try:
         reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:
-            return np.array(rows, dtype=TRACK_DTYPE), report
+            return tables[0], report
 
         index: dict[str, int] = {}
         for logical, column in columns.items():
@@ -170,70 +199,138 @@ def parse_ais_csv(
                     f"missing required column '{column}' (field '{logical}')"
                 ) from None
         max_index = max(index.values())
+        fields = itemgetter(*(index[name] for name in DEFAULT_SCHEMA))
 
-        for row in reader:
-            if not row:
-                continue
-            report.rows_read += 1
-            if len(row) <= max_index:
-                report.reject("short_row")
-                continue
-            record, reason = _parse_row(row, index)
-            if record is None:
-                report.reject(reason)
-            else:
-                rows.append(record)
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            rows = [row for row in block if len(row) > max_index]
+            read = len(block) - block.count([])  # blank lines are not rows
+            report.rows_read += read
+            if read > len(rows):
+                report.reject("short_row", read - len(rows))
+            if rows:
+                table, block_tally = _parse_block(*zip(*map(fields, rows)))
+                tables.append(table)
+                tally += block_tally
     except (UnicodeDecodeError, csv.Error, OSError) as exc:
         raise DataError(f"unreadable AIS stream: {exc}") from exc
     finally:
         if owned:
             stream.close()
-    return np.array(rows, dtype=TRACK_DTYPE), report
+    for reason, n in zip(_CHECKS, tally.tolist()):
+        if n:
+            report.reject(reason, n)
+    return np.concatenate(tables), report
 
 
-def _parse_row(row: list[str], index: dict[str, int]) -> tuple[tuple | None, str]:
-    mmsi = row[index["mmsi"]].strip()
-    if len(mmsi) != 9 or not (mmsi.isascii() and mmsi.isdigit()):
-        return None, "bad_mmsi"
+def _parse_block(mmsi, stamp, lat, lon, sog, cog, length) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one block of rows given as string columns.
 
-    t = _parse_timestamp(row[index["timestamp"]].strip())
-    if t is None:
-        return None, "bad_timestamp"
+    Returns the accepted rows and, per entry of _CHECKS plus one for
+    accepted rows, how many rows the block has whose first failing check it is.
+    """
+    mmsi, mmsi_ok = _mmsi_column(mmsi)
+    t, t_ok = _timestamp_column(stamp)
+    lat, lon, sog, cog = (_float_column(c, _parse_float) for c in (lat, lon, sog, cog))
+    length = _float_column(length, _parse_length)
+    # One row per entry of _CHECKS, in order, then one all-true row that
+    # rows passing every check stop at. NaN marks an unparsable float.
+    fails = np.stack([
+        ~mmsi_ok, ~t_ok,
+        np.isnan(lat), ~((-90.0 <= lat) & (lat <= 90.0)),
+        np.isnan(lon), ~((-180.0 <= lon) & (lon <= 180.0)),
+        np.isnan(sog), sog < 0.0,
+        np.isnan(cog), ~((0.0 <= cog) & (cog <= 360.0)),
+        np.ones(len(t), dtype=bool),
+    ])
+    first_failed = fails.argmax(axis=0)
+    keep = first_failed == len(_CHECKS)
 
-    lat = _parse_float(row[index["lat"]])
-    if lat is None:
-        return None, "bad_lat"
-    if not -90.0 <= lat <= 90.0:
-        return None, "lat_out_of_range"
-
-    lon = _parse_float(row[index["lon"]])
-    if lon is None:
-        return None, "bad_lon"
-    if not -180.0 <= lon <= 180.0:
-        return None, "lon_out_of_range"
-
-    sog = _parse_float(row[index["sog"]])
-    if sog is None:
-        return None, "bad_sog"
-    if sog < 0.0:
-        return None, "sog_out_of_range"
-
-    cog = _parse_float(row[index["cog"]])
-    if cog is None:
-        return None, "bad_cog"
-    if not 0.0 <= cog <= 360.0:
-        return None, "cog_out_of_range"
-    if cog == 360.0:  # alias of due north
-        cog = 0.0
-
+    table = np.empty(int(keep.sum()), TRACK_DTYPE)
+    table["mmsi"], table["t"] = mmsi[keep], t[keep]
+    table["lat"], table["lon"], table["sog"] = lat[keep], lon[keep], sog[keep]
+    cog = cog[keep]
+    table["cog"] = np.where(cog == 360.0, 0.0, cog)  # alias of due north
     # Length is optional in the data; unknown/unparsable/negative values are
     # recorded as NaN and removed later by the length filter.
-    raw_length = row[index["length"]].strip()
-    length = _parse_float(raw_length) if raw_length else None
-    if length is None or length < 0.0:
-        length = math.nan
+    length = length[keep]
+    table["length"] = np.where(length >= 0.0, length, np.nan)
+    return table, np.bincount(first_failed, minlength=len(fails))
 
-    return (int(mmsi), t, lat, lon, sog, cog, length), ""
+
+def _codepoints(values, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, width) code points of each value, and which values are exactly
+    `width` long. A numpy str array drops trailing NULs and truncates
+    longer values, so the length comes from Python."""
+    n = len(values)
+    chars = np.array(values, dtype=f"U{width}").view(np.uint32).reshape(n, width)
+    return chars, np.fromiter(map(len, values), np.int64, n) == width
+
+
+def _mmsi_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """MMSIs as integers, and which values are nine ASCII digits once
+    stripped. Values that are not exactly nine ASCII digits as given are
+    checked one by one."""
+    chars, ok = _codepoints(values, 9)
+    digits = chars - _ZERO  # unsigned: code points below "0" wrap to large values
+    ok &= (digits <= 9).all(axis=1)
+    mmsi = digits @ _MMSI_WEIGHTS
+    for i in np.flatnonzero(~ok).tolist():
+        text = values[i].strip()
+        if len(text) == 9 and text.isascii() and text.isdigit():
+            mmsi[i], ok[i] = int(text), True
+    return mmsi, ok
+
+
+def _timestamp_column(values) -> tuple[np.ndarray, np.ndarray]:
+    """UTC epoch seconds, and which values parse.
+
+    Values of the form YYYY-MM-DD[T ]hh:mm:ss in ASCII digits that name a
+    real date and time are converted in one array pass (days-from-civil);
+    every other value goes through _parse_timestamp, which also accepts
+    e.g. unpadded fields and rejects impossible dates.
+    """
+    chars, ok = _codepoints(values, _STAMP_WIDTH)
+    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - _ZERO
+    ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
+    ok &= (chars[:, _STAMP_PUNCT] == _STAMP_PUNCT_CODES).all(axis=1)
+    ok &= (chars[:, 10] == ord("T")) | (chars[:, 10] == ord(" "))
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]
+    year, (month, day, hour, minute, second) = pairs[:, 0] * 100 + pairs[:, 1], pairs[:, 2:].T
+
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+           & (hour < 24) & (minute < 60) & (second < 60))
+
+    # Days from 1970-01-01 in the proleptic Gregorian calendar, with years
+    # starting in March so the leap day falls last.
+    y = year - (month <= 2)
+    era = y // 400
+    year_of_era = y - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146097 + day_of_era - 719468
+    t = days * 86400 + hour * 3600 + minute * 60 + second
+
+    for i in np.flatnonzero(~ok).tolist():
+        parsed = _parse_timestamp(values[i].strip())
+        if parsed is not None:
+            t[i], ok[i] = parsed, True
+    return t, ok
+
+
+def _float_column(values, parse) -> np.ndarray:
+    """Finite floats, NaN where `parse` (the per-value rule) gives None.
+
+    The whole column is converted with `float` first; only a column with a
+    value `float` rejects is converted value by value.
+    """
+    try:
+        column = np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:
+        return np.array([parse(v) for v in values], dtype=np.float64)
+    column[~np.isfinite(column)] = np.nan
+    return column
 
 
 def filter_by_length(
@@ -265,10 +362,12 @@ def group_and_sort(
     first[1:] = ((table["mmsi"][1:] != table["mmsi"][:-1])
                  | (table["t"][1:] != table["t"][:-1]))
     if report is not None:
-        head = table[np.maximum.accumulate(np.where(first, np.arange(len(table)), 0))]
+        # Index of each row's group head; compared one field at a time.
+        head = np.maximum.accumulate(np.where(first, np.arange(len(table)), 0))
         same = ~first
         for name in ("lat", "lon", "sog", "cog", "length"):
-            a, b = table[name], head[name]
+            a = table[name]
+            b = a[head]
             same &= (a == b) | (np.isnan(a) & np.isnan(b))
         exact, conflicting = int(same.sum()), int((~first).sum() - same.sum())
         if exact:
@@ -290,7 +389,7 @@ def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
 def save_tracks(path, tracks: list[VesselTrack]) -> None:
     """Write every track's rows, in order, as one TRACK_DTYPE `.npy` file."""
     table = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.save(fh, table)
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError
 
 MANIFEST_NAME = "manifest.json"
@@ -50,4 +51,5 @@ class RunManifest:
             entry["extra"] = extra
         self.data["stages"][name] = entry
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        with atomic_write(self.path, "w") as fh:
+            fh.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")

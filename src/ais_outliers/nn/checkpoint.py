@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ConfigError, DataError
 from .model import ModelConfig, ModelParams, RecurrentAutoencoder
 
@@ -31,7 +32,7 @@ def save_checkpoint(path, model: RecurrentAutoencoder) -> None:
     """Write the model's config and weights to `path`."""
     flat = model.params.flat()
     config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))

@@ -4,7 +4,9 @@ Everything here is written with explicit Python loops over units and
 timesteps, deliberately avoiding the vectorized code paths under test.
 """
 
+import csv
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -194,3 +196,90 @@ def reference_normalize_corpus(grids, max_missing_fraction):
         matrix[grid.mask] = scaled[grid.mask]
         matrices.append(matrix)
     return matrices, [(g.mmsi, g.day) for g in survivors], minimum, maximum
+
+
+_REFERENCE_STAMP_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S")
+
+
+def _reference_timestamp(text):
+    for fmt in _REFERENCE_STAMP_FORMATS:
+        try:
+            return (datetime.strptime(text, fmt) - datetime(1970, 1, 1)) // timedelta(seconds=1)
+        except ValueError:
+            continue
+    return None
+
+
+def _reference_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _reference_row(row, index):
+    mmsi = row[index["mmsi"]].strip()
+    if len(mmsi) != 9 or not (mmsi.isascii() and mmsi.isdigit()):
+        return None, "bad_mmsi"
+    t = _reference_timestamp(row[index["timestamp"]].strip())
+    if t is None:
+        return None, "bad_timestamp"
+    lat = _reference_float(row[index["lat"]])
+    if lat is None:
+        return None, "bad_lat"
+    if not -90.0 <= lat <= 90.0:
+        return None, "lat_out_of_range"
+    lon = _reference_float(row[index["lon"]])
+    if lon is None:
+        return None, "bad_lon"
+    if not -180.0 <= lon <= 180.0:
+        return None, "lon_out_of_range"
+    sog = _reference_float(row[index["sog"]])
+    if sog is None:
+        return None, "bad_sog"
+    if sog < 0.0:
+        return None, "sog_out_of_range"
+    cog = _reference_float(row[index["cog"]])
+    if cog is None:
+        return None, "bad_cog"
+    if not 0.0 <= cog <= 360.0:
+        return None, "cog_out_of_range"
+    if cog == 360.0:
+        cog = 0.0
+    raw_length = row[index["length"]].strip()
+    length = _reference_float(raw_length) if raw_length else None
+    if length is None or length < 0.0:
+        length = math.nan
+    return (int(mmsi), t, lat, lon, sog, cog, length), ""
+
+
+def reference_parse_ais_csv(path, schema=None):
+    """Row-by-row AIS parse with `csv`, `datetime.strptime` and `float`:
+    each row is checked field by field and tallied under the first check it
+    fails. Returns (TRACK_DTYPE table, IngestReport) like `parse_ais_csv`."""
+    from ais_outliers.ingest import DEFAULT_SCHEMA, TRACK_DTYPE, IngestReport
+
+    columns = {**DEFAULT_SCHEMA, **(schema or {})}
+    rows = []
+    report = IngestReport()
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return np.array(rows, dtype=TRACK_DTYPE), report
+        index = {logical: header.index(column) for logical, column in columns.items()}
+        max_index = max(index.values())
+        for row in reader:
+            if not row:
+                continue
+            report.rows_read += 1
+            if len(row) <= max_index:
+                report.reject("short_row")
+                continue
+            record, reason = _reference_row(row, index)
+            if record is None:
+                report.reject(reason)
+            else:
+                rows.append(record)
+    return np.array(rows, dtype=TRACK_DTYPE), report

@@ -10,7 +10,7 @@ from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
 from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
 from ais_outliers.manifest import RunManifest
-from ais_outliers.nn.checkpoint import save_checkpoint
+from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import NormalizationStats, save_corpus
 from ais_outliers.synthetic import generate_days, write_ais_csv
@@ -218,6 +218,8 @@ def test_usage_error_exit_code_is_one(capsys):
     ("score", "tensor_cut_by_one_day"),
     ("report", "empty_stage_entry"),
     ("report", "null_stage_outputs"),
+    ("score", "checkpoint_bad_magic"),
+    ("score", "checkpoint_bad_header"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
@@ -238,6 +240,11 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     manifest = run_dir / "manifest.json"
     RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
     index_rows = index.read_text().splitlines()
+
+    def flip_checkpoint_byte(offset):
+        data = bytearray(checkpoint.read_bytes())
+        data[offset] ^= 0xFF
+        checkpoint.write_bytes(bytes(data))
 
     def set_stage(name, entry):
         data = json.loads(manifest.read_text())
@@ -262,6 +269,9 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "tensor_cut_by_one_day": lambda: tensor.write_bytes(tensor.read_bytes()[:-48 * 4 * 8]),
         "empty_stage_entry": lambda: set_stage("split", {}),
         "null_stage_outputs": lambda: set_stage("score", {"wall_seconds": 0.1, "outputs": None}),
+        "checkpoint_bad_magic": lambda: flip_checkpoint_byte(0),
+        # Low byte of the config length, after the magic and the version.
+        "checkpoint_bad_header": lambda: flip_checkpoint_byte(len(MAGIC) + 4),
     }
     # The files (and stage) the message must name.
     named = {"tensor_cut_by_one_day": ("test.f64", "test_index.csv"),
@@ -274,3 +284,20 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     assert len(err) == 1 and err[0].startswith("data error:"), err
     for name in named.get(damage, ()):
         assert name in err[0], err
+
+
+def test_failed_tracks_write_keeps_previous_store(tmp_path, monkeypatch):
+    tracks = tmp_path / "tracks.npy"
+    table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
+    save_tracks(tracks, group_and_sort(table))
+    before = tracks.read_bytes()
+
+    def save_half(fh, arr, **kwargs):
+        fh.write(b"\x93NUMPY partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", save_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_tracks(tracks, group_and_sort(table[:1]))
+    assert tracks.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["tracks.npy"]

@@ -1,11 +1,17 @@
+import csv
 import io
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ConfigError, DataError
+from ais_outliers import ingest
 from ais_outliers.ingest import (
     TRACK_DTYPE,
     IngestReport,
@@ -15,6 +21,7 @@ from ais_outliers.ingest import (
 )
 
 from conftest import make_record, make_table, utc
+from oracles import reference_parse_ais_csv
 
 HEADER = "MMSI,BaseDateTime,LAT,LON,SOG,COG,Length\n"
 
@@ -131,6 +138,149 @@ def test_parse_is_total_over_malformed_rows():
     records, report = parse_text(HEADER + junk + "\n")
     assert report.rows_read == report.rows_accepted + report.rows_rejected
     assert len(records) == report.rows_accepted
+
+
+# -- columnar parse against the row-by-row reference ----------------------
+
+# Per field, malformed and odd values: NUL and Unicode whitespace, non-ASCII
+# digits, unpadded and impossible stamps, and every float spelling `float`
+# and `str.strip` treat differently.
+_FLOATS = ["nan", "-nan", "inf", "-inf", "1_0", " 2.5 ", "+3", "0x10", "", " ", "50\x00",
+           "\x0050", "5\x000", "\x1c2.5", "\x852.5", "\xa02.5", "\u30002.5", "\uff11\uff12",
+           "\u00b9", "1e309", "-0.0", "0", "360", "360.0", "360.5", "-1", "90", "90.5", "-91",
+           "180", "-181", "abc", "NaN", "1,5"]
+ODD_FIELDS = {
+    "mmsi": ["123456789\x00", "\x00123456789", "1234\x0056789", " 367000002 ", "\x1c367000003",
+             "367000004\x85", "\xa0367000005", "\u3000367000006",
+             "\uff13\uff16\uff17\uff10\uff10\uff10\uff10\uff10\uff18",
+             "3670000\u00b2\u00b9", "36700001", "3670000010", "", "abcdefghi", "+36700001"],
+    "stamp": ["2019-03-06T00:00:01\x00", "\x002019-03-06T00:00:01", "2019-03-06T00:\x000:01",
+              "2019-03-06 00:00:01", "2019-3-6T1:2:3", "2019-3-6 1:2:3", "2019-03-06t00:00:01",
+              "\uff12\uff10\uff11\uff19-03-06T00:00:00", "2019-03-06T00:00:0\u00b2",
+              "2020-02-29T00:00:00", "2019-02-29T00:00:00", "1900-02-29T00:00:00",
+              "2000-02-29T12:00:00", "2019-02-30T00:00:00", "2019-04-31T00:00:00",
+              "2019-03-06T24:00:00", "2019-03-06T23:60:00", "2019-03-06T23:59:60",
+              "0000-01-01T00:00:00", "0001-01-01T00:00:00", "9999-12-31T23:59:59",
+              "1969-12-31T23:59:59", "1600-02-29T06:00:00", " 2019-03-06T00:00:00 ",
+              "\x1c2019-03-06T00:00:00", "\xa02019-03-06 00:00:00", "2019-03-06  00:00:00",
+              "2019-03-06\t00:00:00", "2019-03-06X00:00:00", "2019-03- 6T00:00:00",
+              "2019-03-06T00:00", "2019/03/06 00:00:00", "2019-13-01T00:00:00",
+              "2019-00-10T00:00:00", "2019-01-00T00:00:00", "", "x" * 19],
+    "lat": _FLOATS, "lon": _FLOATS, "sog": _FLOATS, "cog": _FLOATS,
+    "length": _FLOATS + ["-5", "-0.0", " 50 ", "\x1c50", "50\x1c", "\x85"],
+}
+FIELDS = list(ODD_FIELDS)
+
+
+def _valid_row(rng: random.Random) -> list[str]:
+    stamp = (f"{rng.choice([1999, 2019, 2020])}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+             f"{rng.choice('T ')}{rng.randint(0, 23):02d}:{rng.randint(0, 59):02d}"
+             f":{rng.randint(0, 59):02d}")
+    return [f"3670000{rng.randint(10, 30)}", stamp, f"{rng.uniform(-90, 90):.5f}",
+            f"{rng.uniform(-180, 180):.5f}", f"{rng.uniform(0, 30):.1f}",
+            f"{rng.uniform(0, 360):.1f}", rng.choice(["", f"{rng.uniform(5, 300):.1f}"])]
+
+
+def _mixed_rows(rng: random.Random, n: int) -> list[list[str]]:
+    """Mostly valid rows; the rest carry odd values, are short, have extra
+    columns, or are blank."""
+    rows = []
+    for _ in range(n):
+        row = _valid_row(rng)
+        kind = rng.random()
+        if kind < 0.3:
+            for field in rng.sample(FIELDS, rng.choice([1, 1, 2])):
+                row[FIELDS.index(field)] = rng.choice(ODD_FIELDS[field])
+        elif kind < 0.33:
+            row = row[:rng.randint(1, 6)]
+        elif kind < 0.36:
+            row += ["extra", "2.5"]
+        elif kind < 0.37:
+            row = []
+        rows.append(row)
+    return rows
+
+
+def _write_csv(path: Path, rows, header=("MMSI", "BaseDateTime", "LAT", "LON", "SOG", "COG",
+                                         "Length")) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def assert_same_parse(path, schema=None):
+    table, report = parse_ais_csv(path, schema)
+    expected, expected_report = reference_parse_ais_csv(path, schema)
+    assert table.tobytes() == expected.tobytes()
+    assert report.to_text() == expected_report.to_text()
+
+
+def test_every_odd_field_value_parses_like_reference(tmp_path):
+    rng = random.Random(11)
+    rows = []
+    for i, field in enumerate(FIELDS):
+        for value in ODD_FIELDS[field]:
+            row = _valid_row(rng)
+            row[i] = value
+            rows.append(row)
+    assert_same_parse(_write_csv(tmp_path / "odd.csv", rows))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_mixed_files_parse_like_reference(tmp_path, seed):
+    rng = random.Random(seed)
+    rows = _mixed_rows(rng, rng.randint(2 * ingest._BLOCK_ROWS, 3 * ingest._BLOCK_ROWS))
+    assert_same_parse(_write_csv(tmp_path / "mixed.csv", rows))
+
+
+def test_all_short_and_all_rejected_blocks_parse_like_reference(tmp_path):
+    rng = random.Random(5)
+    n = ingest._BLOCK_ROWS
+    rows = ([_valid_row(rng) for _ in range(n)]
+            + [_valid_row(rng)[:3] for _ in range(n)]
+            + [["bad"] + _valid_row(rng)[1:] for _ in range(n)]
+            + [[] for _ in range(n)]
+            + [_valid_row(rng) for _ in range(10)])
+    path = _write_csv(tmp_path / "blocks.csv", rows)
+    assert_same_parse(path)
+    table, report = parse_ais_csv(path)
+    assert len(table) == n + 10
+    assert report.reject_reasons == {"short_row": n, "bad_mmsi": n}
+
+
+def test_remapped_schema_parses_like_reference(tmp_path):
+    names = ["loa", "course", "speed", "when", "longitude", "latitude", "id"]
+    schema = dict(zip(["length", "cog", "sog", "timestamp", "lon", "lat", "mmsi"], names))
+    rows = [["pad", *row[::-1]] for row in _mixed_rows(random.Random(9), 500)]
+    assert_same_parse(_write_csv(tmp_path / "remap.csv", rows, ["unused", *names]), schema)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("lanes", ["days=120"]), ("dense", ["vessels=3", "days=6"])])
+def test_benchmark_generator_files_parse_like_reference(tmp_path, kind, params):
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, str(root / "bench" / "gen.py"), kind, "--seed", "3",
+                    "--out", str(tmp_path)] + [a for p in params for a in ("--param", p)],
+                   check=True)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        assert_same_parse(path)
+
+
+def test_parse_memory_is_bounded_by_the_block(tmp_path):
+    rng = random.Random(4)
+    path = _write_csv(tmp_path / "big.csv", (_valid_row(rng) for _ in range(64_000)))
+    tracemalloc.start()
+    try:
+        table, report = parse_ais_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows_rejected == 0 and len(table) == 64_000
+    assert peak < 3 * table.nbytes, (peak, table.nbytes)
 
 
 # -- filter_by_length ------------------------------------------------------
