@@ -13,15 +13,16 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb"):
+def atomic_write(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file next to `path`; replace `path` with it on success.
 
-    On any exception the temporary file is removed and `path` is untouched.
+    `mode` and `newline` are as for `open`. On any exception the temporary
+    file is removed and `path` is untouched.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, detect
+from .atomic import atomic_write
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError
 from .geojson import export_days
@@ -127,7 +128,8 @@ def cmd_ingest(config: RunConfig) -> int:
     run_dir = _run_dir(config)
     tracks_path = run_dir / TRACKS_FILE
     save_tracks(tracks_path, tracks)
-    (run_dir / "ingest_report.txt").write_text(report.to_text())
+    with atomic_write(run_dir / "ingest_report.txt", "w") as fh:
+        fh.write(report.to_text())
 
     print(report.to_text(), end="")
     print(f"track rows kept: {sum(len(t) for t in tracks)}")
@@ -153,7 +155,8 @@ def cmd_preprocess(config: RunConfig) -> int:
     save_corpus(tensor, ids, corpus_path, index_path)
     stats.save(stats_path)
     report_path = run_dir / "preprocess_report.txt"
-    report_path.write_text(summary.to_text())
+    with atomic_write(report_path, "w") as fh:
+        fh.write(summary.to_text())
 
     print(summary.to_text(), end="")
     _print_missing_histogram(summary)

@@ -14,6 +14,7 @@ from datetime import date
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError, ShapeError
 from .sequence import SequenceSet
 
@@ -154,7 +155,7 @@ def write_scores_csv(path, scores: list[ScoreRecord], mask_sentinel: bool = Fals
     """`feature_names` adds one column per feature from each record's
     `feature_rmse`."""
     rmse_col = "rmse_masked" if mask_sentinel else "rmse"
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["mmsi", "day", rmse_col]
         if feature_names:
@@ -168,7 +169,7 @@ def write_scores_csv(path, scores: list[ScoreRecord], mask_sentinel: bool = Fals
 
 
 def write_outliers_csv(path, report: OutlierReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "mmsi", "day", "rmse", "threshold", "k"])
         for rank, s in enumerate(report.flagged, start=1):
@@ -177,7 +178,7 @@ def write_outliers_csv(path, report: OutlierReport) -> None:
 
 
 def write_histogram_csv(path, dist: ScoreDistribution) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin_low", "bin_high", "count"])
         for i, count in enumerate(dist.bin_counts):
@@ -187,7 +188,7 @@ def write_histogram_csv(path, dist: ScoreDistribution) -> None:
 
 def write_offenders_csv(path, offenders: OffenderReport) -> None:
     persistent = dict(offenders.persistent)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mmsi", "flag_count", "persistent"])
         ordered = sorted(offenders.counts.items(), key=lambda item: (-item[1], item[0]))

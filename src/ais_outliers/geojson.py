@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 from .preprocess import FEATURES, SENTINEL, NormalizationStats
 
@@ -45,8 +45,8 @@ def feature_collection(features: list[dict]) -> dict:
 
 
 def write_geojson(path, collection: dict) -> None:
-    Path(path).write_text(
-        json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def export_days(

@@ -4,7 +4,10 @@ Weights are fused and input-major: a cell with G gates of H units stores
 w_x (D, G·H), w_h (H, G·H) and b (G·H,), so pre-activations are
 x @ w_x + h @ w_h + b. G is 1 for SimpleRNN and 3 for GRU, whose column
 blocks are the update gate z, the reset gate r and the candidate h~, in
-that order. Everything runs in float64; batched inputs are (B, D).
+that order. The tensors of a layer's directions may be stacked along a
+leading direction axis K: w_x (K, D, G·H), w_h (K, H, G·H), b (K, G·H).
+Everything runs in float64; batched inputs are (B, D), or (K, B, D) for
+stacked tensors.
 """
 
 from __future__ import annotations
@@ -19,37 +22,45 @@ from ..errors import ShapeError
 GRU_CONVENTIONS = ("z_gates_candidate", "z_gates_state")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function as 0.5*(1 + tanh(x/2)), which cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5*(1 + tanh(x/2)), which cannot overflow.
+
+    Written into `out` when given (which may be `x` itself).
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
 class CellParams:
     """Fused tensors of a recurrent cell with `gates` blocks of H columns."""
 
-    w_x: np.ndarray  # (D, G·H)
-    w_h: np.ndarray  # (H, G·H)
-    b: np.ndarray    # (G·H,)
+    w_x: np.ndarray  # ([K,] D, G·H)
+    w_h: np.ndarray  # ([K,] H, G·H)
+    b: np.ndarray    # ([K,] G·H)
 
     gates: ClassVar[int] = 1
 
     def __post_init__(self):
-        h = self.w_h.shape[0]
+        lead, h = self.w_h.shape[:-2], self.w_h.shape[-2] if self.w_h.ndim >= 2 else -1
         width = self.gates * h
-        if (self.w_x.ndim != 2 or self.w_x.shape[1] != width
-                or self.w_h.shape != (h, width) or self.b.shape != (width,)):
+        if (self.w_h.shape != (*lead, h, width) or self.w_x.ndim != self.w_h.ndim
+                or self.w_x.shape[:-2] != lead or self.w_x.shape[-1] != width
+                or self.b.shape != (*lead, width)):
             raise ShapeError(
                 f"inconsistent {type(self).__name__} shapes for {self.gates} gate(s): "
                 f"w_x {self.w_x.shape}, w_h {self.w_h.shape}, b {self.b.shape}")
 
     @property
     def input_size(self) -> int:
-        return self.w_x.shape[0]
+        return self.w_x.shape[-2]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[0]
+        return self.w_h.shape[-2]
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         for f in fields(self):
@@ -82,29 +93,45 @@ class GruCellParams(CellParams):
     w_xh, w_hh, b_h = (_gate_view(t, 2) for t in ("w_x", "w_h", "b"))
 
 
-def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
-         convention: str = "z_gates_candidate") -> tuple[np.ndarray, np.ndarray]:
-    """One recurrent step from the projected input `xw = x @ w_x + b` (.., G·H).
+def _gate_major(a: np.ndarray, gates: int, h: int) -> np.ndarray:
+    """A (.., gates·H) array as a gate-major (gates, .., H) view."""
+    a = a.reshape(*a.shape[:-1], gates, h)
+    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
 
-    `hm` is the state on the weighted paths (h_prev under the recurrent
-    dropout mask); the direct carry of the GRU blend uses the unmasked
-    `h_prev`. Returns (h, acts), where acts holds the post-activation
-    gates: z, r, h~ for GRU and h~ (which is h) for SimpleRNN. This is the
-    loop body of `layers.unroll`.
+
+def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
+         convention: str, acts: np.ndarray, h_out: np.ndarray) -> None:
+    """One recurrent step from the projected input `xw = x @ w_x + b`.
+
+    `xw` and `acts` are gate-major, (G, .., H): one block per gate, so each
+    gate is a contiguous array. `hm` is the state on the weighted paths
+    (h_prev under the recurrent dropout mask); the direct carry of the GRU
+    blend uses the unmasked `h_prev`. Writes the post-activation gates into
+    `acts` (z, r, h~ for GRU; h~, which is h, for SimpleRNN) and the new
+    state into `h_out` (.., H). With stacked cell tensors the states carry
+    the same leading direction axis, and each product is one batched
+    matmul. This is the loop body of `layers.unroll`.
     """
     h = cell.hidden_size
-    s = (cell.gates - 1) * h  # width of the sigmoid gates z, r
-    acts = np.empty_like(xw)
-    if s:
-        acts[..., :s] = sigmoid(xw[..., :s] + hm @ cell.w_h[:, :s])
-        hm = acts[..., h:s] * hm  # the reset gate scales the candidate's state
-    acts[..., s:] = np.tanh(xw[..., s:] + hm @ cell.w_h[:, s:])
-    if not s:
-        return acts, acts
-    z, cand = acts[..., :h], acts[..., s:]
-    if convention == "z_gates_candidate":
-        return (1.0 - z) * h_prev + z * cand, acts
-    return z * h_prev + (1.0 - z) * cand, acts
+    g = cell.gates - 1  # the sigmoid gates z, r
+    if g:
+        pre = np.matmul(hm, cell.w_h[..., :g * h])  # (.., g·H), gates side by side
+        gates = np.add(_gate_major(pre, g, h), xw[:g], out=acts[:g])
+        sigmoid(gates, out=gates)
+        z, r = gates
+        hm = r * hm  # the reset gate scales the candidate's state
+    cand = np.matmul(hm, cell.w_h[..., g * h:], out=acts[g])
+    cand += xw[g]
+    np.tanh(cand, out=cand)
+    if not g:
+        h_out[...] = cand
+        return
+    # h = z * gated + (1 - z) * other, for the convention's choice of gated
+    gated, other = (cand, h_prev) if convention == "z_gates_candidate" else (h_prev, cand)
+    np.multiply(z, gated, out=h_out)
+    rest = 1.0 - z
+    rest *= other
+    h_out += rest
 
 
 def _single_step(x, h_prev, p: CellParams, convention: str) -> np.ndarray:
@@ -118,7 +145,10 @@ def _single_step(x, h_prev, p: CellParams, convention: str) -> np.ndarray:
         raise ShapeError(f"batch mismatch between input {x.shape} and state {h_prev.shape}")
     if convention not in GRU_CONVENTIONS:
         raise ShapeError(f"unknown GRU convention {convention!r}")
-    return step(x @ p.w_x + p.b, h_prev, h_prev, p, convention)[0]
+    xw = _gate_major(x @ p.w_x + p.b, p.gates, p.hidden_size)
+    h = np.empty_like(h_prev)
+    step(xw, h_prev, h_prev, p, convention, np.empty((p.gates, *h_prev.shape)), h)
+    return h
 
 
 def simple_rnn_step(x: np.ndarray, h_prev: np.ndarray, p: SimpleRnnCellParams) -> np.ndarray:

@@ -31,14 +31,15 @@ def bernoulli_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 class DropoutMasks:
     """Realized masks for one training forward/backward pass.
 
-    `input_masks[layer][direction]` is (B, D_in) and `recurrent_masks
-    [layer][direction]` is (B, H); both are constant across all timesteps
-    of the sequence. `interlayer[boundary]` and `dense` are (B, T, D)
-    per-timestep conventional masks, or None when their rate is zero.
+    `input_masks[layer]` is (K, B, D_in) and `recurrent_masks[layer]` is
+    (K, B, H), one (B, .) mask per direction stacked as the layer's scan
+    takes them; both are constant across all timesteps of the sequence.
+    `interlayer[boundary]` and `dense` are (B, T, D) per-timestep
+    conventional masks, or None when their rate is zero.
     """
 
-    input_masks: list[list[np.ndarray]]
-    recurrent_masks: list[list[np.ndarray]]
+    input_masks: list[np.ndarray]
+    recurrent_masks: list[np.ndarray]
     interlayer: list[np.ndarray | None]
     dense: np.ndarray | None
 
@@ -60,8 +61,8 @@ def sample_masks(config, batch_size: int, rng: np.random.Generator) -> DropoutMa
                                              config.input_dropout_rate, rng))
             per_dir_rec.append(bernoulli_mask((batch_size, config.hidden),
                                               config.recurrent_dropout_rate, rng))
-        input_masks.append(per_dir_in)
-        recurrent_masks.append(per_dir_rec)
+        input_masks.append(np.stack(per_dir_in))
+        recurrent_masks.append(np.stack(per_dir_rec))
 
     interlayer: list[np.ndarray | None] = []
     for _ in range(config.layers - 1):

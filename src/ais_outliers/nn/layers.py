@@ -1,11 +1,29 @@
-"""Sequence-level layers: the recurrent scan (either cell kind, either
-direction) with its backpropagation through time, and the per-timestep
-dense output head.
+"""Sequence-level layers: the recurrent scan with its backpropagation
+through time, and the per-timestep dense output head.
+
+One scan runs every direction of a layer, for either cell kind. The cell's
+tensors carry a leading direction axis K: w_x (K, D, G·H), w_h (K, H, G·H)
+and b (K, G·H), with K = 1 for a unidirectional layer and K = 2 for a
+bidirectional one. Direction 0 reads the sequence forward and direction 1
+backward, so each time step is one batched matmul of the (K, B, H) states
+against the recurrent weights plus one set of elementwise ops. A K = 1
+stack may also hold the backward direction alone (`first_direction=1`).
+
+The scan's buffers are step-major, (T, K, B, H), and in *scan order*:
+step i of direction 1 is time T-1-i. Its inputs go in time-reversed and
+its outputs come back time-aligned. Gate activations are gate-major,
+(T, G, K, B, H), so every per-step operand is one contiguous block. The
+cache keeps scan order; the weight- and input-gradient GEMMs take each
+direction's rows in time order, as (K, T·B, .) copies with the gates side
+by side, so every sum over the T·B rows runs in the same order as a scan
+of that direction alone would.
 
 The scan follows Appleyard, Kočiský and Blunsom (arXiv:1604.01946): the
-input projection for all timesteps is one GEMM before the time loop, and
-the backward pass saves the pre-activation gradients of every step so the
-weight and input gradients are GEMMs over all timesteps after the loop.
+input projection is one GEMM over many timesteps before the steps that use
+it, and the backward pass saves the pre-activation gradients of every step
+so the weight and input gradients are GEMMs over all timesteps after the
+loop. The projection runs in time chunks of bounded size, so its buffer
+does not grow with the sequence, K or G.
 """
 
 from __future__ import annotations
@@ -15,62 +33,102 @@ import numpy as np
 from ..errors import ShapeError
 from .cells import CellParams, step
 
+_CHUNK_BYTES = 1 << 17  # input projection per chunk of timesteps
 
-def _scan_order(timesteps: int, direction: str) -> list[int]:
-    if direction == "forward":
-        return list(range(timesteps))
-    if direction == "backward":
-        return list(range(timesteps - 1, -1, -1))
-    raise ShapeError(f"direction must be 'forward' or 'backward', got {direction!r}")
+
+def _in_time_order(a: np.ndarray, direction: int) -> np.ndarray:
+    """A direction's (T, ...) scan-ordered slice in time order, or back (a view)."""
+    return a[::-1] if direction else a
+
+
+def _time_rows(a: np.ndarray, first: int) -> np.ndarray:
+    """Scan-ordered (T, K, B, ...) → (K, T·B, W): each direction's rows in
+    time order, the trailing axes flattened into W (a view where the
+    layout allows). `first` is the direction of the stack's entry 0."""
+    timesteps, k, batch = a.shape[:3]
+    if first + k == 1:  # forward only: scan order is time order
+        return a.swapaxes(0, 1).reshape(k, timesteps * batch, -1)
+    rows = np.empty((k, *a.shape[:1], *a.shape[2:]))
+    for j in range(k):
+        rows[j] = _in_time_order(a[:, j], first + j)
+    return rows.reshape(k, timesteps * batch, -1)
+
+
+def _scan_inputs(x: np.ndarray, directions: range, mask: np.ndarray | None,
+                 start: int, stop: int) -> np.ndarray:
+    """Scan steps [start, stop) of each direction's masked input, (K, n, B, D),
+    from the time-major (T, B, D) sequence `x`."""
+    timesteps = len(x)
+    xm = np.empty((len(directions), stop - start, *x.shape[1:]))
+    for j, d in enumerate(directions):
+        xm[j] = _in_time_order(x[timesteps - stop:timesteps - start] if d else x[start:stop], d)
+    if mask is not None:
+        xm *= mask[:, None]
+    return xm
 
 
 def unroll(
     seq: np.ndarray,
     cell: CellParams,
-    direction: str = "forward",
     input_mask: np.ndarray | None = None,
     recurrent_mask: np.ndarray | None = None,
     gru_convention: str = "z_gates_candidate",
     want_cache: bool = False,
+    first_direction: int = 0,
 ) -> tuple[np.ndarray, dict | None]:
     """Run one recurrent layer over a (B, T, D) sequence from a zero state.
 
-    The output (B, T, H) is aligned with time for both directions: entry t
-    of a backward pass is the state after consuming x[T-1..t]. Masks, when
-    given, are (B, D) / (B, H) and are reapplied unchanged at every step.
-    Returns `(h_seq, cache)`. The cache is None unless `want_cache` is set;
-    then it holds time-major (T, B, .) arrays indexed by timestep: the
-    masked inputs `xm`, the states `h_prev` and masked states `hm` each
-    step started from, and the post-activation gates `acts`.
+    `cell` holds the layer's K directions stacked (see the module doc);
+    `first_direction` 1 makes a lone K = 1 entry the backward direction.
+    Masks, when given, are (K, B, D) / (K, B, H) and are reapplied
+    unchanged at every step. Returns `(h_seq, cache)`: h_seq is (B, T, K·H),
+    the directions' states side by side and aligned with time, so entry t
+    of the backward half is the state after consuming x[T-1..t]. The cache
+    is None unless `want_cache` is set; then it holds scan-ordered arrays:
+    the masked inputs `xm` (K, T, B, D), the states `hs` (T+1, K, B, H)
+    where hs[i] is the state step i starts from, the masked states `hm`
+    (T, K, B, H) each step used, and the gates `acts` (T, G, K, B, H).
     """
     seq = np.asarray(seq, dtype=np.float64)
     if seq.ndim != 3 or seq.shape[-1] != cell.input_size:
         raise ShapeError(
             f"layer input must be (B, T, {cell.input_size}), got {seq.shape}")
+    k, h, gates = len(cell.w_x), cell.hidden_size, cell.gates
+    if cell.w_x.ndim != 3 or first_direction not in (0, 1) or not 1 <= first_direction + k <= 2:
+        raise ShapeError(f"cell tensors need a direction axis of 1 or 2 from direction "
+                         f"{first_direction}, got w_x {cell.w_x.shape}")
+    directions = range(first_direction, first_direction + k)
     batch, timesteps, features = seq.shape
-    order = _scan_order(timesteps, direction)
+    x = seq.transpose(1, 0, 2)
+    rows = timesteps if want_cache else 1  # steps kept: all for the cache, else one
+    chunk = max(1, _CHUNK_BYTES // (k * batch * gates * h * 8))
+    xm = _scan_inputs(x, directions, input_mask, 0, timesteps) if want_cache else None
+    hs = np.zeros((timesteps + 1, k, batch, h))
+    acts = np.empty((rows, gates, k, batch, h))
+    hm = hs[:-1] if recurrent_mask is None else np.empty((rows, k, batch, h))
 
-    xm = np.array(seq.transpose(1, 0, 2), order="C")  # time-major copy
-    if input_mask is not None:
-        xm *= input_mask
-    xw = (xm.reshape(-1, features) @ cell.w_x).reshape(timesteps, batch, cell.w_x.shape[1])
-    xw += cell.b
-    h = np.zeros((batch, cell.hidden_size))
-    h_seq = np.empty((timesteps, batch, cell.hidden_size))
+    for i in range(timesteps):
+        if i % chunk == 0:
+            stop = min(i + chunk, timesteps)
+            xc = xm[:, i:stop] if want_cache else _scan_inputs(x, directions, input_mask, i, stop)
+            xw = np.matmul(xc.reshape(k, -1, features), cell.w_x)
+            xw += cell.b[:, None]
+            # (K, n·B, G·H) → gate-major steps (n, G, K, B, H)
+            xw = np.ascontiguousarray(xw.reshape(k, -1, batch, gates, h).transpose(1, 3, 0, 2, 4))
+        row = i % rows
+        hm_i = (hs[i] if recurrent_mask is None
+                else np.multiply(hs[i], recurrent_mask, out=hm[row]))
+        step(xw[i % chunk], hs[i], hm_i, cell, gru_convention, acts[row], hs[i + 1])
+
+    h_seq = np.empty((batch, timesteps, k, h))
+    for j, d in enumerate(directions):
+        h_seq[:, :, j] = _in_time_order(hs[1:, j], d).transpose(1, 0, 2)
     cache = None
     if want_cache:
-        cache = {"xm": xm, "h_prev": np.empty_like(h_seq), "hm": np.empty_like(h_seq),
-                 "acts": np.empty_like(xw), "order": order, "input_mask": input_mask,
-                 "recurrent_mask": recurrent_mask, "gru_convention": gru_convention}
-
-    for t in order:
-        hm = h if recurrent_mask is None else h * recurrent_mask
-        h_prev = h
-        h, acts = step(xw[t], h_prev, hm, cell, gru_convention)
-        h_seq[t] = h
-        if cache is not None:
-            cache["h_prev"][t], cache["hm"][t], cache["acts"][t] = h_prev, hm, acts
-    return h_seq.transpose(1, 0, 2), cache
+        cache = {"xm": xm, "hs": hs, "hm": hm, "acts": acts, "input_mask": input_mask,
+                 "recurrent_mask": recurrent_mask, "gru_convention": gru_convention,
+                 "first_direction": first_direction}
+    return h_seq.reshape(batch, timesteps, k * h), cache
 
 
 def unroll_backward(
@@ -78,50 +136,61 @@ def unroll_backward(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """BPTT through one unrolled layer.
 
-    `d_hseq` is the loss gradient w.r.t. the layer's (B, T, H) output and
+    `d_hseq` is the loss gradient w.r.t. the layer's (B, T, K·H) output and
     `cache` the one `unroll` returned. Returns the gradient w.r.t. the
-    layer's raw input sequence plus a parameter-gradient dict keyed like
-    the cell's tensors.
+    layer's raw (B, T, D) input, summed over the directions, plus a
+    parameter-gradient dict keyed like the cell's tensors, each stacked
+    (K, ...) like them.
     """
-    xm, h_prev, hm, acts = cache["xm"], cache["h_prev"], cache["hm"], cache["acts"]
+    xm, hs, hm, acts = cache["xm"], cache["hs"], cache["hm"], cache["acts"]
     recurrent_mask = cache["recurrent_mask"]
-    h = cell.hidden_size
-    s = (cell.gates - 1) * h  # width of the sigmoid gates z, r
-    w_h_gates, w_h_cand = cell.w_h[:, :s], cell.w_h[:, s:]
-    d_h = d_hseq.transpose(1, 0, 2)
-    d_pre = np.empty_like(acts)  # pre-activation gradients, (T, B, G·H)
+    timesteps, gates, k, batch, h = acts.shape
+    first = cache["first_direction"]
+    g = gates - 1  # the sigmoid gates z, r
+    w_h_gates = cell.w_h[..., :g * h].transpose(0, 2, 1)
+    w_h_cand = cell.w_h[..., g * h:].transpose(0, 2, 1)
+    d_out = d_hseq.reshape(batch, timesteps, k, h)
+    d_h = np.empty((timesteps, k, batch, h))  # scan order
+    for j in range(k):
+        d_h[:, j] = _in_time_order(d_out[:, :, j].transpose(1, 0, 2), first + j)
+    d_pre = np.empty_like(acts)  # pre-activation gradients, gate-major
     carry = 0.0  # gradient flowing into h at the next (reversed) scan step
 
-    for t in reversed(cache["order"]):
-        dh = d_h[t] + carry
-        cand = acts[t, :, s:]
-        if s:
-            z, r = acts[t, :, :h], acts[t, :, h:s]
+    for i in range(timesteps - 1, -1, -1):
+        dh = d_h[i] + carry
+        cand, dp = acts[i, g], d_pre[i]
+        if g:
+            z, r = acts[i, 0], acts[i, 1]
+            keep = 1.0 - z
             if cache["gru_convention"] == "z_gates_candidate":
-                dz, d_cand, d_direct = dh * (cand - h_prev[t]), dh * z, dh * (1.0 - z)
+                dz, d_cand, d_direct = dh * (cand - hs[i]), dh * z, dh * keep
             else:
-                dz, d_cand, d_direct = dh * (h_prev[t] - cand), dh * (1.0 - z), dh * z
+                dz, d_cand, d_direct = dh * (hs[i] - cand), dh * keep, dh * z
         else:
             d_cand, d_direct = dh, 0.0
-        d_pre[t, :, s:] = d_cand * (1.0 - cand ** 2)
-        d_hm = d_pre[t, :, s:] @ w_h_cand.T
-        if s:
-            d_pre[t, :, h:s] = d_hm * hm[t] * r * (1.0 - r)
-            d_pre[t, :, :h] = dz * z * (1.0 - z)
-            d_hm = d_hm * r + d_pre[t, :, :s] @ w_h_gates.T
+        np.multiply(d_cand, 1.0 - cand ** 2, out=dp[g])
+        d_hm = np.matmul(dp[g], w_h_cand)
+        if g:
+            np.multiply(d_hm * hm[i] * r, 1.0 - r, out=dp[1])
+            np.multiply(dz * z, keep, out=dp[0])
+            d_gates = dp[:g].transpose(1, 2, 0, 3).reshape(k, batch, g * h)  # side by side
+            d_hm = d_hm * r + np.matmul(d_gates, w_h_gates)
         carry = d_direct + (d_hm if recurrent_mask is None else d_hm * recurrent_mask)
 
-    flat = d_pre.reshape(-1, d_pre.shape[-1])
-    cand_state = hm if not s else acts[..., h:s] * hm  # the candidate's recurrent input
+    flat = _time_rows(d_pre.transpose(0, 2, 3, 1, 4), first)  # (K, T·B, G·H) as in w_x
+    hm_rows = _time_rows(hm, first)
+    # the candidate's recurrent input: the state, or the reset-gated state
+    cand_state = hm_rows if not g else _time_rows(acts[:, 1] * hm, first)
     d_w_h = np.empty_like(cell.w_h)
-    d_w_h[:, :s] = hm.reshape(-1, h).T @ flat[:, :s]
-    d_w_h[:, s:] = cand_state.reshape(-1, h).T @ flat[:, s:]
-    grads = {"w_x": xm.reshape(-1, xm.shape[-1]).T @ flat, "w_h": d_w_h,
-             "b": flat.sum(axis=0)}
-    d_x = (flat @ cell.w_x.T).reshape(xm.shape)
+    d_w_h[..., :g * h] = np.matmul(hm_rows.transpose(0, 2, 1), flat[..., :g * h])
+    d_w_h[..., g * h:] = np.matmul(cand_state.transpose(0, 2, 1), flat[..., g * h:])
+    xm_rows = _time_rows(xm.transpose(1, 0, 2, 3), first)
+    grads = {"w_x": np.matmul(xm_rows.transpose(0, 2, 1), flat), "w_h": d_w_h,
+             "b": flat.sum(axis=1)}
+    d_x = np.matmul(flat, cell.w_x.transpose(0, 2, 1)).reshape(k, timesteps, batch, -1)
     if cache["input_mask"] is not None:
-        d_x *= cache["input_mask"]
-    return d_x.transpose(1, 0, 2), grads
+        d_x *= cache["input_mask"][:, None]
+    return d_x.sum(axis=0).transpose(1, 0, 2), grads
 
 
 def dense_per_timestep(hidden_seq: np.ndarray, w_out: np.ndarray,

@@ -89,6 +89,13 @@ class LayerParams:
             out.append(("backward", "bwd", self.backward_cell))
         return out
 
+    def stacked(self, directions: slice = slice(None)) -> CellParams:
+        """The selected directions' tensors stacked on a leading direction
+        axis, as `layers.unroll` takes them (copies, not views)."""
+        cells = [cell for _, _, cell in self.directions()[directions]]
+        tensors = zip(*([arr for _, arr in cell.tensors()] for cell in cells))
+        return type(cells[0])(*(np.stack(per_direction) for per_direction in tensors))
+
 
 @dataclass
 class ModelParams:
@@ -180,6 +187,19 @@ def mse_loss(pred: np.ndarray, target: np.ndarray,
     return float(np.mean((pred - target) ** 2))
 
 
+# A BPTT scan of a larger batch runs one direction at a time: its per-step
+# ops are bandwidth-bound, so stacking saves little, while a stacked cache
+# must be copied back to time order for the gradient GEMMs.
+_STACK_MAX_BATCH = 32
+
+
+def _direction_groups(config: ModelConfig, batch: int, want_cache: bool) -> list[slice]:
+    """The layer's directions, grouped into the stacks one scan runs."""
+    if want_cache and batch > _STACK_MAX_BATCH:
+        return [slice(d, d + 1) for d in range(config.directions)]
+    return [slice(0, config.directions)]
+
+
 def _check_finite(arr: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {where}")
@@ -187,9 +207,10 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 
 def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
                   masks: DropoutMasks | None, want_cache: bool):
-    """Forward pass returning (pred, caches, dense_input). `caches[i][k]` is
-    the BPTT cache of layer i, direction k, or None unless `want_cache` is
-    set. `masks=None` means eval mode."""
+    """Forward pass returning (pred, caches, dense_input). `caches[i]` holds
+    (direction group, stacked cell, BPTT cache) for each scan of layer i;
+    the cache is None unless `want_cache` is set. `masks=None` means eval
+    mode."""
     if batch.ndim != 3 or batch.shape[1] != config.timesteps or batch.shape[2] != config.features:
         raise ShapeError(
             f"batch must be Bx{config.timesteps}x{config.features}, got {batch.shape}")
@@ -198,17 +219,19 @@ def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
     # batch itself is part of the finiteness contract.
     _check_finite(seq, "model input (layer 0 input)")
     caches = []
+    groups = _direction_groups(config, len(seq), want_cache)
 
     for i, layer in enumerate(params.layers):
         outs, layer_caches = [], []
-        for k, (direction, _, cell) in enumerate(layer.directions()):
-            im = masks.input_masks[i][k] if masks else None
-            rm = masks.recurrent_masks[i][k] if masks else None
-            out, cache = unroll(seq, cell, direction, im, rm, config.gru_convention,
-                                want_cache)
+        for group in groups:
+            im = masks.input_masks[i][group] if masks else None
+            rm = masks.recurrent_masks[i][group] if masks else None
+            cell = layer.stacked(group)
+            out, cache = unroll(seq, cell, im, rm, config.gru_convention, want_cache,
+                                group.start)
             outs.append(out)
-            layer_caches.append(cache)
-        out = np.concatenate(outs, axis=-1)
+            layer_caches.append((group, cell, cache))
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
         caches.append(layer_caches)
         _check_finite(out, f"recurrent layer {i}")
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
@@ -273,12 +296,14 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
     for i in range(config.layers - 1, -1, -1):
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
             d_seq = d_seq * masks.interlayer[i]
+        layer = params.layers[i]
         d_input = 0.0
-        for k, (_, tag, cell) in enumerate(params.layers[i].directions()):
-            d_x, g = unroll_backward(d_seq[..., k * h:(k + 1) * h], cell, caches[i][k])
+        for group, cell, cache in caches[i]:
+            d_x, g = unroll_backward(d_seq[..., group.start * h:group.stop * h], cell, cache)
             d_input = d_input + d_x
-            for name, arr in g.items():
-                named[f"layer{i}.{tag}.{name}"][...] = arr
+            for k, (_, tag, _) in enumerate(layer.directions()[group]):
+                for name, arr in g.items():
+                    named[f"layer{i}.{tag}.{name}"][...] = arr[k]
         d_seq = d_input
 
     if not np.all(np.isfinite(grads.vector)):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ConfigError, NumericError, TrainingDivergedError
 from .adam import AdamState, adam_update
 from .checkpoint import save_checkpoint
@@ -23,6 +24,7 @@ class EpochStats:
     train_loss: float
     val_loss: float
     wall_seconds: float
+    seq_per_s: float  # training sequences over the epoch's wall time
 
 
 @dataclass
@@ -33,12 +35,12 @@ class TrainingHistory:
         return self.epochs[-1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "train_loss", "val_loss", "wall_seconds"])
+            writer.writerow(["epoch", "train_loss", "val_loss", "wall_seconds", "seq_per_s"])
             for e in self.epochs:
                 writer.writerow([e.epoch, repr(e.train_loss), repr(e.val_loss),
-                                 f"{e.wall_seconds:.3f}"])
+                                 f"{e.wall_seconds:.3f}", f"{e.seq_per_s:.1f}"])
 
 
 def train(
@@ -101,11 +103,13 @@ def train(
 
         val_loss = (mse_loss(model.reconstruct(val_set), val_set, mask_sentinel_loss)
                     if val_set.size else float("nan"))
+        wall = time.monotonic() - started
         stats = EpochStats(
             epoch=epoch,
             train_loss=float(np.mean(batch_losses)),
             val_loss=val_loss,
-            wall_seconds=time.monotonic() - started,
+            wall_seconds=wall,
+            seq_per_s=n / wall,
         )
         history.epochs.append(stats)
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ConfigError, DataError
 from .ingest import VesselTrack
 
@@ -113,7 +114,8 @@ class NormalizationStats:
         return cls(minimum=minimum, maximum=maximum)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        with atomic_write(path, "w") as fh:
+            fh.write(self.to_text())
 
     @classmethod
     def load(cls, path) -> "NormalizationStats":
@@ -286,8 +288,9 @@ def normalize_corpus(
 def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
                 tensor_path, index_path) -> None:
     """Write (N, 48, 4) days as raw row-major '<f8' cells plus an id sidecar."""
-    Path(tensor_path).write_bytes(np.asarray(tensor, dtype="<f8").tobytes(order="C"))
-    with open(index_path, "w", newline="") as fh:
+    with atomic_write(tensor_path) as fh:
+        fh.write(np.asarray(tensor, dtype="<f8").tobytes(order="C"))
+    with atomic_write(index_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_index", "mmsi", "day"])
         for i, (mmsi, day) in enumerate(ids):

@@ -161,6 +161,150 @@ def reference_init_params(config, rng):
     return out
 
 
+def _reference_step(xw, h_prev, hm, cell, convention):
+    """One step of a single-direction scan on (B, .) arrays: (h, acts)."""
+    h = cell.hidden_size
+    s = (cell.gates - 1) * h
+    acts = np.empty_like(xw)
+    if s:
+        acts[..., :s] = 0.5 * (1.0 + np.tanh(0.5 * (xw[..., :s] + hm @ cell.w_h[:, :s])))
+        hm = acts[..., h:s] * hm
+    acts[..., s:] = np.tanh(xw[..., s:] + hm @ cell.w_h[:, s:])
+    if not s:
+        return acts, acts
+    z, cand = acts[..., :h], acts[..., s:]
+    if convention == "z_gates_candidate":
+        return (1.0 - z) * h_prev + z * cand, acts
+    return z * h_prev + (1.0 - z) * cand, acts
+
+
+def reference_unroll(seq, cell, direction="forward", input_mask=None,
+                     recurrent_mask=None, gru_convention="z_gates_candidate"):
+    """One direction of a recurrent layer over a (B, T, D) sequence, scanned
+    on its own with unstacked (D, G·H) / (H, G·H) / (G·H,) cell tensors and
+    (B, D) / (B, H) masks. Returns the time-aligned (B, T, H) states and the
+    cache `reference_unroll_backward` takes."""
+    batch, timesteps, features = seq.shape
+    order = list(range(timesteps))
+    if direction == "backward":
+        order.reverse()
+    xm = np.array(seq.transpose(1, 0, 2), order="C")
+    if input_mask is not None:
+        xm *= input_mask
+    xw = (xm.reshape(-1, features) @ cell.w_x).reshape(timesteps, batch, cell.w_x.shape[1])
+    xw += cell.b
+    h = np.zeros((batch, cell.hidden_size))
+    h_seq = np.empty((timesteps, batch, cell.hidden_size))
+    cache = {"xm": xm, "h_prev": np.empty_like(h_seq), "hm": np.empty_like(h_seq),
+             "acts": np.empty_like(xw), "order": order, "input_mask": input_mask,
+             "recurrent_mask": recurrent_mask, "gru_convention": gru_convention}
+    for t in order:
+        hm = h if recurrent_mask is None else h * recurrent_mask
+        h_prev = h
+        h, acts = _reference_step(xw[t], h_prev, hm, cell, gru_convention)
+        h_seq[t] = h
+        cache["h_prev"][t], cache["hm"][t], cache["acts"][t] = h_prev, hm, acts
+    return h_seq.transpose(1, 0, 2), cache
+
+
+def reference_unroll_backward(d_hseq, cell, cache):
+    """BPTT through one `reference_unroll` direction: the gradient w.r.t.
+    its (B, T, D) input and a dict of parameter gradients."""
+    xm, h_prev, hm, acts = cache["xm"], cache["h_prev"], cache["hm"], cache["acts"]
+    recurrent_mask = cache["recurrent_mask"]
+    h = cell.hidden_size
+    s = (cell.gates - 1) * h
+    w_h_gates, w_h_cand = cell.w_h[:, :s], cell.w_h[:, s:]
+    d_h = d_hseq.transpose(1, 0, 2)
+    d_pre = np.empty_like(acts)
+    carry = 0.0
+    for t in reversed(cache["order"]):
+        dh = d_h[t] + carry
+        cand = acts[t, :, s:]
+        if s:
+            z, r = acts[t, :, :h], acts[t, :, h:s]
+            if cache["gru_convention"] == "z_gates_candidate":
+                dz, d_cand, d_direct = dh * (cand - h_prev[t]), dh * z, dh * (1.0 - z)
+            else:
+                dz, d_cand, d_direct = dh * (h_prev[t] - cand), dh * (1.0 - z), dh * z
+        else:
+            d_cand, d_direct = dh, 0.0
+        d_pre[t, :, s:] = d_cand * (1.0 - cand ** 2)
+        d_hm = d_pre[t, :, s:] @ w_h_cand.T
+        if s:
+            d_pre[t, :, h:s] = d_hm * hm[t] * r * (1.0 - r)
+            d_pre[t, :, :h] = dz * z * (1.0 - z)
+            d_hm = d_hm * r + d_pre[t, :, :s] @ w_h_gates.T
+        carry = d_direct + (d_hm if recurrent_mask is None else d_hm * recurrent_mask)
+    flat = d_pre.reshape(-1, d_pre.shape[-1])
+    cand_state = hm if not s else acts[..., h:s] * hm
+    d_w_h = np.empty_like(cell.w_h)
+    d_w_h[:, :s] = hm.reshape(-1, h).T @ flat[:, :s]
+    d_w_h[:, s:] = cand_state.reshape(-1, h).T @ flat[:, s:]
+    grads = {"w_x": xm.reshape(-1, xm.shape[-1]).T @ flat, "w_h": d_w_h,
+             "b": flat.sum(axis=0)}
+    d_x = (flat @ cell.w_x.T).reshape(xm.shape)
+    if cache["input_mask"] is not None:
+        d_x *= cache["input_mask"]
+    return d_x.transpose(1, 0, 2), grads
+
+
+def reference_layer(seq, layer, input_masks, recurrent_masks, convention):
+    """A model layer with each direction scanned on its own: the (B, T, K·H)
+    output and the per-direction caches. Masks are per direction or None."""
+    outs, caches = [], []
+    for k, (direction, _, cell) in enumerate(layer.directions()):
+        im = None if input_masks is None else input_masks[k]
+        rm = None if recurrent_masks is None else recurrent_masks[k]
+        out, cache = reference_unroll(seq, cell, direction, im, rm, convention)
+        outs.append(out)
+        caches.append(cache)
+    return np.concatenate(outs, axis=-1), caches
+
+
+def reference_layer_backward(d_out, layer, caches):
+    """Backward of `reference_layer`: the input gradient (summed over the
+    directions) and the parameter gradients keyed `fwd.w_x` etc."""
+    h = layer.forward_cell.hidden_size
+    d_x, grads = 0.0, {}
+    for k, ((_, tag, cell), cache) in enumerate(zip(layer.directions(), caches)):
+        dx, g = reference_unroll_backward(d_out[..., k * h:(k + 1) * h], cell, cache)
+        d_x = d_x + dx
+        grads.update({f"{tag}.{name}": arr for name, arr in g.items()})
+    return d_x, grads
+
+
+def reference_loss_and_gradients(params, config, batch, masks):
+    """The model's forward pass and MSE gradients composed from
+    `reference_layer`: (pred, layer outputs, gradients by dotted name)."""
+    last = config.layers - 1
+    seq, outputs, caches = batch, [], []
+    for i, layer in enumerate(params.layers):
+        out, layer_caches = reference_layer(
+            seq, layer, masks.input_masks[i] if masks else None,
+            masks.recurrent_masks[i] if masks else None, config.gru_convention)
+        outputs.append(out)
+        caches.append(layer_caches)
+        if i < last and masks is not None and masks.interlayer[i] is not None:
+            out = out * masks.interlayer[i]
+        seq = out
+    if masks is not None and masks.dense is not None:
+        seq = seq * masks.dense
+    pred = np.tanh(seq @ params.w_out + params.b_out)
+    da = 2.0 * (pred - batch) / pred.size * (1.0 - pred ** 2)
+    flat_h, flat_da = seq.reshape(-1, seq.shape[-1]), da.reshape(-1, da.shape[-1])
+    grads = {"dense.w": flat_h.T @ flat_da, "dense.b": flat_da.sum(axis=0)}
+    d_seq = da @ params.w_out.T
+    if masks is not None and masks.dense is not None:
+        d_seq = d_seq * masks.dense
+    for i in range(last, -1, -1):
+        if i < last and masks is not None and masks.interlayer[i] is not None:
+            d_seq = d_seq * masks.interlayer[i]
+        d_seq, g = reference_layer_backward(d_seq, params.layers[i], caches[i])
+        grads.update({f"layer{i}.{name}": arr for name, arr in g.items()})
+    return pred, outputs, grads
+
+
 def reference_adam_update(params, grads, m, v, step, alpha=1e-3, beta1=0.9,
                           beta2=0.999, eps=1e-8):
     """Bias-corrected Adam step `step` (1-based), tensor by tensor over

@@ -4,14 +4,28 @@ import pytest
 
 from ais_outliers.errors import ShapeError
 from ais_outliers.nn.layers import dense_per_timestep, unroll
+from ais_outliers.nn.model import LayerParams
 
 from test_cells import random_gru_params, random_rnn_params, zero_gru_params, zero_rnn_params
 from oracles import gru_step_loop, rnn_step_loop
 
 
 def run(seq, cell, direction="forward", **masks):
-    """Scan one (T, D) sequence; returns its (T, H) states."""
-    return unroll(seq[None], cell, direction, **masks)[0][0]
+    """Scan one (T, D) sequence in one direction; returns its (T, H) states."""
+    first = ("forward", "backward").index(direction)
+    return unroll(seq[None], LayerParams(cell).stacked(), first_direction=first,
+                  **masks)[0][0]
+
+
+def test_stacked_directions_match_lone_directions(rng):
+    # One stacked scan runs both directions: its halves equal each
+    # direction scanned alone, the backward one from a reversed input.
+    fwd, bwd = random_gru_params(rng, 4, 3), random_gru_params(rng, 4, 3)
+    seq = rng.uniform(-1, 1, (2, 10, 4))
+    both = unroll(seq, LayerParams(fwd, bwd).stacked())[0]
+    npt.assert_array_equal(both[..., :3], unroll(seq, LayerParams(fwd).stacked())[0])
+    lone_bwd = unroll(seq, LayerParams(bwd).stacked(), first_direction=1)[0]
+    npt.assert_array_equal(both[..., 3:], lone_bwd)
 
 
 def test_zero_weights_give_zero_outputs(rng):
@@ -88,7 +102,8 @@ def test_masks_reapplied_every_step(rng):
     cell = random_rnn_params(rng, 3, 2)
     seq = rng.uniform(-1, 1, (1, 6, 3))
     mask = np.array([[1.0, 0.0, 1.0]])
-    masked_out = unroll(seq, cell, input_mask=mask)[0]
+    stacked = LayerParams(cell).stacked()
+    masked_out = unroll(seq, stacked, input_mask=mask[None])[0]
     zeroed = seq.copy()
     zeroed[:, :, 1] = 0.0
-    npt.assert_allclose(masked_out, unroll(zeroed, cell)[0], atol=1e-15)
+    npt.assert_allclose(masked_out, unroll(zeroed, stacked)[0], atol=1e-15)

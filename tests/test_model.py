@@ -5,12 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ConfigError, NumericError, ShapeError
+from ais_outliers.nn import layers
 from ais_outliers.nn.dropout import sample_masks
-from ais_outliers.nn.layers import dense_per_timestep, unroll
-from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder, mse_loss
+from ais_outliers.nn.layers import dense_per_timestep, unroll, unroll_backward
+from ais_outliers.nn.model import LayerParams, ModelConfig, RecurrentAutoencoder, mse_loss
 
 from oracles import (finite_difference_gradients, max_relative_error, mse_loop,
-                     reference_init_params)
+                     reference_init_params, reference_layer, reference_layer_backward,
+                     reference_loss_and_gradients)
 
 
 def toy_config(**kw):
@@ -121,8 +123,8 @@ def test_two_layer_forward_composes_from_single_layers(rng):
     model = make_model(cfg, seed=5)
     batch = batch_for(cfg, rng, batch=3)
     pred = model.forward(batch)
-    l0 = model.params.layers[0].forward_cell
-    l1 = model.params.layers[1].forward_cell
+    l0 = model.params.layers[0].stacked()
+    l1 = model.params.layers[1].stacked()
     h1 = unroll(batch, l0)[0]
     h2 = unroll(h1, l1)[0]
     expected = dense_per_timestep(h2, model.params.w_out, model.params.b_out)
@@ -135,8 +137,8 @@ def test_bidirectional_forward_composes(rng):
     batch = batch_for(cfg, rng)
     pred = model.forward(batch)
     layer = model.params.layers[0]
-    fwd = unroll(batch, layer.forward_cell, "forward")[0]
-    bwd = unroll(batch, layer.backward_cell, "backward")[0]
+    fwd = unroll(batch, LayerParams(layer.forward_cell).stacked())[0]
+    bwd = unroll(batch, LayerParams(layer.backward_cell).stacked(), first_direction=1)[0]
     stacked = np.concatenate([fwd, bwd], axis=-1)
     expected = dense_per_timestep(stacked, model.params.w_out, model.params.b_out)
     npt.assert_allclose(pred, expected, atol=1e-15)
@@ -289,6 +291,96 @@ def test_gradients_opposite_gru_convention():
     cfg = toy_config(cell_kind="gru", gru_convention="z_gates_state",
                      hidden=2, timesteps=3)
     assert gradient_check(cfg, seed=23) < 1e-4
+
+
+def test_gradients_two_layer_bidirectional_gru_all_dropout():
+    cfg = toy_config(cell_kind="gru", bidirectional=True, layers=2, hidden=2, timesteps=3,
+                     gru_convention="z_gates_state", dropout_rate=0.3,
+                     recurrent_dropout_rate=0.4, input_dropout_rate=0.3,
+                     dense_dropout_rate=0.3)
+    assert gradient_check(cfg, seed=31, with_dropout=True) < 1e-4
+
+
+def test_gradients_two_layer_bidirectional_simple_rnn():
+    cfg = toy_config(cell_kind="simple_rnn", bidirectional=True, layers=2, hidden=2,
+                     timesteps=3)
+    assert gradient_check(cfg, seed=37) < 1e-4
+
+
+# -- the stacked scan against each direction scanned on its own -------------
+
+CELL_VARIANTS = [("gru", "z_gates_candidate"), ("gru", "z_gates_state"),
+                 ("simple_rnn", "z_gates_candidate")]
+
+
+def _dropout_rates(on):
+    rate = 0.3 if on else 0.0
+    return dict(dropout_rate=rate, recurrent_dropout_rate=rate, input_dropout_rate=rate,
+                dense_dropout_rate=rate)
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("cell,convention", CELL_VARIANTS)
+def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirectional,
+                                                       n_layers, dropout, batch_size):
+    cfg = toy_config(cell_kind=cell, gru_convention=convention, bidirectional=bidirectional,
+                     layers=n_layers, hidden=4, timesteps=20, **_dropout_rates(dropout))
+    model = make_model(cfg, seed=41)
+    rng = np.random.default_rng(43)
+    batch = rng.uniform(0, 1, (batch_size, cfg.timesteps, cfg.features))
+    masks = sample_masks(cfg, batch_size, rng) if dropout else None
+    pred, outputs, ref_grads = reference_loss_and_gradients(model.params, cfg, batch, masks)
+
+    # Each layer alone, as one stack and one direction at a time, on the
+    # reference's input to it: output, input gradient, parameter gradients.
+    seq = batch
+    for i, layer in enumerate(model.params.layers):
+        im = masks.input_masks[i] if masks else None
+        rm = masks.recurrent_masks[i] if masks else None
+        ref_out, ref_caches = reference_layer(seq, layer, im, rm, convention)
+        d_out = rng.normal(size=ref_out.shape)
+        ref_dx, ref_g = reference_layer_backward(d_out, layer, ref_caches)
+        groups = [slice(0, cfg.directions)] + [slice(d, d + 1) for d in range(cfg.directions)]
+        for group in groups:
+            group_im = None if im is None else im[group]
+            group_rm = None if rm is None else rm[group]
+            cols = slice(group.start * cfg.hidden, group.stop * cfg.hidden)
+            stacked = layer.stacked(group)
+            out, cache = unroll(seq, stacked, group_im, group_rm, convention, True, group.start)
+            npt.assert_array_equal(out, ref_out[..., cols])
+            d_x, g = unroll_backward(d_out[..., cols], stacked, cache)
+            if group.stop - group.start == cfg.directions:
+                npt.assert_array_equal(d_x, ref_dx)
+            for k, (_, tag, _) in enumerate(layer.directions()[group]):
+                for name, arr in g.items():
+                    npt.assert_array_equal(arr[k], ref_g[f"{tag}.{name}"])
+        seq = outputs[i] if masks is None or i == n_layers - 1 else outputs[i] * masks.interlayer[i]
+
+    # The whole model: train-mode forward (no cache) and every gradient.
+    mode = "train" if masks else "eval"
+    npt.assert_array_equal(model.forward(batch, mode=mode, masks=masks), pred)
+    _, grads = model.loss_and_gradients(batch, masks)
+    for name, arr in grads.flat().items():
+        npt.assert_array_equal(arr, ref_grads[name], err_msg=name)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_chunked_input_projection_matches_reference(monkeypatch, bidirectional):
+    # The input projection runs in chunks of timesteps; three steps a
+    # chunk leaves a short last chunk over 20 steps.
+    cfg = toy_config(bidirectional=bidirectional, hidden=4, timesteps=20)
+    model = make_model(cfg, seed=47)
+    batch = np.random.default_rng(53).uniform(0, 1, (8, cfg.timesteps, cfg.features))
+    step_bytes = cfg.directions * 8 * 3 * cfg.hidden * 8
+    monkeypatch.setattr(layers, "_CHUNK_BYTES", 3 * step_bytes)
+    pred, _, ref_grads = reference_loss_and_gradients(model.params, cfg, batch, None)
+    npt.assert_array_equal(model.reconstruct(batch), pred)
+    _, grads = model.loss_and_gradients(batch, None)
+    for name, arr in grads.flat().items():
+        npt.assert_array_equal(arr, ref_grads[name], err_msg=name)
 
 
 def test_masked_loss_ignores_sentinel_cells(rng):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -69,9 +71,37 @@ def test_history_csv_format(tmp_path, rng):
     path = tmp_path / "history.csv"
     history.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,wall_seconds"
+    assert lines[0] == "epoch,train_loss,val_loss,wall_seconds,seq_per_s"
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+    assert all(float(line.split(",")[-1]) > 0.0 for line in lines[1:])
+
+
+def test_failed_history_write_keeps_previous_file(tmp_path, rng, monkeypatch):
+    history = train(tiny_model(), toy_data(rng), toy_data(rng, 4), epochs=2,
+                    batch_size=8, seed=0)
+    path = tmp_path / "history.csv"
+    history.to_csv(path)
+    before = path.read_bytes()
+
+    real_writer = csv.writer
+
+    def writer_failing_at_epoch_2(fh, **kwargs):
+        writer = real_writer(fh, **kwargs)
+
+        class Failing:
+            def writerow(self, row):
+                if row[0] == 2:
+                    raise OSError("disk full")
+                writer.writerow(row)
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", writer_failing_at_epoch_2)
+    history.epochs[0].train_loss = 99.0
+    with pytest.raises(OSError, match="disk full"):
+        history.to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.csv"]
 
 
 def test_validation_loss_tracks_eval_mode(rng):
