@@ -303,6 +303,13 @@ def _read_csv_rows(path: Path, parse, expected: str) -> list:
 def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
                        output: str | None) -> int:
     started = time.monotonic()
+    if mmsi or day:
+        if not (mmsi and day):
+            raise ConfigError("--mmsi and --day must be given together")
+        try:
+            selection = [(mmsi, date.fromisoformat(day))]
+        except ValueError:
+            raise ConfigError(f"--day must be a date as YYYY-MM-DD, got {day!r}") from None
     run_dir = _run_dir(config)
     stats = NormalizationStats.load(run_dir / STATS_FILE)
     test_set = load_set(run_dir / "test.f64", run_dir / "test_index.csv")
@@ -311,11 +318,7 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
         scores_path, lambda row: ((row[0], date.fromisoformat(row[1])), float(row[2])),
         "mmsi,day,rmse")) if scores_path.exists() else {}
 
-    if mmsi or day:
-        if not (mmsi and day):
-            raise ConfigError("--mmsi and --day must be given together")
-        selection = [(mmsi, date.fromisoformat(day))]
-    else:
+    if not (mmsi or day):
         outliers_path = run_dir / "outliers.csv"
         if not outliers_path.exists():
             raise DataError(f"no outlier report at {outliers_path}; "

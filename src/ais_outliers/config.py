@@ -145,7 +145,12 @@ def load_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} at byte "
+                              f"{exc.start})") from None
+        for line_no, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -66,6 +66,10 @@ class CellParams:
         for f in fields(self):
             yield f.name, getattr(self, f.name)
 
+    def __getitem__(self, directions) -> "CellParams":
+        """Stacked tensors indexed on the direction axis, as a cell of views."""
+        return type(self)(*(arr[directions] for _, arr in self.tensors()))
+
 
 class SimpleRnnCellParams(CellParams):
     """h_t = tanh(x @ w_x + h_prev @ w_h + b)."""

@@ -21,8 +21,6 @@ import numpy as np
 
 def bernoulli_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
-    if rate == 0.0:
-        return np.ones(shape)
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
@@ -35,11 +33,11 @@ class DropoutMasks:
     (K, B, H), one (B, .) mask per direction stacked as the layer's scan
     takes them; both are constant across all timesteps of the sequence.
     `interlayer[boundary]` and `dense` are (B, T, D) per-timestep
-    conventional masks, or None when their rate is zero.
+    conventional masks. Every mask is None when its rate is zero.
     """
 
-    input_masks: list[np.ndarray]
-    recurrent_masks: list[np.ndarray]
+    input_masks: list[np.ndarray | None]
+    recurrent_masks: list[np.ndarray | None]
     interlayer: list[np.ndarray | None]
     dense: np.ndarray | None
 
@@ -49,7 +47,8 @@ def sample_masks(config, batch_size: int, rng: np.random.Generator) -> DropoutMa
 
     Sampling order is fixed (layers ascending, forward before backward,
     input before recurrent, then interlayer boundaries, then dense) so a
-    given generator state always yields the same masks.
+    given generator state always yields the same masks. A zero-rate mask
+    draws nothing.
     """
     directions = 2 if config.bidirectional else 1
     input_masks, recurrent_masks = [], []
@@ -57,12 +56,14 @@ def sample_masks(config, batch_size: int, rng: np.random.Generator) -> DropoutMa
         d_in = config.features if layer == 0 else config.hidden * directions
         per_dir_in, per_dir_rec = [], []
         for _ in range(directions):
-            per_dir_in.append(bernoulli_mask((batch_size, d_in),
-                                             config.input_dropout_rate, rng))
-            per_dir_rec.append(bernoulli_mask((batch_size, config.hidden),
-                                              config.recurrent_dropout_rate, rng))
-        input_masks.append(np.stack(per_dir_in))
-        recurrent_masks.append(np.stack(per_dir_rec))
+            if config.input_dropout_rate > 0.0:
+                per_dir_in.append(bernoulli_mask((batch_size, d_in),
+                                                 config.input_dropout_rate, rng))
+            if config.recurrent_dropout_rate > 0.0:
+                per_dir_rec.append(bernoulli_mask((batch_size, config.hidden),
+                                                  config.recurrent_dropout_rate, rng))
+        input_masks.append(np.stack(per_dir_in) if per_dir_in else None)
+        recurrent_masks.append(np.stack(per_dir_rec) if per_dir_rec else None)
 
     interlayer: list[np.ndarray | None] = []
     for _ in range(config.layers - 1):

@@ -63,51 +63,19 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         return cls(**data)
 
-    @classmethod
-    def stacked_default(cls, cell_kind: str = "gru") -> "ModelConfig":
-        """Deeper unidirectional variant with conventional dropout."""
-        return cls(cell_kind=cell_kind, bidirectional=False, layers=2,
-                   hidden=64, dropout_rate=0.2)
-
-    @classmethod
-    def bidirectional_default(cls, cell_kind: str = "gru") -> "ModelConfig":
-        """Single bidirectional layer with recurrent + pre-dense dropout."""
-        return cls(cell_kind=cell_kind, bidirectional=True, layers=1,
-                   hidden=32, recurrent_dropout_rate=0.2, dense_dropout_rate=0.2)
-
-
-@dataclass
-class LayerParams:
-    forward_cell: CellParams
-    backward_cell: CellParams | None = None
-
-    def directions(self) -> list[tuple[str, str, CellParams]]:
-        """(scan direction, parameter-name tag, cell) for each direction the
-        layer runs; their outputs are concatenated in this order."""
-        out = [("forward", "fwd", self.forward_cell)]
-        if self.backward_cell is not None:
-            out.append(("backward", "bwd", self.backward_cell))
-        return out
-
-    def stacked(self, directions: slice = slice(None)) -> CellParams:
-        """The selected directions' tensors stacked on a leading direction
-        axis, as `layers.unroll` takes them (copies, not views)."""
-        cells = [cell for _, _, cell in self.directions()[directions]]
-        tensors = zip(*([arr for _, arr in cell.tensors()] for cell in cells))
-        return type(cells[0])(*(np.stack(per_direction) for per_direction in tensors))
-
 
 @dataclass
 class ModelParams:
     """All weights of a configured model as views into one float64 `vector`,
-    which they tile without gaps in declaration order (layer ascending,
-    forward before backward, cell tensors in field order, dense head last).
-    `flat()` names the same views, so in-place optimizer updates of
-    `vector` are visible to the model.
+    which they tile without gaps: layer ascending, each layer one cell whose
+    tensors carry the direction axis K the scan reads (w_x (K, D, G·H),
+    w_h (K, H, G·H), b (K, G·H), forward then backward), the dense head
+    last. `flat()` names each direction's slice of the same views, so
+    in-place optimizer updates of `vector` are visible to the model.
     """
 
     vector: np.ndarray
-    layers: list[LayerParams]
+    layers: list[CellParams]
     w_out: np.ndarray
     b_out: np.ndarray
 
@@ -115,26 +83,26 @@ class ModelParams:
     def zeros(cls, config: ModelConfig) -> "ModelParams":
         """The zero-filled layout of `config`'s weights."""
         cell = CELLS[config.cell_kind]
-        h, width = config.hidden, cell.gates * config.hidden
+        k, h = config.directions, config.hidden
+        width = cell.gates * h
         shapes = []
         for layer in range(config.layers):
-            d_in = config.layer_input_size(layer)
-            shapes += [(d_in, width), (h, width), (width,)] * config.directions
-        shapes += [(h * config.directions, config.features), (config.features,)]
+            shapes += [(k, config.layer_input_size(layer), width), (k, h, width), (k, width)]
+        shapes += [(h * k, config.features), (config.features,)]
         ends = np.cumsum([math.prod(s) for s in shapes])
         vector = np.zeros(ends[-1])
         views = iter([part.reshape(s) for part, s in zip(np.split(vector, ends[:-1]), shapes)])
-        layers = [LayerParams(*[cell(next(views), next(views), next(views))
-                                for _ in range(config.directions)])
-                  for _ in range(config.layers)]
+        layers = [cell(next(views), next(views), next(views)) for _ in range(config.layers)]
         return cls(vector, layers, next(views), next(views))
 
     def flat(self) -> dict[str, np.ndarray]:
+        """Every tensor by checkpoint name: per layer, each direction's cell
+        tensors in field order (`layer0.fwd.w_x`, ...), then the dense head."""
         out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for _, tag, cell in layer.directions():
+        for i, cell in enumerate(self.layers):
+            for k, tag in enumerate(("fwd", "bwd")[:len(cell.w_x)]):
                 for name, arr in cell.tensors():
-                    out[f"layer{i}.{tag}.{name}"] = arr
+                    out[f"layer{i}.{tag}.{name}"] = arr[k]
         out["dense.w"] = self.w_out
         out["dense.b"] = self.b_out
         return out
@@ -157,12 +125,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     input kernel, then the recurrent kernel."""
     params = ModelParams.zeros(config)
     h = config.hidden
-    for layer in params.layers:
-        for _, _, cell in layer.directions():
+    for cell in params.layers:
+        for k in range(config.directions):
             for gate in range(cell.gates):
                 block = slice(gate * h, (gate + 1) * h)
-                cell.w_x[:, block] = _glorot_uniform(rng, cell.input_size, h)
-                cell.w_h[:, block] = _orthogonal(rng, h)
+                cell.w_x[k, :, block] = _glorot_uniform(rng, cell.input_size, h)
+                cell.w_h[k, :, block] = _orthogonal(rng, h)
     params.w_out[...] = _glorot_uniform(rng, *params.w_out.shape)
     return params
 
@@ -187,19 +155,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray,
     return float(np.mean((pred - target) ** 2))
 
 
-# A BPTT scan of a larger batch runs one direction at a time: its per-step
-# ops are bandwidth-bound, so stacking saves little, while a stacked cache
-# must be copied back to time order for the gradient GEMMs.
-_STACK_MAX_BATCH = 32
-
-
-def _direction_groups(config: ModelConfig, batch: int, want_cache: bool) -> list[slice]:
-    """The layer's directions, grouped into the stacks one scan runs."""
-    if want_cache and batch > _STACK_MAX_BATCH:
-        return [slice(d, d + 1) for d in range(config.directions)]
-    return [slice(0, config.directions)]
-
-
 def _check_finite(arr: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {where}")
@@ -207,10 +162,9 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
 
 def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
                   masks: DropoutMasks | None, want_cache: bool):
-    """Forward pass returning (pred, caches, dense_input). `caches[i]` holds
-    (direction group, stacked cell, BPTT cache) for each scan of layer i;
-    the cache is None unless `want_cache` is set. `masks=None` means eval
-    mode."""
+    """Forward pass returning (pred, caches, dense_input). `caches[i]` is
+    layer i's BPTT cache, None unless `want_cache` is set. `masks=None`
+    means eval mode."""
     if batch.ndim != 3 or batch.shape[1] != config.timesteps or batch.shape[2] != config.features:
         raise ShapeError(
             f"batch must be Bx{config.timesteps}x{config.features}, got {batch.shape}")
@@ -219,20 +173,11 @@ def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
     # batch itself is part of the finiteness contract.
     _check_finite(seq, "model input (layer 0 input)")
     caches = []
-    groups = _direction_groups(config, len(seq), want_cache)
-
-    for i, layer in enumerate(params.layers):
-        outs, layer_caches = [], []
-        for group in groups:
-            im = masks.input_masks[i][group] if masks else None
-            rm = masks.recurrent_masks[i][group] if masks else None
-            cell = layer.stacked(group)
-            out, cache = unroll(seq, cell, im, rm, config.gru_convention, want_cache,
-                                group.start)
-            outs.append(out)
-            layer_caches.append((group, cell, cache))
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
-        caches.append(layer_caches)
+    for i, cell in enumerate(params.layers):
+        out, cache = unroll(seq, cell, masks.input_masks[i] if masks else None,
+                            masks.recurrent_masks[i] if masks else None,
+                            config.gru_convention, want_cache)
+        caches.append(cache)
         _check_finite(out, f"recurrent layer {i}")
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
             out = out * masks.interlayer[i]
@@ -281,33 +226,25 @@ def loss_and_gradients(params: ModelParams, config: ModelConfig, batch: np.ndarr
     loss = mse_loss(pred, batch, mask_sentinel)
 
     grads = ModelParams.zeros(config)
-    named = grads.flat()
     if mask_sentinel:
         keep = (batch != -1.0).astype(np.float64)
         d_pred = 2.0 * keep * (pred - batch) / keep.sum()
     else:
         d_pred = 2.0 * (pred - batch) / pred.size
-    d_seq, named["dense.w"][...], named["dense.b"][...] = dense_backward(
+    d_seq, grads.w_out[...], grads.b_out[...] = dense_backward(
         d_pred, dense_input, pred, params.w_out)
     if masks is not None and masks.dense is not None:
         d_seq = d_seq * masks.dense
 
-    h = config.hidden
     for i in range(config.layers - 1, -1, -1):
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:
             d_seq = d_seq * masks.interlayer[i]
-        layer = params.layers[i]
-        d_input = 0.0
-        for group, cell, cache in caches[i]:
-            d_x, g = unroll_backward(d_seq[..., group.start * h:group.stop * h], cell, cache)
-            d_input = d_input + d_x
-            for k, (_, tag, _) in enumerate(layer.directions()[group]):
-                for name, arr in g.items():
-                    named[f"layer{i}.{tag}.{name}"][...] = arr[k]
-        d_seq = d_input
+        d_seq, g = unroll_backward(d_seq, params.layers[i], caches[i])
+        for name, arr in g.items():
+            getattr(grads.layers[i], name)[...] = arr
 
     if not np.all(np.isfinite(grads.vector)):
-        bad = next(name for name, g in named.items() if not np.all(np.isfinite(g)))
+        bad = next(name for name, g in grads.flat().items() if not np.all(np.isfinite(g)))
         raise NumericError(f"non-finite gradient for {bad}")
     return loss, grads
 

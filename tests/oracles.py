@@ -249,11 +249,25 @@ def reference_unroll_backward(d_hseq, cell, cache):
     return d_x.transpose(1, 0, 2), grads
 
 
+def stack_cells(*cells):
+    """Unstacked cells of one kind as one cell with a leading direction axis
+    (copies), the layout `layers.unroll` takes."""
+    tensors = zip(*([arr for _, arr in cell.tensors()] for cell in cells))
+    return type(cells[0])(*(np.stack(per_direction) for per_direction in tensors))
+
+
+def direction_cells(layer):
+    """(scan direction, name tag, unstacked cell) for each direction of a
+    stacked layer cell, in its order."""
+    return [(("forward", "backward")[k], ("fwd", "bwd")[k], layer[k])
+            for k in range(len(layer.w_x))]
+
+
 def reference_layer(seq, layer, input_masks, recurrent_masks, convention):
     """A model layer with each direction scanned on its own: the (B, T, K·H)
     output and the per-direction caches. Masks are per direction or None."""
     outs, caches = [], []
-    for k, (direction, _, cell) in enumerate(layer.directions()):
+    for k, (direction, _, cell) in enumerate(direction_cells(layer)):
         im = None if input_masks is None else input_masks[k]
         rm = None if recurrent_masks is None else recurrent_masks[k]
         out, cache = reference_unroll(seq, cell, direction, im, rm, convention)
@@ -265,9 +279,9 @@ def reference_layer(seq, layer, input_masks, recurrent_masks, convention):
 def reference_layer_backward(d_out, layer, caches):
     """Backward of `reference_layer`: the input gradient (summed over the
     directions) and the parameter gradients keyed `fwd.w_x` etc."""
-    h = layer.forward_cell.hidden_size
+    h = layer.hidden_size
     d_x, grads = 0.0, {}
-    for k, ((_, tag, cell), cache) in enumerate(zip(layer.directions(), caches)):
+    for k, ((_, tag, cell), cache) in enumerate(zip(direction_cells(layer), caches)):
         dx, g = reference_unroll_backward(d_out[..., k * h:(k + 1) * h], cell, cache)
         d_x = d_x + dx
         grads.update({f"{tag}.{name}": arr for name, arr in g.items()})

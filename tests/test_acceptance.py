@@ -171,12 +171,12 @@ def test_recurrent_dropout_invariant():
         # Instrument the unroll: at every timestep the cached masked state
         # must equal h_prev * the one sampled mask, bitwise.
         rec_mask = masks.recurrent_masks[0][0]
-        cell = model.params.layers[0].stacked()
+        cell = model.params.layers[0]
         h_seq, cache = unroll(batch, cell, input_mask=masks.input_masks[0],
                               recurrent_mask=masks.recurrent_masks[0], want_cache=True)
         h_prev = np.zeros((2, cfg.hidden))
         for t in range(48):
-            npt.assert_array_equal(cache["hm"][t, 0], h_prev * rec_mask,
+            npt.assert_array_equal(cache[0]["hm"][t, 0], h_prev * rec_mask,
                                    err_msg=f"recurrent mask changed at t={t}")
             h_prev = h_seq[:, t, :]
 

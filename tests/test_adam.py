@@ -4,7 +4,7 @@ import pytest
 
 from ais_outliers.errors import ShapeError
 from ais_outliers.nn.adam import AdamState, adam_update
-from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
+from ais_outliers.nn.model import ModelConfig, ModelParams, RecurrentAutoencoder
 
 from oracles import reference_adam_update
 
@@ -82,8 +82,10 @@ def test_vector_adam_matches_per_tensor_reference(rng):
     state = AdamState.for_params(model.params.vector, alpha=3e-3)
     for step in range(1, 6):
         grads = {k: rng.standard_normal(a.shape) for k, a in reference.items()}
-        adam_update(model.params.vector,
-                    np.concatenate([g.ravel() for g in grads.values()]), state)
+        grad_params = ModelParams.zeros(cfg)
+        for name, arr in grad_params.flat().items():
+            arr[...] = grads[name]
+        adam_update(model.params.vector, grad_params.vector, state)
         reference_adam_update(reference, grads, m, v, step, alpha=3e-3)
     for name, arr in model.params.flat().items():
         npt.assert_array_equal(arr, reference[name])

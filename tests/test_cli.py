@@ -50,6 +50,17 @@ def test_unknown_config_key_rejected(tmp_path):
         load_config(None, ["not_a_key=1"])
 
 
+def test_non_utf8_config_file_is_one_line_config_error(tmp_path, capsys):
+    config_file = tmp_path / "run.cfg"
+    config_file.write_bytes(b"hidden=\xff\n")
+    with pytest.raises(ConfigError, match="run.cfg.*UTF-8"):
+        load_config(config_file)
+    assert main(["ingest", "--config", str(config_file), "--print-config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "run.cfg" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["dtype=float32", "deterministic=true"])
 def test_removed_config_keys_rejected(tmp_path, capsys, key):
     config_file = tmp_path / "run.cfg"
@@ -184,6 +195,16 @@ def test_geojson_single_selection_unknown_day(tmp_path, corpus_dir, capsys):
     assert code == 0
     parsed = json.loads(out.read_text())
     assert parsed["features"][0]["properties"]["mmsi"] == mmsi
+
+
+@pytest.mark.parametrize("selection", [["--mmsi", "123456789", "--day", "2019-13-01"],
+                                       ["--mmsi", "123456789", "--day", "tomorrow"],
+                                       ["--mmsi", "123456789"]])
+def test_bad_geojson_selection_is_one_line_config_error(tmp_path, capsys, selection):
+    code = main(["export-geojson", "--run-dir", str(tmp_path / "run")] + selection)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --") and err.count("\n") == 1
 
 
 def test_per_feature_rmse_columns(tmp_path, corpus_dir):

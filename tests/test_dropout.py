@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from ais_outliers.nn.dropout import bernoulli_mask, sample_masks
-from ais_outliers.nn.model import ModelConfig
+from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 
 
 def config(**kw):
@@ -13,12 +16,34 @@ def config(**kw):
 
 
 def test_rate_zero_gives_identity_masks(rng):
+    # A zero-rate mask is None, and sampling it draws nothing.
+    state = rng.bit_generator.state
     masks = sample_masks(config(), batch_size=3, rng=rng)
-    for per_dir in masks.input_masks + masks.recurrent_masks:
-        for mask in per_dir:
-            npt.assert_array_equal(mask, np.ones_like(mask))
+    assert masks.input_masks == [None] and masks.recurrent_masks == [None]
     assert masks.dense is None
     assert masks.interlayer == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("batch_size", [8, 64])
+def test_none_masks_match_all_ones_masks(batch_size):
+    # Outputs and gradients with the zero-rate masks left out are bitwise
+    # those with all-ones masks, for stacked and split training scans.
+    cfg = config(layers=2, hidden=3, dropout_rate=0.3, dense_dropout_rate=0.3)
+    model = RecurrentAutoencoder.initialize(cfg, 5)
+    rng = np.random.default_rng(7)
+    batch = rng.uniform(0, 1, (batch_size, cfg.timesteps, cfg.features))
+    masks = sample_masks(cfg, batch_size, rng)
+    ones = replace(
+        masks,
+        input_masks=[np.ones((2, batch_size, cfg.layer_input_size(i))) for i in range(2)],
+        recurrent_masks=[np.ones((2, batch_size, cfg.hidden)) for _ in range(2)])
+    npt.assert_array_equal(model.forward(batch, "train", masks=masks),
+                           model.forward(batch, "train", masks=ones))
+    loss, grads = model.loss_and_gradients(batch, masks)
+    ones_loss, ones_grads = model.loss_and_gradients(batch, ones)
+    assert loss == ones_loss
+    npt.assert_array_equal(grads.vector, ones_grads.vector)
 
 
 def test_fixed_seed_reproducible():

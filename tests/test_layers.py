@@ -4,28 +4,34 @@ import pytest
 
 from ais_outliers.errors import ShapeError
 from ais_outliers.nn.layers import dense_per_timestep, unroll
-from ais_outliers.nn.model import LayerParams
 
 from test_cells import random_gru_params, random_rnn_params, zero_gru_params, zero_rnn_params
-from oracles import gru_step_loop, rnn_step_loop
+from oracles import gru_step_loop, rnn_step_loop, stack_cells
 
 
-def run(seq, cell, direction="forward", **masks):
-    """Scan one (T, D) sequence in one direction; returns its (T, H) states."""
-    first = ("forward", "backward").index(direction)
-    return unroll(seq[None], LayerParams(cell).stacked(), first_direction=first,
-                  **masks)[0][0]
+def run(seq, cell, direction="forward"):
+    """Scan one (T, D) sequence in one direction; returns its (T, H) states.
+    The backward direction is the second half of a bidirectional stack."""
+    if direction == "forward":
+        return unroll(seq[None], stack_cells(cell))[0][0]
+    return unroll(seq[None], stack_cells(cell, cell))[0][0, :, cell.hidden_size:]
 
 
 def test_stacked_directions_match_lone_directions(rng):
     # One stacked scan runs both directions: its halves equal each
-    # direction scanned alone, the backward one from a reversed input.
+    # direction scanned alone. A training scan of a batch above 32 runs
+    # the directions as two one-direction scans, one cache each.
     fwd, bwd = random_gru_params(rng, 4, 3), random_gru_params(rng, 4, 3)
-    seq = rng.uniform(-1, 1, (2, 10, 4))
-    both = unroll(seq, LayerParams(fwd, bwd).stacked())[0]
-    npt.assert_array_equal(both[..., :3], unroll(seq, LayerParams(fwd).stacked())[0])
-    lone_bwd = unroll(seq, LayerParams(bwd).stacked(), first_direction=1)[0]
-    npt.assert_array_equal(both[..., 3:], lone_bwd)
+    seq = rng.uniform(-1, 1, (64, 10, 4))
+    both = stack_cells(fwd, bwd)
+    stacked, no_cache = unroll(seq, both)
+    assert no_cache is None
+    npt.assert_array_equal(stacked[..., :3], unroll(seq, stack_cells(fwd))[0])
+    split, cache = unroll(seq, both, want_cache=True)
+    assert [run["hs"].shape[1] for run in cache] == [1, 1]
+    npt.assert_array_equal(split, stacked)
+    _, cache = unroll(seq[:32], both, want_cache=True)
+    assert [run["hs"].shape[1] for run in cache] == [2]
 
 
 def test_zero_weights_give_zero_outputs(rng):
@@ -102,7 +108,7 @@ def test_masks_reapplied_every_step(rng):
     cell = random_rnn_params(rng, 3, 2)
     seq = rng.uniform(-1, 1, (1, 6, 3))
     mask = np.array([[1.0, 0.0, 1.0]])
-    stacked = LayerParams(cell).stacked()
+    stacked = stack_cells(cell)
     masked_out = unroll(seq, stacked, input_mask=mask[None])[0]
     zeroed = seq.copy()
     zeroed[:, :, 1] = 0.0

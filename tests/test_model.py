@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ais_outliers.config import RunConfig
 from ais_outliers.errors import ConfigError, NumericError, ShapeError
 from ais_outliers.nn import layers
 from ais_outliers.nn.dropout import sample_masks
 from ais_outliers.nn.layers import dense_per_timestep, unroll, unroll_backward
-from ais_outliers.nn.model import LayerParams, ModelConfig, RecurrentAutoencoder, mse_loss
+from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder, mse_loss
 
 from oracles import (finite_difference_gradients, max_relative_error, mse_loop,
                      reference_init_params, reference_layer, reference_layer_backward,
@@ -44,35 +45,39 @@ def test_bad_configs_rejected(kw):
         toy_config(**kw)
 
 
-def test_variant_presets_match_documented_defaults():
-    stacked = ModelConfig.stacked_default()
-    assert (stacked.layers, stacked.hidden, stacked.dropout_rate) == (2, 64, 0.2)
-    assert not stacked.bidirectional
-    bidir = ModelConfig.bidirectional_default()
-    assert bidir.bidirectional and bidir.layers == 1 and bidir.hidden == 32
+def test_default_model_matches_documented_defaults():
+    bidir = RunConfig().model_config()
+    assert bidir.cell_kind == "gru" and bidir.bidirectional
+    assert bidir.layers == 1 and bidir.hidden == 32
     assert bidir.recurrent_dropout_rate == 0.2
     assert bidir.dense_dropout_rate == 0.2
+    assert bidir.dropout_rate == bidir.input_dropout_rate == 0.0
 
 
 # -- parameter layout --------------------------------------------------------
 
 def _assert_tiles_vector(params, cfg):
-    """Every named tensor is a view of `params.vector`, and together they
-    tile it in declaration order with no gaps."""
+    """Every named tensor and every layer tensor is a view of
+    `params.vector`; the named ones keep the checkpoint names and order, and
+    together they cover every element of the vector exactly once."""
     tags = ("fwd", "bwd")[:cfg.directions]
     expected = [f"layer{i}.{tag}.{name}" for i in range(cfg.layers) for tag in tags
                 for name in ("w_x", "w_h", "b")] + ["dense.w", "dense.b"]
     flat = params.flat()
     assert list(flat) == expected
     assert params.vector.dtype == np.float64 and params.vector.ndim == 1
-    base = params.vector.__array_interface__["data"][0]
-    offset = 0
+    for i, cell in enumerate(params.layers):
+        for name, arr in cell.tensors():
+            assert arr.shape[0] == cfg.directions, (i, name)
+            assert np.shares_memory(arr, params.vector), (i, name)
     for name, arr in flat.items():
         assert np.shares_memory(arr, params.vector), name
         assert arr.flags.c_contiguous, name
-        assert arr.__array_interface__["data"][0] - base == offset * 8, name
-        offset += arr.size
-    assert offset == params.vector.size
+    saved = params.vector.copy()
+    params.vector[:] = np.arange(params.vector.size)
+    covered = np.sort(np.concatenate([arr.ravel() for arr in flat.values()]))
+    params.vector[:] = saved
+    npt.assert_array_equal(covered, np.arange(params.vector.size))
 
 
 @pytest.mark.parametrize("cell", ["simple_rnn", "gru"])
@@ -84,7 +89,7 @@ def test_weights_and_gradients_tile_one_vector(rng, cell, bidirectional):
     _, grads = model.loss_and_gradients(batch_for(cfg, rng), None)
     _assert_tiles_vector(grads, cfg)
     model.params.vector[0] = 7.0  # the views see writes to the vector
-    assert model.params.layers[0].forward_cell.w_x[0, 0] == 7.0
+    assert model.params.layers[0].w_x[0, 0, 0] == 7.0
 
 
 @pytest.mark.parametrize("cell", ["simple_rnn", "gru"])
@@ -94,8 +99,8 @@ def test_init_matches_per_gate_reference_bitwise(cell, bidirectional):
     params = make_model(cfg, seed=11).params
     reference = reference_init_params(cfg, np.random.default_rng(11))
     assert list(params.flat()) == list(reference)
-    npt.assert_array_equal(params.vector,
-                           np.concatenate([a.ravel() for a in reference.values()]))
+    for name, arr in params.flat().items():
+        npt.assert_array_equal(arr, reference[name], err_msg=name)
 
 
 # -- forward -----------------------------------------------------------------
@@ -123,10 +128,8 @@ def test_two_layer_forward_composes_from_single_layers(rng):
     model = make_model(cfg, seed=5)
     batch = batch_for(cfg, rng, batch=3)
     pred = model.forward(batch)
-    l0 = model.params.layers[0].stacked()
-    l1 = model.params.layers[1].stacked()
-    h1 = unroll(batch, l0)[0]
-    h2 = unroll(h1, l1)[0]
+    h1 = unroll(batch, model.params.layers[0])[0]
+    h2 = unroll(h1, model.params.layers[1])[0]
     expected = dense_per_timestep(h2, model.params.w_out, model.params.b_out)
     npt.assert_allclose(pred, expected, atol=1e-15)
 
@@ -137,10 +140,12 @@ def test_bidirectional_forward_composes(rng):
     batch = batch_for(cfg, rng)
     pred = model.forward(batch)
     layer = model.params.layers[0]
-    fwd = unroll(batch, LayerParams(layer.forward_cell).stacked())[0]
-    bwd = unroll(batch, LayerParams(layer.backward_cell).stacked(), first_direction=1)[0]
-    stacked = np.concatenate([fwd, bwd], axis=-1)
-    expected = dense_per_timestep(stacked, model.params.w_out, model.params.b_out)
+    both = unroll(batch, layer)[0]
+    fwd = unroll(batch, layer[0:1])[0]
+    # the backward direction is the forward scan of the time-reversed input
+    bwd = unroll(batch[:, ::-1], layer[1:2])[0][:, ::-1]
+    npt.assert_allclose(both, np.concatenate([fwd, bwd], axis=-1), atol=1e-15)
+    expected = dense_per_timestep(both, model.params.w_out, model.params.b_out)
     npt.assert_allclose(pred, expected, atol=1e-15)
 
 
@@ -176,7 +181,7 @@ def test_nonfinite_input_raises_with_layer_name(rng):
 def test_nonfinite_intermediate_raises_with_layer_index(rng):
     cfg = toy_config(layers=2)
     model = make_model(cfg)
-    model.params.layers[1].forward_cell.b_z[...] = np.nan
+    model.params.layers[1].b_z[...] = np.nan
     with pytest.raises(NumericError, match="layer 1"):
         model.forward(batch_for(cfg, rng))
 
@@ -334,8 +339,10 @@ def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirect
     masks = sample_masks(cfg, batch_size, rng) if dropout else None
     pred, outputs, ref_grads = reference_loss_and_gradients(model.params, cfg, batch, masks)
 
-    # Each layer alone, as one stack and one direction at a time, on the
-    # reference's input to it: output, input gradient, parameter gradients.
+    # Each layer alone, on the reference's input to it: output, input
+    # gradient and parameter gradients of the layer's cell (one stacked
+    # scan up to batch 32, one scan per direction above it), and of its
+    # forward direction as a one-direction cell.
     seq = batch
     for i, layer in enumerate(model.params.layers):
         im = masks.input_masks[i] if masks else None
@@ -343,20 +350,23 @@ def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirect
         ref_out, ref_caches = reference_layer(seq, layer, im, rm, convention)
         d_out = rng.normal(size=ref_out.shape)
         ref_dx, ref_g = reference_layer_backward(d_out, layer, ref_caches)
-        groups = [slice(0, cfg.directions)] + [slice(d, d + 1) for d in range(cfg.directions)]
-        for group in groups:
-            group_im = None if im is None else im[group]
-            group_rm = None if rm is None else rm[group]
-            cols = slice(group.start * cfg.hidden, group.stop * cfg.hidden)
-            stacked = layer.stacked(group)
-            out, cache = unroll(seq, stacked, group_im, group_rm, convention, True, group.start)
+        out, cache = unroll(seq, layer, im, rm, convention, True)
+        assert len(cache) == (2 if bidirectional and batch_size > 32 else 1)
+        npt.assert_array_equal(out, ref_out)
+        d_x, g = unroll_backward(d_out, layer, cache)
+        npt.assert_array_equal(d_x, ref_dx)
+        for k, tag in enumerate(("fwd", "bwd")[:cfg.directions]):
+            for name, arr in g.items():
+                npt.assert_array_equal(arr[k], ref_g[f"{tag}.{name}"])
+        if bidirectional:
+            cols = slice(0, cfg.hidden)
+            fwd = layer[0:1]
+            out, cache = unroll(seq, fwd, None if im is None else im[:1],
+                                None if rm is None else rm[:1], convention, True)
             npt.assert_array_equal(out, ref_out[..., cols])
-            d_x, g = unroll_backward(d_out[..., cols], stacked, cache)
-            if group.stop - group.start == cfg.directions:
-                npt.assert_array_equal(d_x, ref_dx)
-            for k, (_, tag, _) in enumerate(layer.directions()[group]):
-                for name, arr in g.items():
-                    npt.assert_array_equal(arr[k], ref_g[f"{tag}.{name}"])
+            _, g = unroll_backward(d_out[..., cols], fwd, cache)
+            for name, arr in g.items():
+                npt.assert_array_equal(arr[0], ref_g[f"fwd.{name}"])
         seq = outputs[i] if masks is None or i == n_layers - 1 else outputs[i] * masks.interlayer[i]
 
     # The whole model: train-mode forward (no cache) and every gradient.
