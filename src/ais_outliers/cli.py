@@ -18,22 +18,13 @@ from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, detect
 from .atomic import atomic_write
 from .config import RunConfig, load_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, utf8_text
 from .geojson import export_days
-from .ingest import (
-    IngestReport,
-    filter_by_length,
-    group_and_sort,
-    load_tracks,
-    parse_ais_csv,
-    save_tracks,
-)
-from .manifest import RunManifest
+from .ingest import TrackReader, ingest_files
+from .manifest import RunManifest, peak_rss_mb
 from .nn.checkpoint import load_checkpoint
 from .nn.model import RecurrentAutoencoder
 from .nn.train import train as train_model
@@ -54,6 +45,9 @@ from .sequence import (
 )
 
 TRACKS_FILE = "tracks.npy"
+# Sorted per-file runs that ingest merges into TRACKS_FILE; only ingest
+# reads it, and it is removed when ingest ends.
+SPILL_DIR = ".ingest_spill"
 CORPUS_FILE = "corpus.f64"
 CORPUS_INDEX = "corpus_index.csv"
 STATS_FILE = "stats.txt"
@@ -110,41 +104,28 @@ def cmd_ingest(config: RunConfig) -> int:
     if not paths:
         raise ConfigError(f"input glob matched no files: {config.input_glob!r}")
 
-    tables = []
-    report = IngestReport()
-    for path in paths:
-        table, file_report = parse_ais_csv(path, config.schema())
-        tables.append(table)
-        report.merge(file_report)
-
-    records = np.concatenate(tables)
-    kept = filter_by_length(records, config.min_length)
-    report.vessels_dropped_by_length = (len(np.unique(records["mmsi"]))
-                                        - len(np.unique(kept["mmsi"])))
-
-    tracks = group_and_sort(kept, report)
-    report.vessels_kept = len(tracks)
-
     run_dir = _run_dir(config)
     tracks_path = run_dir / TRACKS_FILE
-    save_tracks(tracks_path, tracks)
+    report, counts = ingest_files(paths, tracks_path, run_dir / SPILL_DIR,
+                                  config.schema(), config.min_length)
     with atomic_write(run_dir / "ingest_report.txt", "w") as fh:
         fh.write(report.to_text())
 
     print(report.to_text(), end="")
-    print(f"track rows kept: {sum(len(t) for t in tracks)}")
+    print(f"track rows kept: {counts['rows_kept']}")
     RunManifest(run_dir).record_stage(
         "ingest", config.to_text(), __version__, paths,
         [tracks_path, run_dir / "ingest_report.txt"],
-        time.monotonic() - started)
+        time.monotonic() - started,
+        extra={"files": len(paths), "rows_read": report.rows_read, **counts,
+               "peak_rss_mb": peak_rss_mb()})
     return 0
 
 
 def cmd_preprocess(config: RunConfig) -> int:
     started = time.monotonic()
     run_dir = _run_dir(config)
-    tracks = load_tracks(run_dir / TRACKS_FILE)
-
+    tracks = TrackReader(run_dir / TRACKS_FILE)
     grids, summary = build_daily_grids(
         tracks, config.tolerance_s, config.min_entries, config.max_fill)
     tensor, ids, stats = normalize_corpus(grids, config.max_missing_fraction, summary)
@@ -163,7 +144,10 @@ def cmd_preprocess(config: RunConfig) -> int:
     RunManifest(run_dir).record_stage(
         "preprocess", config.to_text(), __version__, [run_dir / TRACKS_FILE],
         [corpus_path, index_path, stats_path, report_path],
-        time.monotonic() - started)
+        time.monotonic() - started,
+        extra={"rows": tracks.rows, "vessels": tracks.vessels, "chunks": tracks.chunks,
+               "days_total": summary.days_total, "days_kept": summary.days_kept,
+               "peak_rss_mb": peak_rss_mb()})
     return 0
 
 
@@ -288,7 +272,7 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
 def _read_csv_rows(path: Path, parse, expected: str) -> list:
     """`parse` each row after the header; a row it cannot read is a DataError."""
     out = []
-    with open(path, newline="") as fh:
+    with utf8_text(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
@@ -338,6 +322,11 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
     return 0
 
 
+def _read_text(path: Path) -> str:
+    with utf8_text(path):
+        return path.read_text(encoding="utf-8")
+
+
 def cmd_report(config: RunConfig) -> int:
     run_dir = Path(config.run_dir)
     manifest = RunManifest(run_dir)
@@ -355,16 +344,16 @@ def cmd_report(config: RunConfig) -> int:
         path = run_dir / report_file
         if path.exists():
             print(f"\n== {report_file} ==")
-            print(path.read_text(), end="")
+            print(_read_text(path), end="")
     outliers_path = run_dir / "outliers.csv"
     if outliers_path.exists():
-        lines = outliers_path.read_text().splitlines()
+        lines = _read_text(outliers_path).splitlines()
         print(f"\n== outliers ({len(lines) - 1} flagged) ==")
         for line in lines[:11]:
             print(f"  {line}")
     offenders_path = run_dir / "offenders.csv"
     if offenders_path.exists():
-        persistent = [l for l in offenders_path.read_text().splitlines()[1:]
+        persistent = [l for l in _read_text(offenders_path).splitlines()[1:]
                       if l.endswith(",1")]
         print(f"\npersistent offenders: {len(persistent)}")
         for line in persistent[:10]:

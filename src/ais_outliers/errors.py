@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class AisOutliersError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,3 +30,13 @@ class NumericError(AisOutliersError):
 
 class TrainingDivergedError(NumericError):
     """Training produced a non-finite loss or gradient."""
+
+
+@contextmanager
+def utf8_text(path):
+    """Turn a failed UTF-8 decode while reading `path` into a one-line
+    DataError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file ({exc.reason})") from None

@@ -10,12 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import shutil
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -386,26 +389,200 @@ def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
             for chunk in np.split(table, cuts)]
 
 
-def save_tracks(path, tracks: list[VesselTrack]) -> None:
-    """Write every track's rows, in order, as one TRACK_DTYPE `.npy` file."""
-    table = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
+def save_tracks(path, tracks: Iterable[VesselTrack]) -> int:
+    """Write every track's rows, in order, as one TRACK_DTYPE `.npy` file.
+
+    The tracks are written as they arrive, so only the one in hand is held.
+    numpy pads the header so that its length does not depend on the row
+    count: a placeholder header goes first and the real one over it once
+    the count is known. Returns the number of rows written.
+    """
+    rows = 0
     with atomic_write(path) as fh:
-        np.save(fh, table)
+        fh.write(_npy_header(0))
+        for track in tracks:
+            fh.write(np.ascontiguousarray(track.records).data)
+            rows += len(track)
+            del track  # before the next one is made
+        fh.seek(0)
+        fh.write(_npy_header(rows))
+    return rows
 
 
-def load_tracks(path) -> list[VesselTrack]:
-    """Read a track store written by save_tracks; damage is a DataError."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"track store not found: {path} (run `ingest` first)")
+def _npy_header(rows: int) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": np.lib.format.dtype_to_descr(TRACK_DTYPE),
+        "fortran_order": False, "shape": (rows,)})
+    return out.getvalue()
+
+
+def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = None,
+                 min_length: float = DEFAULT_MIN_LENGTH_M) -> tuple[IngestReport, dict]:
+    """Parse, length-filter and group AIS CSVs into the track store at
+    `tracks_path`, with memory set by the largest file and the largest
+    track rather than by the corpus.
+
+    Each file is parsed, filtered and sorted by (MMSI, time) on its own and
+    spilled as a sorted run into `spill_dir`. The runs are then merged in
+    ascending MMSI order, in batches of whole vessels of at most the largest
+    run's rows; each batch goes through group_and_sort with its rows in file
+    order, so among rows sharing (MMSI, time) the first in input order wins,
+    as if every file had been grouped at once. `spill_dir` is replaced on
+    entry and removed on exit, on error too.
+
+    Returns the report and the rows, vessels and merge batches written.
+    """
+    spill_dir = Path(spill_dir)
+    shutil.rmtree(spill_dir, ignore_errors=True)
+    spill_dir.mkdir(parents=True)
     try:
-        table = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise DataError(f"track store {path} is damaged: {exc}") from None
-    if table.dtype != TRACK_DTYPE or table.ndim != 1:
-        raise DataError(f"track store {path} holds {table.dtype} {table.shape}, "
-                        f"not a table of {TRACK_DTYPE}")
-    mmsi_step, t_step = np.diff(table["mmsi"]), np.diff(table["t"])
-    if ((mmsi_step < 0) | ((mmsi_step == 0) & (t_step <= 0))).any():
-        raise DataError(f"track store {path} is not sorted by MMSI then time")
-    return _split_tracks(table)
+        report = IngestReport()
+        runs, kept = _spill_runs(paths, spill_dir, schema, min_length, report)
+        takes = _plan_batches(runs, kept)
+        with closing(_merge_runs(runs, takes, report)) as tracks:  # closes the runs
+            rows = save_tracks(tracks_path, tracks)
+    finally:
+        shutil.rmtree(spill_dir, ignore_errors=True)
+    return report, {"rows_kept": rows, "vessels_kept": report.vessels_kept,
+                    "merge_batches": takes.shape[1]}
+
+
+def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: IngestReport):
+    """Parse, filter and sort each file into a run file in `spill_dir`.
+
+    Returns, per run with rows, (file, its MMSIs, their row offsets plus
+    the end), and every kept MMSI in ascending order. Tallies the files'
+    rows and the vessels dropped by length into `report`.
+    """
+    runs = []
+    seen = kept = np.empty(0, np.int64)
+    for i, path in enumerate(paths):
+        table, file_report = parse_ais_csv(path, schema)
+        report.merge(file_report)
+        seen = np.union1d(seen, table["mmsi"])
+        table = filter_by_length(table, min_length)
+        if len(table):
+            table = table[np.lexsort((table["t"], table["mmsi"]))]
+            run = spill_dir / f"{i:06d}.run"
+            table.tofile(run)
+            mmsi, starts = np.unique(table["mmsi"], return_index=True)
+            runs.append((run, mmsi, np.append(starts, len(table))))
+            kept = np.union1d(kept, mmsi)
+        del table  # before the next file is parsed
+    report.vessels_dropped_by_length = len(seen) - len(kept)
+    return runs, kept
+
+
+def _plan_batches(runs, kept: np.ndarray) -> np.ndarray:
+    """Rows of each run (axis 0) in each merge batch (axis 1).
+
+    A batch holds whole vessels, in MMSI order, and at most as many rows as
+    the largest run; a vessel with more rows is a batch of its own. Each
+    run's rows in a batch follow its rows in the previous batch, so every
+    run is read once, front to back.
+    """
+    rows = np.zeros(len(kept), np.int64)  # per vessel, over all runs
+    for _, mmsi, offsets in runs:
+        rows[np.searchsorted(kept, mmsi)] += np.diff(offsets)
+    before = np.concatenate([[0], np.cumsum(rows)])  # rows before each vessel
+    cap = max((offsets[-1] for _, _, offsets in runs), default=0)
+    stops = [0]
+    while stops[-1] < len(kept):
+        stop = int(np.searchsorted(before, before[stops[-1]] + cap, side="right")) - 1
+        stops.append(max(stop, stops[-1] + 1))
+    last = kept[np.array(stops[1:], dtype=np.int64) - 1]  # each batch's last MMSI
+    takes = [np.diff(offsets[np.searchsorted(mmsi, last, side="right")], prepend=0)
+             for _, mmsi, offsets in runs]
+    return np.array(takes, dtype=np.int64).reshape(len(runs), len(last))
+
+
+def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[VesselTrack]:
+    """Read each batch's rows from the runs, in file order, and group them."""
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(run, "rb")) for run, _, _ in runs]
+        for take in takes.T:
+            batch = np.empty(int(take.sum()), TRACK_DTYPE)
+            raw, pos = batch.view(np.uint8), 0
+            for fh, n in zip(handles, take.tolist()):
+                size = n * TRACK_DTYPE.itemsize
+                if fh.readinto(raw[pos:pos + size]) != size:
+                    raise DataError(f"ingest spill file {fh.name} is short")
+                pos += size
+            tracks = group_and_sort(batch, report)
+            del batch, raw
+            report.vessels_kept += len(tracks)
+            yield from tracks
+            del tracks  # before the next batch is read
+
+
+# Rows read per chunk when streaming a track store back: the reader's
+# memory is set by this plus the largest vessel's track, not by the store.
+_CHUNK_ROWS = 1 << 12
+
+
+class TrackReader:
+    """Streams a store written by save_tracks as VesselTracks.
+
+    The store is read _CHUNK_ROWS rows at a time and cut at vessel
+    boundaries; the last, possibly partial, vessel of a chunk is carried
+    into the next. Damage (missing file, foreign header, other dtype,
+    truncation, rows out of (MMSI, time) order, across chunks too) is a
+    DataError, raised when the reader reaches it. `rows`, `vessels` and
+    `chunks` count what has been read.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.rows = self.vessels = self.chunks = 0
+
+    def __iter__(self) -> Iterator[VesselTrack]:
+        path = self.path
+        if not path.exists():
+            raise DataError(f"track store not found: {path} (run `ingest` first)")
+        with open(path, "rb") as fh:
+            n = self._read_header(fh)
+            carry = np.empty(0, TRACK_DTYPE)
+            for start in range(0, n, _CHUNK_ROWS):
+                # The carried rows, then the next chunk read in behind them.
+                table = np.empty(len(carry) + min(_CHUNK_ROWS, n - start), TRACK_DTYPE)
+                raw = table.view(np.uint8)  # byte copies: field-wise ones are slow
+                raw[:carry.nbytes] = carry.view(np.uint8)
+                fh.readinto(raw[carry.nbytes:])  # the size was checked
+                self.chunks += 1
+                self.rows += len(table) - len(carry)
+                # Rows from the last carried one on are unchecked against
+                # their predecessor.
+                new = table[max(len(carry) - 1, 0):]
+                mmsi_step, t_step = np.diff(new["mmsi"]), np.diff(new["t"])
+                if ((mmsi_step < 0) | ((mmsi_step == 0) & (t_step <= 0))).any():
+                    raise DataError(f"track store {path} is not sorted by MMSI then time")
+                # Everything before the last vessel is whole, unless this is
+                # the store's end.
+                cut = (len(table) if start + _CHUNK_ROWS >= n
+                       else int(np.searchsorted(table["mmsi"], table["mmsi"][-1])))
+                carry = table[cut:]
+                tracks = _split_tracks(table[:cut])
+                self.vessels += len(tracks)
+                yield from tracks
+
+    def _read_header(self, fh) -> int:
+        """The row count from the `.npy` header, after checking it and the
+        file size against TRACK_DTYPE."""
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy version {version}")
+            read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                    else np.lib.format.read_array_header_2_0)
+            shape, _, dtype = read(fh)
+        except (ValueError, EOFError) as exc:
+            raise DataError(f"track store {self.path} is damaged: {exc}") from None
+        if dtype != TRACK_DTYPE or len(shape) != 1:
+            raise DataError(f"track store {self.path} holds {dtype} {shape}, "
+                            f"not a table of {TRACK_DTYPE}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != shape[0] * TRACK_DTYPE.itemsize:
+            raise DataError(f"track store {self.path} is damaged: its header says "
+                            f"{shape[0]} rows but it holds {size} bytes of rows")
+        return shape[0]

@@ -6,12 +6,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 from pathlib import Path
 
 from .atomic import atomic_write
 from .errors import DataError
 
 MANIFEST_NAME = "manifest.json"
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (Linux reports
+    `ru_maxrss` in KB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def file_sha256(path) -> str:

@@ -13,12 +13,12 @@ import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, utf8_text
 from .ingest import VesselTrack
 
 # Canonical feature order of every matrix artifact in this package.
@@ -122,7 +122,8 @@ class NormalizationStats:
         path = Path(path)
         if not path.exists():
             raise DataError(f"normalization stats not found: {path}")
-        return cls.from_text(path.read_text())
+        with utf8_text(path):
+            return cls.from_text(path.read_text(encoding="utf-8"))
 
 
 def vessel_days(track: VesselTrack) -> list[date]:
@@ -229,13 +230,14 @@ class PreprocessSummary:
 
 
 def build_daily_grids(
-    tracks: Sequence[VesselTrack],
+    tracks: Iterable[VesselTrack],
     tolerance_s: float = DEFAULT_TOLERANCE_S,
     min_entries: int = DEFAULT_MIN_ENTRIES,
     max_fill: int = DEFAULT_MAX_FILL,
 ) -> tuple[list[DailyGrid], PreprocessSummary]:
     """Resample every vessel-day, drop days with fewer than `min_entries`
-    present slots, interpolate gaps."""
+    present slots, interpolate gaps. The tracks are consumed one at a time,
+    so they may be streamed."""
     if not 0 <= min_entries <= N_SLOTS:
         raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
     grids: list[DailyGrid] = []
@@ -307,7 +309,7 @@ def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, da
         raise DataError(f"corpus file {tensor_path} is not a whole number of days")
     tensor = raw.reshape(-1, N_SLOTS, N_FEATURES).astype(np.float64)
     ids: list[tuple[str, date]] = []
-    with open(index_path, newline="") as fh:
+    with utf8_text(index_path), open(index_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["record_index", "mmsi", "day"]:

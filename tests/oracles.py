@@ -441,3 +441,26 @@ def reference_parse_ais_csv(path, schema=None):
             else:
                 rows.append(record)
     return np.array(rows, dtype=TRACK_DTYPE), report
+
+
+def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
+    """The whole-corpus ingest: every file's table concatenated, then one
+    length filter, one `group_and_sort` and one `np.save` of the store.
+    Returns the IngestReport like `ingest_files`."""
+    from ais_outliers.ingest import (TRACK_DTYPE, IngestReport, filter_by_length,
+                                     group_and_sort, parse_ais_csv)
+
+    tables, report = [], IngestReport()
+    for path in paths:
+        table, file_report = parse_ais_csv(path, schema)
+        tables.append(table)
+        report.merge(file_report)
+    records = np.concatenate(tables)
+    kept = filter_by_length(records, min_length)
+    report.vessels_dropped_by_length = (len(np.unique(records["mmsi"]))
+                                        - len(np.unique(kept["mmsi"])))
+    tracks = group_and_sort(kept, report)
+    report.vessels_kept = len(tracks)
+    with open(tracks_path, "wb") as fh:
+        np.save(fh, np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)]))
+    return report

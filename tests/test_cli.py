@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ais_outliers.cli import main
+from ais_outliers.cli import SPILL_DIR, main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
 from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
@@ -98,6 +98,59 @@ def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     # One store, ordered by MMSI then time.
     assert (np.lexsort((table["t"], table["mmsi"])) == np.arange(len(table))).all()
     assert len(np.unique(table["mmsi"])) == 10  # 60 days / 6 per vessel
+
+
+def test_ingest_leaves_only_its_artifacts(tmp_path, corpus_dir):
+    run_dir = tmp_path / "run"
+    assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == \
+        ["ingest_report.txt", "manifest.json", "tracks.npy"]
+
+
+def test_ingest_failing_partway_removes_its_spill(tmp_path, corpus_dir, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for path in sorted(corpus_dir.glob("*.csv")):
+        (inputs / path.name).write_bytes(path.read_bytes())
+    (inputs / "ais_2019_day2.csv").write_bytes(b"MMSI,BaseDateTime\n\xff\n")
+    run_dir = tmp_path / "run"
+    assert main(run_args(inputs, run_dir, "ingest")) == 2
+    assert "unreadable AIS stream" in capsys.readouterr().err
+    assert list(run_dir.iterdir()) == []
+
+
+def test_spill_left_by_a_killed_ingest_is_ignored_then_removed(tmp_path, corpus_dir):
+    clean, run_dir = tmp_path / "clean", tmp_path / "run"
+    for command in ("ingest", "preprocess"):
+        assert main(run_args(corpus_dir, clean, command)) == 0
+    assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
+    stale = run_dir / SPILL_DIR
+    stale.mkdir()
+    # A killed ingest leaves runs behind; these would change the corpus if read.
+    (stale / "000000.run").write_bytes(np.zeros(5, TRACK_DTYPE).tobytes())
+    (stale / "tracks.npy").write_bytes((run_dir / "tracks.npy").read_bytes()[:-56])
+    assert main(run_args(corpus_dir, run_dir, "preprocess")) == 0
+    for artifact in ("corpus.f64", "corpus_index.csv", "stats.txt", "preprocess_report.txt"):
+        assert (run_dir / artifact).read_bytes() == (clean / artifact).read_bytes(), artifact
+    assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
+    assert not stale.exists()
+    assert (run_dir / "tracks.npy").read_bytes() == (clean / "tracks.npy").read_bytes()
+
+
+def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess"):
+        assert main(run_args(corpus_dir, run_dir, command)) == 0
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    rows = len(np.load(run_dir / "tracks.npy"))
+    ingest, preprocess = stages["ingest"]["extra"], stages["preprocess"]["extra"]
+    assert ingest["files"] == 3 and ingest["rows_kept"] == rows
+    assert ingest["vessels_kept"] == preprocess["vessels"] == 10
+    assert ingest["rows_read"] >= rows and ingest["merge_batches"] >= 1
+    assert preprocess["rows"] == rows and preprocess["chunks"] >= 1
+    assert preprocess["days_kept"] == \
+        len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
+    assert ingest["peak_rss_mb"] > 0 and preprocess["peak_rss_mb"] > 0
 
 
 def test_leading_zero_mmsi_survives_ingest_and_preprocess(tmp_path):
@@ -241,6 +294,11 @@ def test_usage_error_exit_code_is_one(capsys):
     ("report", "null_stage_outputs"),
     ("score", "checkpoint_bad_magic"),
     ("score", "checkpoint_bad_header"),
+    ("score", "stats_not_utf8"),
+    ("report", "ingest_report_not_utf8"),
+    ("report", "outliers_not_utf8"),
+    ("score", "index_row_not_utf8"),
+    ("export-geojson", "scores_row_not_utf8"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
@@ -293,9 +351,20 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "checkpoint_bad_magic": lambda: flip_checkpoint_byte(0),
         # Low byte of the config length, after the magic and the version.
         "checkpoint_bad_header": lambda: flip_checkpoint_byte(len(MAGIC) + 4),
+        "stats_not_utf8": lambda: stats.write_bytes(b"lat_min=\xff\n"),
+        "ingest_report_not_utf8": lambda: (run_dir / "ingest_report.txt").write_bytes(
+            b"rows_read=\xff\n"),
+        "outliers_not_utf8": lambda: outliers.write_bytes(outliers.read_bytes() + b"\xff\n"),
+        "index_row_not_utf8": lambda: index.write_bytes(index.read_bytes() + b"2,\xff\n"),
+        "scores_row_not_utf8": lambda: scores.write_bytes(scores.read_bytes() + b"\xff\n"),
     }
     # The files (and stage) the message must name.
     named = {"tensor_cut_by_one_day": ("test.f64", "test_index.csv"),
+             "stats_not_utf8": ("stats.txt",),
+             "ingest_report_not_utf8": ("ingest_report.txt",),
+             "outliers_not_utf8": ("outliers.csv",),
+             "index_row_not_utf8": ("test_index.csv",),
+             "scores_row_not_utf8": ("scores.csv",),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     damages[damage]()
@@ -307,18 +376,17 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         assert name in err[0], err
 
 
-def test_failed_tracks_write_keeps_previous_store(tmp_path, monkeypatch):
+def test_failed_tracks_write_keeps_previous_store(tmp_path):
     tracks = tmp_path / "tracks.npy"
     table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
     save_tracks(tracks, group_and_sort(table))
     before = tracks.read_bytes()
 
-    def save_half(fh, arr, **kwargs):
-        fh.write(b"\x93NUMPY partial")
+    def fail_after_one_track():  # the store is streamed: fail mid-write
+        yield from group_and_sort(table[:1])
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "save", save_half)
     with pytest.raises(OSError, match="disk full"):
-        save_tracks(tracks, group_and_sort(table[:1]))
+        save_tracks(tracks, fail_after_one_track())
     assert tracks.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["tracks.npy"]
