@@ -29,7 +29,6 @@ from .nn.checkpoint import load_checkpoint
 from .nn.model import RecurrentAutoencoder
 from .nn.train import train as train_model
 from .preprocess import (
-    FEATURES,
     NormalizationStats,
     build_daily_grids,
     load_corpus,
@@ -87,6 +86,11 @@ def _run_dir(config: RunConfig) -> Path:
     path = Path(config.run_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _set_paths(run_dir: Path, name: str) -> list[Path]:
+    """The tensor and the id sidecar that `split` writes for one subset."""
+    return [run_dir / f"{name}.f64", run_dir / f"{name}_index.csv"]
 
 
 def _seeds(config: RunConfig) -> dict[str, int]:
@@ -169,10 +173,9 @@ def cmd_split(config: RunConfig) -> int:
 
     outputs = []
     for name, subset in (("train", train_s), ("val", val_s), ("test", test_s)):
-        tensor_path = run_dir / f"{name}.f64"
-        index_path = run_dir / f"{name}_index.csv"
-        save_set(subset, tensor_path, index_path)
-        outputs += [tensor_path, index_path]
+        paths = _set_paths(run_dir, name)
+        save_set(subset, *paths)
+        outputs += paths
 
     print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
           f"seed={spec.seed}")
@@ -187,8 +190,9 @@ def cmd_split(config: RunConfig) -> int:
 def cmd_train(config: RunConfig) -> int:
     started = time.monotonic()
     run_dir = _run_dir(config)
-    train_set = load_set(run_dir / "train.f64", run_dir / "train_index.csv")
-    val_set = load_set(run_dir / "val.f64", run_dir / "val_index.csv")
+    train_paths, val_paths = _set_paths(run_dir, "train"), _set_paths(run_dir, "val")
+    train_set = load_set(*train_paths)
+    val_set = load_set(*val_paths)
 
     seeds = _seeds(config)
     model = RecurrentAutoencoder.initialize(config.model_config(), seeds["init"])
@@ -207,7 +211,7 @@ def cmd_train(config: RunConfig) -> int:
     outputs = sorted(checkpoint_dir.glob("epoch_*.ckpt")) + [history_path]
     RunManifest(run_dir).record_stage(
         "train", config.to_text(), __version__,
-        [run_dir / "train.f64", run_dir / "val.f64"], outputs,
+        train_paths + val_paths, outputs,
         time.monotonic() - started,
         extra={"final_train_loss": history.final().train_loss,
                "final_val_loss": history.final().val_loss})
@@ -233,37 +237,38 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
 
     checkpoint_path = Path(checkpoint) if checkpoint else _latest_checkpoint(run_dir)
     model = load_checkpoint(checkpoint_path)
-    test_set = load_set(run_dir / "test.f64", run_dir / "test_index.csv")
+    test_paths = _set_paths(run_dir, "test")
+    test_set = load_set(*test_paths)
     if len(test_set) == 0:
         raise DataError("test set is empty; nothing to score")
 
-    scores = detect.score_set(model, test_set, config.mask_sentinel_rmse)
+    rmse, feature_rmse = detect.score_set(model, test_set, config.mask_sentinel_rmse)
+    inputs = [checkpoint_path, *test_paths, stats_path]
+    basis = rmse
     if config.threshold_scores == "train":
-        train_subset = load_set(run_dir / "train.f64", run_dir / "train_index.csv")
-        basis = detect.score_set(model, train_subset, config.mask_sentinel_rmse)
-    else:
-        basis = scores
+        train_paths = _set_paths(run_dir, "train")
+        basis, _ = detect.score_set(model, load_set(*train_paths), config.mask_sentinel_rmse)
+        inputs += train_paths
     dist = detect.fit_distribution(basis, bins=config.histogram_bins)
-    report = detect.flag_outliers(scores, dist, k=config.sigma_k)
-    offenders = detect.offender_frequency(report, config.min_appearances)
+    report = detect.flag_outliers(rmse, test_set.ids, dist, k=config.sigma_k)
+    offenders = detect.offender_frequency(report, test_set.ids, config.min_appearances)
 
     paths = {name: run_dir / f"{name}.csv"
              for name in ("scores", "histogram", "outliers", "offenders")}
-    detect.write_scores_csv(paths["scores"], scores, config.mask_sentinel_rmse,
-                            feature_names=FEATURES if config.per_feature_rmse else None)
+    detect.write_scores_csv(paths["scores"], test_set.ids, rmse, config.mask_sentinel_rmse,
+                            feature_rmse if config.per_feature_rmse else None)
     detect.write_histogram_csv(paths["histogram"], dist)
-    detect.write_outliers_csv(paths["outliers"], report)
+    detect.write_outliers_csv(paths["outliers"], report, test_set.ids, rmse)
     detect.write_offenders_csv(paths["offenders"], offenders)
 
-    print(f"scored {len(scores)} sequences from {checkpoint_path.name}")
+    print(f"scored {len(rmse)} sequences from {checkpoint_path.name}")
     print(f"rmse mean={dist.mean:.6g} std={dist.std:.6g} "
           f"threshold(k={config.sigma_k:g})={report.threshold:.6g}")
     print(f"flagged {len(report.flagged)} vessel-days; "
-          f"{len(offenders.persistent)} persistent offender MMSIs "
+          f"{offenders.persistent.sum()} persistent offender MMSIs "
           f"(>= {config.min_appearances} flags)")
     RunManifest(run_dir).record_stage(
-        "score", config.to_text(), __version__,
-        [checkpoint_path, run_dir / "test.f64", stats_path],
+        "score", config.to_text(), __version__, inputs,
         list(paths.values()), time.monotonic() - started,
         extra={"threshold": report.threshold, "flagged": len(report.flagged)})
     return 0
@@ -296,11 +301,16 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
             raise ConfigError(f"--day must be a date as YYYY-MM-DD, got {day!r}") from None
     run_dir = _run_dir(config)
     stats = NormalizationStats.load(run_dir / STATS_FILE)
-    test_set = load_set(run_dir / "test.f64", run_dir / "test_index.csv")
+    test_paths = _set_paths(run_dir, "test")
+    test_set = load_set(*test_paths)
+    inputs = [*test_paths, run_dir / STATS_FILE]
     scores_path = run_dir / "scores.csv"
-    rmse_by_id = dict(_read_csv_rows(
-        scores_path, lambda row: ((row[0], date.fromisoformat(row[1])), float(row[2])),
-        "mmsi,day,rmse")) if scores_path.exists() else {}
+    rmse_by_id = {}
+    if scores_path.exists():
+        rmse_by_id = dict(_read_csv_rows(
+            scores_path, lambda row: ((row[0], date.fromisoformat(row[1])), float(row[2])),
+            "mmsi,day,rmse"))
+        inputs.append(scores_path)
 
     if not (mmsi or day):
         outliers_path = run_dir / "outliers.csv"
@@ -310,14 +320,14 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
         selection = _read_csv_rows(
             outliers_path, lambda row: (row[1], date.fromisoformat(row[2])),
             "rank,mmsi,day,...")
+        inputs.append(outliers_path)
 
     out_path = Path(output) if output else run_dir / "outliers.geojson"
     collection = export_days(out_path, selection, test_set.tensor,
                              list(test_set.ids), stats, rmse_by_id)
     print(f"wrote {len(collection['features'])} LineString feature(s) to {out_path}")
     RunManifest(run_dir).record_stage(
-        "export-geojson", config.to_text(), __version__,
-        [run_dir / "test.f64", run_dir / STATS_FILE], [out_path],
+        "export-geojson", config.to_text(), __version__, inputs, [out_path],
         time.monotonic() - started)
     return 0
 

@@ -71,6 +71,10 @@ class RunConfig:
             raise ConfigError("threshold_scores must be 'test' or 'train'")
         if self.sigma_k <= 0:
             raise ConfigError("sigma_k must be > 0")
+        if self.histogram_bins < 1:
+            raise ConfigError("histogram_bins must be >= 1")
+        if self.min_appearances < 1:
+            raise ConfigError("min_appearances must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         self.model_config()  # delegates model-field validation

@@ -6,7 +6,8 @@ timesteps, deliberately avoiding the vectorized code paths under test.
 
 import csv
 import math
-from datetime import datetime, timedelta
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
@@ -464,3 +465,78 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     with open(tracks_path, "wb") as fh:
         np.save(fh, np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)]))
     return report
+
+
+@dataclass(frozen=True)
+class ScoreRecord:
+    mmsi: str
+    day: date
+    rmse: float
+    feature_rmse: tuple[float, ...] = ()  # diagnostic: unmasked RMSE per feature
+
+
+def _reference_score_records(model, sset, mask_sentinel):
+    """One ScoreRecord per sequence, in sidecar order."""
+    if len(sset) == 0:
+        return []
+    pred = model.reconstruct(sset.tensor)
+    diff2 = (pred - sset.tensor) ** 2
+    if mask_sentinel:
+        keep = sset.tensor != -1.0
+        rmse = np.sqrt(np.where(keep, diff2, 0.0).sum(axis=(1, 2)) / keep.sum(axis=(1, 2)))
+    else:
+        rmse = np.sqrt(diff2.mean(axis=(1, 2)))
+    features = np.sqrt(diff2.mean(axis=-2))
+    return [ScoreRecord(mmsi=mmsi, day=day, rmse=float(rmse[i]),
+                        feature_rmse=tuple(map(float, features[i])))
+            for i, (mmsi, day) in enumerate(sset.ids)]
+
+
+def reference_score_csvs(out_dir, model, test_set, basis_set=None, mask_sentinel=False,
+                         per_feature=False, k=6.0, bins=50, min_appearances=5):
+    """The record-based scoring path: one ScoreRecord per sequence, a
+    threshold from the test set (or from `basis_set`), flags sorted by
+    (-rmse, mmsi, day), a dict tally of flagged days per MMSI, and the four
+    score CSVs written row by row into `out_dir`. Returns the flagged
+    records."""
+    scores = _reference_score_records(model, test_set, mask_sentinel)
+    basis = scores if basis_set is None else _reference_score_records(
+        model, basis_set, mask_sentinel)
+    values = np.array([s.rmse for s in basis], dtype=np.float64)
+    top = float(values.max())
+    if top <= 0.0:
+        top = 1.0
+    bin_counts, bin_edges = np.histogram(values, bins=bins, range=(0.0, top))
+    threshold = float(values.mean()) + k * float(values.std())
+    flagged = [s for s in scores if s.rmse > threshold]
+    flagged.sort(key=lambda s: (-s.rmse, s.mmsi, s.day))
+    counts = {}
+    for record in flagged:
+        counts[record.mmsi] = counts.get(record.mmsi, 0) + 1
+
+    def write(name, header, rows):
+        with open(out_dir / name, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+
+    rmse_col = "rmse_masked" if mask_sentinel else "rmse"
+    header, rows = ["mmsi", "day", rmse_col], []
+    if per_feature:
+        header += [f"{rmse_col}_{name}" for name in ("lat", "lon", "sog", "cog")]
+    for s in scores:
+        rows.append([s.mmsi, s.day.isoformat(), repr(s.rmse)])
+        if per_feature:
+            rows[-1] += [repr(v) for v in s.feature_rmse]
+    write("scores.csv", header, rows)
+    write("histogram.csv", ["bin_low", "bin_high", "count"],
+          [[repr(float(bin_edges[i])), repr(float(bin_edges[i + 1])), int(count)]
+           for i, count in enumerate(bin_counts)])
+    write("outliers.csv", ["rank", "mmsi", "day", "rmse", "threshold", "k"],
+          [[rank, s.mmsi, s.day.isoformat(), repr(s.rmse), repr(threshold), repr(k)]
+           for rank, s in enumerate(flagged, start=1)])
+    write("offenders.csv", ["mmsi", "flag_count", "persistent"],
+          [[mmsi, count, int(count >= min_appearances)]
+           for mmsi, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))])
+    return flagged

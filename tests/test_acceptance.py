@@ -303,8 +303,7 @@ def test_synthetic_end_to_end_detection():
 
         ids = tuple((d.mmsi, d.day) for d in days)
         sset = SequenceSet(norm, ids)
-        scores = detect.score_set(model, sset)
-        rmse = np.array([s.rmse for s in scores])
+        rmse, _ = detect.score_set(model, sset)
 
         # (a) the score distribution must be right-skewed.
         assert rmse.mean() > np.median(rmse)
@@ -314,16 +313,16 @@ def test_synthetic_end_to_end_detection():
         assert auc >= 0.90, f"AUC {auc:.3f}"
 
         # (c) precision of the flagged set at the largest workable k <= 6.
-        dist = detect.fit_distribution(scores)
+        dist = detect.fit_distribution(rmse)
         flagged_report = None
         for k in range(6, 0, -1):
-            candidate = detect.flag_outliers(scores, dist, k=float(k))
-            if candidate.flagged:
+            candidate = detect.flag_outliers(rmse, ids, dist, k=float(k))
+            if candidate.flagged.size:
                 flagged_report = candidate
                 break
         assert flagged_report is not None
         label_by_id = {(d.mmsi, d.day): d.anomalous for d in days}
-        hits = sum(label_by_id[(s.mmsi, s.day)] for s in flagged_report.flagged)
+        hits = sum(label_by_id[ids[i]] for i in flagged_report.flagged)
         precision = hits / len(flagged_report.flagged)
         assert precision >= 0.80, (
             f"k={flagged_report.k}: {hits}/{len(flagged_report.flagged)} correct")
@@ -339,24 +338,24 @@ def test_synthetic_end_to_end_detection():
 
 def test_detector_arithmetic():
     with criterion("detector-arithmetic"):
-        scores = [detect.ScoreRecord("100000001", date(2019, 3, 6 + i), float(v))
-                  for i, v in enumerate([1, 1, 1, 1, 100])]
-        dist = detect.fit_distribution(scores)
+        rmse = np.array([1, 1, 1, 1, 100], dtype=np.float64)
+        ids = tuple(("100000001", date(2019, 3, 6 + i)) for i in range(5))
+        dist = detect.fit_distribution(rmse)
 
         mean = (1 + 1 + 1 + 1 + 100) / 5.0
         std = math.sqrt(sum((v - mean) ** 2 for v in (1, 1, 1, 1, 100)) / 5.0)
         assert dist.mean == pytest.approx(20.8, abs=1e-12)
         assert dist.std == pytest.approx(39.6, abs=1e-12)
 
-        at_k1 = detect.flag_outliers(scores, dist, k=1.0)
+        at_k1 = detect.flag_outliers(rmse, ids, dist, k=1.0)
         assert at_k1.threshold == pytest.approx(mean + std, abs=1e-12)
         assert at_k1.threshold == pytest.approx(60.4, abs=1e-12)
-        assert [s.rmse for s in at_k1.flagged] == [100.0]
+        assert rmse[at_k1.flagged].tolist() == [100.0]
 
-        at_k6 = detect.flag_outliers(scores, dist, k=6.0)
+        at_k6 = detect.flag_outliers(rmse, ids, dist, k=6.0)
         assert at_k6.threshold == pytest.approx(mean + 6 * std, abs=1e-12)
         assert at_k6.threshold == pytest.approx(258.4, abs=1e-12)
-        assert at_k6.flagged == []
+        assert at_k6.flagged.size == 0
         print("\n  thresholds 60.4 / 258.4 exact; flags {100} / {}")
 
 

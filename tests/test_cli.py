@@ -61,12 +61,21 @@ def test_non_utf8_config_file_is_one_line_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", ["dtype=float32", "deterministic=true"])
-def test_removed_config_keys_rejected(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, message", [
+    ("dtype=float32", "unknown configuration key"),
+    ("deterministic=true", "unknown configuration key"),
+    ("histogram_bins=0", "histogram_bins must be >= 1"),
+    ("min_appearances=0", "min_appearances must be >= 1"),
+])
+def test_rejected_config_is_one_line_config_error(tmp_path, capsys, key, message):
+    # Rejected before any artifact is read: the run directory does not exist.
     config_file = tmp_path / "run.cfg"
     config_file.write_text(key + "\n")
-    assert main(["ingest", "--config", str(config_file), "--print-config"]) == 1
-    assert "unknown configuration key" in capsys.readouterr().err
+    assert main(["score", "--config", str(config_file),
+                 "--run-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_print_config(capsys):
@@ -209,6 +218,26 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
     assert split["n_train"] + split["n_val"] + split["n_test"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
     assert split["n_test"] == len((run_dir / "test_index.csv").read_text().splitlines()) - 1
+
+
+def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess", "split", "train", "score", "export-geojson"):
+        assert main(run_args(corpus_dir, run_dir, command,
+                             "--threshold-scores", "train")) == 0
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    inputs = {name: sorted(Path(p).name for p in entry["inputs"])
+              for name, entry in stages.items()}
+    assert inputs == {
+        "ingest": ["ais_2019_day0.csv", "ais_2019_day1.csv", "ais_2019_day2.csv"],
+        "preprocess": ["tracks.npy"],
+        "split": ["corpus.f64", "corpus_index.csv"],
+        "train": ["train.f64", "train_index.csv", "val.f64", "val_index.csv"],
+        "score": ["epoch_001.ckpt", "stats.txt", "test.f64", "test_index.csv",
+                  "train.f64", "train_index.csv"],
+        "export-geojson": ["outliers.csv", "scores.csv", "stats.txt", "test.f64",
+                           "test_index.csv"],
+    }
 
 
 def test_ingest_rerun_is_deterministic(tmp_path, corpus_dir):
