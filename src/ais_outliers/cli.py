@@ -115,14 +115,14 @@ def cmd_ingest(config: RunConfig) -> int:
     with atomic_write(run_dir / "ingest_report.txt", "w") as fh:
         fh.write(report.to_text())
 
-    print(report.to_text(), end="")
-    print(f"track rows kept: {counts['rows_kept']}")
     RunManifest(run_dir).record_stage(
         "ingest", config.to_text(), __version__, paths,
         [tracks_path, run_dir / "ingest_report.txt"],
         time.monotonic() - started,
         extra={"files": len(paths), "rows_read": report.rows_read, **counts,
                "peak_rss_mb": peak_rss_mb()})
+    print(report.to_text(), end="")
+    print(f"track rows kept: {counts['rows_kept']}")
     return 0
 
 
@@ -143,8 +143,6 @@ def cmd_preprocess(config: RunConfig) -> int:
     with atomic_write(report_path, "w") as fh:
         fh.write(summary.to_text())
 
-    print(summary.to_text(), end="")
-    _print_missing_histogram(summary)
     RunManifest(run_dir).record_stage(
         "preprocess", config.to_text(), __version__, [run_dir / TRACKS_FILE],
         [corpus_path, index_path, stats_path, report_path],
@@ -152,6 +150,8 @@ def cmd_preprocess(config: RunConfig) -> int:
         extra={"rows": tracks.rows, "vessels": tracks.vessels, "chunks": tracks.chunks,
                "days_total": summary.days_total, "days_kept": summary.days_kept,
                "peak_rss_mb": peak_rss_mb()})
+    print(summary.to_text(), end="")
+    _print_missing_histogram(summary)
     return 0
 
 
@@ -177,13 +177,13 @@ def cmd_split(config: RunConfig) -> int:
         save_set(subset, *paths)
         outputs += paths
 
-    print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
-          f"seed={spec.seed}")
     RunManifest(run_dir).record_stage(
         "split", config.to_text(), __version__,
         [run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX], outputs,
         time.monotonic() - started,
         extra={"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)})
+    print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
+          f"seed={spec.seed}")
     return 0
 
 
@@ -205,9 +205,6 @@ def cmd_train(config: RunConfig) -> int:
     history_path = run_dir / "history.csv"
     history.to_csv(history_path)
 
-    for stats in history.epochs:
-        print(f"epoch {stats.epoch}: train_loss={stats.train_loss:.6g} "
-              f"val_loss={stats.val_loss:.6g} ({stats.wall_seconds:.1f}s)")
     outputs = sorted(checkpoint_dir.glob("epoch_*.ckpt")) + [history_path]
     RunManifest(run_dir).record_stage(
         "train", config.to_text(), __version__,
@@ -215,6 +212,9 @@ def cmd_train(config: RunConfig) -> int:
         time.monotonic() - started,
         extra={"final_train_loss": history.final().train_loss,
                "final_val_loss": history.final().val_loss})
+    for stats in history.epochs:
+        print(f"epoch {stats.epoch}: train_loss={stats.train_loss:.6g} "
+              f"val_loss={stats.val_loss:.6g} ({stats.wall_seconds:.1f}s)")
     return 0
 
 
@@ -261,16 +261,16 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
     detect.write_outliers_csv(paths["outliers"], report, test_set.ids, rmse)
     detect.write_offenders_csv(paths["offenders"], offenders)
 
+    RunManifest(run_dir).record_stage(
+        "score", config.to_text(), __version__, inputs,
+        list(paths.values()), time.monotonic() - started,
+        extra={"threshold": report.threshold, "flagged": len(report.flagged)})
     print(f"scored {len(rmse)} sequences from {checkpoint_path.name}")
     print(f"rmse mean={dist.mean:.6g} std={dist.std:.6g} "
           f"threshold(k={config.sigma_k:g})={report.threshold:.6g}")
     print(f"flagged {len(report.flagged)} vessel-days; "
           f"{offenders.persistent.sum()} persistent offender MMSIs "
           f"(>= {config.min_appearances} flags)")
-    RunManifest(run_dir).record_stage(
-        "score", config.to_text(), __version__, inputs,
-        list(paths.values()), time.monotonic() - started,
-        extra={"threshold": report.threshold, "flagged": len(report.flagged)})
     return 0
 
 
@@ -325,10 +325,10 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
     out_path = Path(output) if output else run_dir / "outliers.geojson"
     collection = export_days(out_path, selection, test_set.tensor,
                              list(test_set.ids), stats, rmse_by_id)
-    print(f"wrote {len(collection['features'])} LineString feature(s) to {out_path}")
     RunManifest(run_dir).record_stage(
         "export-geojson", config.to_text(), __version__, inputs, [out_path],
         time.monotonic() - started)
+    print(f"wrote {len(collection['features'])} LineString feature(s) to {out_path}")
     return 0
 
 

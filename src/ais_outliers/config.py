@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .nn.model import ModelConfig
+from .preprocess import N_SLOTS
 
 
 @dataclass
@@ -67,6 +68,15 @@ class RunConfig:
             raise ConfigError("max_missing_fraction must be in (0, 1)")
         if self.min_length < 0:
             raise ConfigError("min_length must be >= 0")
+        if not self.tolerance_s >= 0:
+            raise ConfigError("tolerance_s must be >= 0")
+        if not 0 <= self.min_entries <= N_SLOTS:
+            raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
+        if self.max_fill < 0:
+            raise ConfigError("max_fill must be >= 0")
+        for name in ("test_fraction", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in (0, 1)")
         if self.threshold_scores not in ("test", "train"):
             raise ConfigError("threshold_scores must be 'test' or 'train'")
         if self.sigma_k <= 0:

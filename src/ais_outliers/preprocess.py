@@ -1,7 +1,10 @@
 """Vessel tracks -> normalized per-day feature grids.
 
 Each vessel-day becomes a 48-slot x 4-feature matrix on a 30-minute grid
-anchored at 00:00 UTC. Sparse days are dropped, interior gaps are linearly
+anchored at 00:00 UTC. All days of one track are gridded in one array
+pass, as a DayGrids block: every record is snapped to its nearest slot
+since the epoch, the slots are cut into days, and each slot keeps its
+nearest record. Sparse days are dropped, interior gaps are linearly
 interpolated up to a cap, days with too many missing slots are excluded,
 and the surviving days are min-max normalized into one (N, 48, 4) tensor
 with missing slots set to -1.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,8 +30,6 @@ FEATURES = ("lat", "lon", "sog", "cog")
 N_FEATURES = len(FEATURES)
 N_SLOTS = 48
 SLOT_SECONDS = 1800  # 30-minute grid
-DAY_SECONDS = N_SLOTS * SLOT_SECONDS
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 DEFAULT_TOLERANCE_S = 60.0
 DEFAULT_MIN_ENTRIES = 20
@@ -36,35 +38,29 @@ DEFAULT_MAX_MISSING_FRACTION = 0.30
 SENTINEL = -1.0
 
 
-@dataclass
-class DailyGrid:
-    """One vessel's day on the half-hour grid: slot i is 00:00 + i*30min.
+@dataclass(frozen=True)
+class DayGrids:
+    """Vessel-days on the half-hour grid, one row per day.
 
-    `values[i]` holds the feature row for slot i (NaN when missing);
-    `mask[i]` is True iff slot i holds observed-or-interpolated data.
+    Row n is the day `ids[n]` = (mmsi, day); slot i is 00:00 + i*30min.
+    `values` (N, 48, 4) is NaN where `mask` (N, 48) is False; `mask` is
+    True where a slot holds observed or interpolated data.
     """
 
-    mmsi: str
-    day: date
-    values: np.ndarray  # (48, 4) float64, NaN rows where missing
-    mask: np.ndarray  # (48,) bool
+    ids: list[tuple[str, date]]
+    values: np.ndarray
+    mask: np.ndarray
 
-    def __post_init__(self):
-        if self.values.shape != (N_SLOTS, N_FEATURES):
-            raise DataError(f"daily grid must be {N_SLOTS}x{N_FEATURES}, got {self.values.shape}")
-        if self.mask.shape != (N_SLOTS,):
-            raise DataError(f"daily mask must have {N_SLOTS} entries")
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    @property
-    def present_count(self) -> int:
-        return int(self.mask.sum())
+    def take(self, rows: np.ndarray) -> "DayGrids":
+        """The days where the boolean `rows` is True."""
+        return DayGrids(list(compress(self.ids, rows)), self.values[rows], self.mask[rows])
 
-    @property
-    def missing_fraction(self) -> float:
-        return 1.0 - self.present_count / N_SLOTS
 
-    def copy(self) -> "DailyGrid":
-        return DailyGrid(self.mmsi, self.day, self.values.copy(), self.mask.copy())
+def _missing_fraction(mask: np.ndarray) -> np.ndarray:
+    return 1.0 - mask.sum(axis=1) / N_SLOTS
 
 
 @dataclass(frozen=True)
@@ -126,73 +122,59 @@ class NormalizationStats:
             return cls.from_text(path.read_text(encoding="utf-8"))
 
 
-def vessel_days(track: VesselTrack) -> list[date]:
-    """UTC days touched by the track, judged by each record's nearest slot."""
-    slots = (track.records["t"] + SLOT_SECONDS // 2) // SLOT_SECONDS
-    return [date.fromordinal(_EPOCH_ORDINAL + int(d)) for d in np.unique(slots // N_SLOTS)]
+def resample_daily(track: VesselTrack, tolerance_s: float = DEFAULT_TOLERANCE_S) -> DayGrids:
+    """Snap the track's records onto the grid of every UTC day it touches.
 
-
-def resample_daily(
-    track: VesselTrack, day: date, tolerance_s: float = DEFAULT_TOLERANCE_S
-) -> DailyGrid:
-    """Snap records onto the day's 48-slot grid.
-
-    Slot i takes the record closest to its grid instant within +/-
-    tolerance; ties prefer the earlier record. Each record can fill at
-    most one slot (its nearest one). Only the records whose nearest slot
-    lies in the day are read; the track must be sorted by time.
+    A record belongs to the day of its nearest slot (half a slot rounds
+    up), and every day that holds a record gets a row, even one with no
+    record within tolerance. Slot i takes the record closest to its grid
+    instant within +/- tolerance; ties prefer the earlier record. Each
+    record can fill at most one slot (its nearest one). The track must be
+    sorted by time.
     """
     if tolerance_s < 0:
         raise ConfigError("tolerance must be >= 0 seconds")
-    start = (day.toordinal() - _EPOCH_ORDINAL) * DAY_SECONDS
-    half = SLOT_SECONDS // 2
-    lo, hi = np.searchsorted(track.records["t"], [start - half, start + DAY_SECONDS - half])
-    window = track.records[lo:hi]
-    offset = window["t"] - start
-    slot = (offset + half) // SLOT_SECONDS  # nearest slot, half rounds up
-    distance = np.abs(offset - slot * SLOT_SECONDS)
+    t = track.records["t"]
+    slot = (t + SLOT_SECONDS // 2) // SLOT_SECONDS  # nearest slot since the epoch
+    distance = np.abs(t - slot * SLOT_SECONDS)
+    days, day_row = np.unique(slot // N_SLOTS, return_inverse=True)
     near = np.flatnonzero(distance <= tolerance_s)
     # Per slot, the nearest record; the stable sort keeps the earlier on ties.
     near = near[np.lexsort((distance[near], slot[near]))]
     best = near[np.unique(slot[near], return_index=True)[1]]
 
-    values = np.full((N_SLOTS, N_FEATURES), np.nan)
-    mask = np.zeros(N_SLOTS, dtype=bool)
+    values = np.full((len(days), N_SLOTS, N_FEATURES), np.nan)
+    mask = np.zeros((len(days), N_SLOTS), dtype=bool)
+    row, col = day_row[best], slot[best] % N_SLOTS
     for j, name in enumerate(FEATURES):
-        values[slot[best], j] = window[name][best]
-    mask[slot[best]] = True
-    return DailyGrid(mmsi=track.mmsi, day=day, values=values, mask=mask)
+        values[row, col, j] = track.records[name][best]
+    mask[row, col] = True
+    ids = list(zip([track.mmsi] * len(days), days.astype("datetime64[D]").tolist()))
+    return DayGrids(ids, values, mask)
 
 
-def interpolate_gaps(grid: DailyGrid, max_fill: int = DEFAULT_MAX_FILL) -> DailyGrid:
-    """Fill interior missing runs of length <= max_fill by per-feature
-    linear interpolation over slot index.
+def interpolate_gaps(values: np.ndarray, mask: np.ndarray,
+                     max_fill: int = DEFAULT_MAX_FILL) -> None:
+    """Fill interior missing runs of length <= max_fill in place, by
+    per-feature linear interpolation over slot index.
 
-    Leading/trailing runs are never filled (no extrapolation) and longer
-    runs stay missing. Present cells are never modified.
+    `values` is (N, 48, 4) and `mask` (N, 48); a filled slot is set in
+    both. Leading/trailing runs are never filled (no extrapolation) and
+    longer runs stay missing. Present cells are never modified.
     """
     if max_fill < 0:
         raise ConfigError("max_fill must be >= 0")
-    out = grid.copy()
-    i = 0
-    while i < N_SLOTS:
-        if out.mask[i]:
-            i += 1
-            continue
-        run_start = i
-        while i < N_SLOTS and not out.mask[i]:
-            i += 1
-        run_end = i - 1  # inclusive
-        interior = run_start > 0 and run_end < N_SLOTS - 1
-        if not interior or (run_end - run_start + 1) > max_fill:
-            continue
-        left, right = run_start - 1, run_end + 1
-        span = right - left
-        for slot in range(run_start, run_end + 1):
-            frac = (slot - left) / span
-            out.values[slot] = out.values[left] + frac * (out.values[right] - out.values[left])
-            out.mask[slot] = True
-    return out
+    slots = np.arange(N_SLOTS)
+    # Each slot's nearest present slot at or before it (-1 if none) and at
+    # or after it (N_SLOTS if none).
+    left = np.maximum.accumulate(np.where(mask, slots, -1), axis=1)
+    right = np.minimum.accumulate(np.where(mask, slots, N_SLOTS)[:, ::-1], axis=1)[:, ::-1]
+    fill = ~mask & (left >= 0) & (right < N_SLOTS) & (right - left - 1 <= max_fill)
+    day, slot = np.nonzero(fill)
+    lo, hi = left[fill], right[fill]
+    frac = (slot - lo) / (hi - lo)
+    values[day, slot] = values[day, lo] + frac[:, None] * (values[day, hi] - values[day, lo])
+    mask |= fill
 
 
 def denormalize(value: float, feature: int | str, stats: NormalizationStats) -> float:
@@ -234,53 +216,52 @@ def build_daily_grids(
     tolerance_s: float = DEFAULT_TOLERANCE_S,
     min_entries: int = DEFAULT_MIN_ENTRIES,
     max_fill: int = DEFAULT_MAX_FILL,
-) -> tuple[list[DailyGrid], PreprocessSummary]:
+) -> tuple[DayGrids, PreprocessSummary]:
     """Resample every vessel-day, drop days with fewer than `min_entries`
     present slots, interpolate gaps. The tracks are consumed one at a time,
     so they may be streamed."""
     if not 0 <= min_entries <= N_SLOTS:
         raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
-    grids: list[DailyGrid] = []
-    summary = PreprocessSummary(missing_histogram=[0] * 10)
+    summary = PreprocessSummary()
+    ids, values, masks = [], [np.empty((0, N_SLOTS, N_FEATURES))], [np.empty((0, N_SLOTS), bool)]
     for track in tracks:
-        for day in vessel_days(track):
-            summary.days_total += 1
-            grid = resample_daily(track, day, tolerance_s)
-            if grid.present_count < min_entries:
-                summary.days_sparse_dropped += 1
-                continue
-            grid = interpolate_gaps(grid, max_fill)
-            bin_index = min(int(grid.missing_fraction * 10), 9)
-            summary.missing_histogram[bin_index] += 1
-            grids.append(grid)
+        grids = resample_daily(track, tolerance_s)
+        summary.days_total += len(grids)
+        grids = grids.take(grids.mask.sum(axis=1) >= min_entries)
+        interpolate_gaps(grids.values, grids.mask, max_fill)
+        ids += grids.ids
+        values.append(grids.values)
+        masks.append(grids.mask)
+    grids = DayGrids(ids, np.concatenate(values), np.concatenate(masks))
+    summary.days_sparse_dropped = summary.days_total - len(grids)
+    bins = np.minimum((_missing_fraction(grids.mask) * 10).astype(np.int64), 9)
+    summary.missing_histogram = np.bincount(bins, minlength=10).tolist()
     return grids, summary
 
 
 def normalize_corpus(
-    grids: Sequence[DailyGrid],
+    grids: DayGrids,
     max_missing_fraction: float = DEFAULT_MAX_MISSING_FRACTION,
     summary: PreprocessSummary | None = None,
 ) -> tuple[np.ndarray, list[tuple[str, date]], NormalizationStats]:
     """Apply the 30%-missing rule, then min-max normalize the surviving days.
 
     The stats are each feature's extrema over every present cell of the
-    surviving (post-interpolation) grids, so present cells land in [0, 1];
+    surviving (post-interpolation) days, so present cells land in [0, 1];
     missing slots become -1. Returns the (N, 48, 4) tensor, the
     (mmsi, day) id of each row, and the stats.
     """
-    survivors = [g for g in grids if g.missing_fraction <= max_missing_fraction]
+    survivors = grids.take(_missing_fraction(grids.mask) <= max_missing_fraction)
     if summary is not None:
         summary.days_missing_dropped += len(grids) - len(survivors)
         summary.days_kept += len(survivors)
-    values = np.array([g.values for g in survivors]).reshape(-1, N_SLOTS, N_FEATURES)
-    mask = np.array([g.mask for g in survivors], dtype=bool).reshape(-1, N_SLOTS)
-    present = values[mask]
+    present = survivors.values[survivors.mask]
     if present.size == 0:
         raise DataError("cannot compute normalization stats: no present values")
     stats = NormalizationStats(minimum=present.min(axis=0), maximum=present.max(axis=0))
-    tensor = np.full(values.shape, SENTINEL)
-    tensor[mask] = (present - stats.minimum) / (stats.maximum - stats.minimum)
-    return tensor, [(g.mmsi, g.day) for g in survivors], stats
+    tensor = np.full(survivors.values.shape, SENTINEL)
+    tensor[survivors.mask] = (present - stats.minimum) / (stats.maximum - stats.minimum)
+    return tensor, survivors.ids, stats
 
 
 # ---------------------------------------------------------------------------

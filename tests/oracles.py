@@ -335,11 +335,105 @@ def reference_adam_update(params, grads, m, v, step, alpha=1e-3, beta1=0.9,
         p -= alpha * m_hat / (np.sqrt(v_hat) + eps)
 
 
+_SLOT_SECONDS, _N_SLOTS = 1800, 48
+_DAY_SECONDS = _N_SLOTS * _SLOT_SECONDS
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_FEATURES = ("lat", "lon", "sog", "cog")
+
+
+@dataclass
+class ReferenceDay:
+    """One vessel's day on the half-hour grid: slot i is 00:00 + i*30min;
+    `values` (48, 4) is NaN where `mask` (48,) is False."""
+
+    mmsi: str
+    day: date
+    values: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def missing_fraction(self):
+        return 1.0 - int(self.mask.sum()) / _N_SLOTS
+
+
+def _reference_vessel_days(track):
+    """UTC days touched by the track, judged by each record's nearest slot."""
+    slots = (track.records["t"] + _SLOT_SECONDS // 2) // _SLOT_SECONDS
+    return [date.fromordinal(_EPOCH_ORDINAL + int(d)) for d in np.unique(slots // _N_SLOTS)]
+
+
+def reference_resample_day(track, day, tolerance_s):
+    """One day's grid from the records whose nearest slot lies in the day:
+    per slot the nearest record within tolerance, the earlier on ties."""
+    start = (day.toordinal() - _EPOCH_ORDINAL) * _DAY_SECONDS
+    half = _SLOT_SECONDS // 2
+    lo, hi = np.searchsorted(track.records["t"], [start - half, start + _DAY_SECONDS - half])
+    window = track.records[lo:hi]
+    offset = window["t"] - start
+    slot = (offset + half) // _SLOT_SECONDS
+    distance = np.abs(offset - slot * _SLOT_SECONDS)
+    near = np.flatnonzero(distance <= tolerance_s)
+    near = near[np.lexsort((distance[near], slot[near]))]
+    best = near[np.unique(slot[near], return_index=True)[1]]
+    values = np.full((_N_SLOTS, 4), np.nan)
+    mask = np.zeros(_N_SLOTS, dtype=bool)
+    for j, name in enumerate(_FEATURES):
+        values[slot[best], j] = window[name][best]
+    mask[slot[best]] = True
+    return ReferenceDay(track.mmsi, day, values, mask)
+
+
+def reference_interpolate_day(grid, max_fill):
+    """Fill interior missing runs of <= max_fill slots, run by run and slot
+    by slot, from the run's two present neighbours; returns a new day."""
+    values, mask = grid.values.copy(), grid.mask.copy()
+    i = 0
+    while i < _N_SLOTS:
+        if mask[i]:
+            i += 1
+            continue
+        run_start = i
+        while i < _N_SLOTS and not mask[i]:
+            i += 1
+        run_end = i - 1
+        if run_start == 0 or run_end == _N_SLOTS - 1 or run_end - run_start + 1 > max_fill:
+            continue
+        left, right = run_start - 1, run_end + 1
+        for slot in range(run_start, run_end + 1):
+            frac = (slot - left) / (right - left)
+            values[slot] = values[left] + frac * (values[right] - values[left])
+            mask[slot] = True
+    return ReferenceDay(grid.mmsi, grid.day, values, mask)
+
+
+def reference_build_daily_grids(tracks, tolerance_s, min_entries, max_fill):
+    """The per-day path: every day a track touches is resampled on its own,
+    sparse days are dropped, the rest interpolated one at a time. Returns
+    the ReferenceDay list and the summary counts (days_total,
+    days_sparse_dropped and the 10-bin missing-fraction histogram)."""
+    grids, counts = [], {"days_total": 0, "days_sparse_dropped": 0,
+                         "missing_histogram": [0] * 10}
+    for track in tracks:
+        for day in _reference_vessel_days(track):
+            counts["days_total"] += 1
+            grid = reference_resample_day(track, day, tolerance_s)
+            if int(grid.mask.sum()) < min_entries:
+                counts["days_sparse_dropped"] += 1
+                continue
+            grid = reference_interpolate_day(grid, max_fill)
+            counts["missing_histogram"][min(int(grid.missing_fraction * 10), 9)] += 1
+            grids.append(grid)
+    return grids, counts
+
+
 def reference_normalize_corpus(grids, max_missing_fraction):
-    """Day-by-day normalization: the 30%-missing rule, then per-feature
-    extrema accumulated grid by grid over the present cells, then each
-    surviving grid scaled on its own, clipped to [0, 1], and its missing
-    slots written as -1. Returns (matrices, ids, minimum, maximum)."""
+    """Day-by-day normalization of ReferenceDays: the 30%-missing rule,
+    then per-feature extrema accumulated grid by grid over the present
+    cells, then each surviving grid scaled on its own, clipped to [0, 1],
+    and its missing slots written as -1. Returns (matrices, ids, minimum,
+    maximum); no present cell at all is the DataError the program raises."""
+    from ais_outliers.errors import DataError
+
     survivors = [g for g in grids if g.missing_fraction <= max_missing_fraction]
     minimum = np.full(4, np.inf)
     maximum = np.full(4, -np.inf)
@@ -348,6 +442,8 @@ def reference_normalize_corpus(grids, max_missing_fraction):
         if present.size:
             np.minimum(minimum, present.min(axis=0), out=minimum)
             np.maximum(maximum, present.max(axis=0), out=maximum)
+    if not np.isfinite(minimum).all():
+        raise DataError("cannot compute normalization stats: no present values")
     matrices = []
     for grid in survivors:
         scaled = np.clip((grid.values - minimum) / (maximum - minimum), 0.0, 1.0)

@@ -235,12 +235,13 @@ def test_pipeline_oracle():
 
         # Post-interpolation grids match the closed-form construction exactly.
         expected = fixture_ais.expected_surviving_grids()
-        surviving = {g.mmsi: g for g in grids
-                     if g.missing_fraction <= 0.30}
+        surviving = {mmsi: (grids.values[row], grids.mask[row])
+                     for row, (mmsi, _) in enumerate(grids.ids)
+                     if 1.0 - grids.mask[row].sum() / 48 <= 0.30}
         for mmsi, (exp_values, exp_mask) in expected.items():
-            grid = surviving[mmsi]
-            npt.assert_array_equal(grid.mask, exp_mask)
-            npt.assert_allclose(grid.values[exp_mask], exp_values[exp_mask],
+            values, mask = surviving[mmsi]
+            npt.assert_array_equal(mask, exp_mask)
+            npt.assert_allclose(values[exp_mask], exp_values[exp_mask],
                                 rtol=0, atol=1e-12,
                                 err_msg=f"vessel {mmsi} grid mismatch")
 

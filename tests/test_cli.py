@@ -66,6 +66,14 @@ def test_non_utf8_config_file_is_one_line_config_error(tmp_path, capsys):
     ("deterministic=true", "unknown configuration key"),
     ("histogram_bins=0", "histogram_bins must be >= 1"),
     ("min_appearances=0", "min_appearances must be >= 1"),
+    ("tolerance_s=-1", "tolerance_s must be >= 0"),
+    ("min_entries=-1", "min_entries must be in [0, 48]"),
+    ("min_entries=49", "min_entries must be in [0, 48]"),
+    ("max_fill=-1", "max_fill must be >= 0"),
+    ("test_fraction=1.5", "test_fraction must be in (0, 1)"),
+    ("test_fraction=0", "test_fraction must be in (0, 1)"),
+    ("val_fraction=1", "val_fraction must be in (0, 1)"),
+    ("val_fraction=-0.2", "val_fraction must be in (0, 1)"),
 ])
 def test_rejected_config_is_one_line_config_error(tmp_path, capsys, key, message):
     # Rejected before any artifact is read: the run directory does not exist.
@@ -218,6 +226,26 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
     assert split["n_train"] + split["n_val"] + split["n_test"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
     assert split["n_test"] == len((run_dir / "test_index.csv").read_text().splitlines()) - 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, as in `ais-outliers preprocess | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_stage_is_recorded_before_it_prints(tmp_path, corpus_dir, monkeypatch):
+    run_dir = tmp_path / "run"
+    stages = ("ingest", "preprocess", "split", "train", "score", "export-geojson")
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    for done, command in enumerate(stages, start=1):
+        main(run_args(corpus_dir, run_dir, command))
+        recorded = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        assert set(recorded) == set(stages[:done]), command
 
 
 def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):
