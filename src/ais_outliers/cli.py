@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import os
 import sys
 import time
 from dataclasses import fields
@@ -398,26 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"ingest": cmd_ingest, "preprocess": cmd_preprocess, "split": cmd_split,
+                "train": cmd_train, "report": cmd_report,
+                "score": lambda config: cmd_score(config, args.checkpoint),
+                "export-geojson": lambda config: cmd_export_geojson(
+                    config, args.mmsi, args.day, args.output)}
     try:
         config = _build_config(args)
         if args.print_config:
             print(config.to_text(), end="")
-            return 0
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "preprocess":
-            return cmd_preprocess(config)
-        if args.command == "split":
-            return cmd_split(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "score":
-            return cmd_score(config, args.checkpoint)
-        if args.command == "export-geojson":
-            return cmd_export_geojson(config, args.mmsi, args.day, args.output)
-        if args.command == "report":
-            return cmd_report(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+            code = 0
+        else:
+            code = commands[args.command](config)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -427,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left (`| head`) after the stage recorded
+        sys.stdout = open(os.devnull, "w")  # so the final flush at exit cannot fail
+        return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

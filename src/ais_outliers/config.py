@@ -47,7 +47,6 @@ class RunConfig:
     recurrent_dropout_rate: float = 0.2
     input_dropout_rate: float = 0.0
     dense_dropout_rate: float = 0.2
-    gru_convention: str = "z_gates_candidate"
     # train
     epochs: int = 5
     batch_size: int = 256
@@ -66,7 +65,7 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.max_missing_fraction < 1.0:
             raise ConfigError("max_missing_fraction must be in (0, 1)")
-        if self.min_length < 0:
+        if not self.min_length >= 0:
             raise ConfigError("min_length must be >= 0")
         if not self.tolerance_s >= 0:
             raise ConfigError("tolerance_s must be >= 0")
@@ -79,7 +78,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in (0, 1)")
         if self.threshold_scores not in ("test", "train"):
             raise ConfigError("threshold_scores must be 'test' or 'train'")
-        if self.sigma_k <= 0:
+        if not self.sigma_k > 0:
             raise ConfigError("sigma_k must be > 0")
         if self.histogram_bins < 1:
             raise ConfigError("histogram_bins must be >= 1")
@@ -87,6 +86,8 @@ class RunConfig:
             raise ConfigError("min_appearances must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < float("inf"):
+            raise ConfigError("learning_rate must be finite and > 0")
         self.model_config()  # delegates model-field validation
 
     def model_config(self) -> ModelConfig:
@@ -99,7 +100,6 @@ class RunConfig:
             recurrent_dropout_rate=self.recurrent_dropout_rate,
             input_dropout_rate=self.input_dropout_rate,
             dense_dropout_rate=self.dense_dropout_rate,
-            gru_convention=self.gru_convention,
         )
 
     def schema(self) -> dict[str, str]:

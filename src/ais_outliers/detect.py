@@ -107,7 +107,7 @@ def flag_outliers(rmse: np.ndarray, ids: Ids,
                   dist: ScoreDistribution, k: float = DEFAULT_SIGMA_K) -> OutlierReport:
     """Flag rows strictly above mean + k*sigma, RMSE descending; equal
     RMSEs go by MMSI, then day."""
-    if k <= 0:
+    if not k > 0:
         raise DataError(f"sigma multiplier must be > 0, got {k}")
     threshold = dist.mean + k * dist.std
     rows = np.flatnonzero(rmse > threshold)

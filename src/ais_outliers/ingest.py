@@ -344,7 +344,7 @@ def filter_by_length(
     Records with unknown (NaN) length are dropped: the filter is defined on
     length and cannot be evaluated without it.
     """
-    if min_length < 0:
+    if not min_length >= 0:
         raise ConfigError("min_length must be >= 0")
     return records[records["length"] > min_length]
 

@@ -11,15 +11,16 @@ With epsilon outside the square root, the first step reduces to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import ShapeError
 
 DEFAULT_ALPHA = 1e-3
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS = 1e-8
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -30,16 +31,13 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     alpha: float = DEFAULT_ALPHA
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    eps: float = DEFAULT_EPS
+    beta1: ClassVar[float] = BETA1  # constants, not fields: no caller sets them
+    beta2: ClassVar[float] = BETA2
+    eps: ClassVar[float] = EPS
 
     @classmethod
-    def for_params(cls, params: np.ndarray, alpha: float = DEFAULT_ALPHA,
-                   beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
-                   eps: float = DEFAULT_EPS) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params),
-                   alpha=alpha, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: np.ndarray, alpha: float = DEFAULT_ALPHA) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), alpha=alpha)
 
 
 def adam_update(params: np.ndarray, grads: np.ndarray,
@@ -51,11 +49,11 @@ def adam_update(params: np.ndarray, grads: np.ndarray,
                          f"{state.m.shape} must equal parameter shape {params.shape}")
     state.step += 1
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** state.step)
-    v_hat = v / (1.0 - state.beta2 ** state.step)
-    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** state.step)
+    v_hat = v / (1.0 - BETA2 ** state.step)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state

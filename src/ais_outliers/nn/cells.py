@@ -19,8 +19,6 @@ import numpy as np
 
 from ..errors import ShapeError
 
-GRU_CONVENTIONS = ("z_gates_candidate", "z_gates_state")
-
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5*(1 + tanh(x/2)), which cannot overflow.
@@ -104,7 +102,7 @@ def _gate_major(a: np.ndarray, gates: int, h: int) -> np.ndarray:
 
 
 def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
-         convention: str, acts: np.ndarray, h_out: np.ndarray) -> None:
+         acts: np.ndarray, h_out: np.ndarray) -> None:
     """One recurrent step from the projected input `xw = x @ w_x + b`.
 
     `xw` and `acts` are gate-major, (G, .., H): one block per gate, so each
@@ -130,15 +128,13 @@ def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
     if not g:
         h_out[...] = cand
         return
-    # h = z * gated + (1 - z) * other, for the convention's choice of gated
-    gated, other = (cand, h_prev) if convention == "z_gates_candidate" else (h_prev, cand)
-    np.multiply(z, gated, out=h_out)
+    np.multiply(z, cand, out=h_out)  # h = z * h~ + (1 - z) * h_prev
     rest = 1.0 - z
-    rest *= other
+    rest *= h_prev
     h_out += rest
 
 
-def _single_step(x, h_prev, p: CellParams, convention: str) -> np.ndarray:
+def _single_step(x, h_prev, p: CellParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     if x.shape[-1] != p.input_size:
@@ -147,31 +143,26 @@ def _single_step(x, h_prev, p: CellParams, convention: str) -> np.ndarray:
         raise ShapeError(f"state has {h_prev.shape[-1]} units, cell expects {p.hidden_size}")
     if x.shape[:-1] != h_prev.shape[:-1]:
         raise ShapeError(f"batch mismatch between input {x.shape} and state {h_prev.shape}")
-    if convention not in GRU_CONVENTIONS:
-        raise ShapeError(f"unknown GRU convention {convention!r}")
     xw = _gate_major(x @ p.w_x + p.b, p.gates, p.hidden_size)
     h = np.empty_like(h_prev)
-    step(xw, h_prev, h_prev, p, convention, np.empty((p.gates, *h_prev.shape)), h)
+    step(xw, h_prev, h_prev, p, np.empty((p.gates, *h_prev.shape)), h)
     return h
 
 
 def simple_rnn_step(x: np.ndarray, h_prev: np.ndarray, p: SimpleRnnCellParams) -> np.ndarray:
     """One SimpleRNN step: tanh(x @ w_x + h_prev @ w_h + b)."""
-    return _single_step(x, h_prev, p, "z_gates_candidate")
+    return _single_step(x, h_prev, p)
 
 
-def gru_step(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    p: GruCellParams,
-    convention: str = "z_gates_candidate",
-) -> np.ndarray:
+def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruCellParams) -> np.ndarray:
     """One GRU step.
 
     z = sigmoid(x W_xz + h W_hz + b_z)
     r = sigmoid(x W_xr + h W_hr + b_r)
     h~ = tanh(x W_xh + (r * h) W_hh + b_h)
-    h_t = (1 - z) * h + z * h~          ("z_gates_candidate", the default)
-    h_t = z * h + (1 - z) * h~          ("z_gates_state")
+    h_t = (1 - z) * h + z * h~
+
+    The other common form, h_t = z * h + (1 - z) * h~, is this cell with the
+    update gate's weights and bias negated: sigmoid(-a) = 1 - sigmoid(a).
     """
-    return _single_step(x, h_prev, p, convention)
+    return _single_step(x, h_prev, p)

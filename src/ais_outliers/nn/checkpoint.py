@@ -6,6 +6,10 @@ declaration order as little-endian float64.
 Version 2 stores each cell's fused tensors (w_x, w_h, b). Version 1 stored
 the GRU gates separately and the config carried a `dtype` key; it is still
 read, by concatenating the per-gate tensors and dropping that key.
+
+A `gru_convention` config key of either version is dropped. Its value
+"z_gates_state" (h = z * h_prev + (1 - z) * h~) loads as the same model with
+the update gate's weights and bias negated, since sigmoid(-a) = 1 - sigmoid(a).
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
     offset += config_len
     if version == 1:
         config_dict.pop("dtype", None)
+    convention = config_dict.pop("gru_convention", "z_gates_candidate")
+    if convention not in ("z_gates_candidate", "z_gates_state"):
+        raise ConfigError(f"unknown gru_convention {convention!r}")
     config = ModelConfig.from_dict(config_dict)
 
     loaded: dict[str, np.ndarray] = {}
@@ -108,6 +115,10 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
             raise DataError(
                 f"tensor {name} has shape {loaded[name].shape}, expected {arr.shape}")
         arr[...] = loaded[name]
+    if convention == "z_gates_state" and config.cell_kind == "gru":
+        for cell in params.layers:
+            for view in (cell.w_xz, cell.w_hz, cell.b_z):
+                np.negative(view, out=view)
     return RecurrentAutoencoder(config, params)
 
 

@@ -77,7 +77,6 @@ def unroll(
     cell: CellParams,
     input_mask: np.ndarray | None = None,
     recurrent_mask: np.ndarray | None = None,
-    gru_convention: str = "z_gates_candidate",
     want_cache: bool = False,
 ) -> tuple[np.ndarray, list[dict] | None]:
     """Run one recurrent layer over a (B, T, D) sequence from a zero state.
@@ -102,12 +101,11 @@ def unroll(
     if cell.w_x.ndim != 3 or k not in (1, 2):
         raise ShapeError(f"cell tensors need a direction axis of 1 or 2, got w_x {cell.w_x.shape}")
     if not (want_cache and k == 2 and len(seq) > _STACK_MAX_BATCH):
-        h_seq, cache = _scan(seq, cell, input_mask, recurrent_mask, gru_convention,
-                             want_cache, range(k))
+        h_seq, cache = _scan(seq, cell, input_mask, recurrent_mask, want_cache, range(k))
         return h_seq, [cache] if want_cache else None
     runs = [_scan(seq, cell[d:d + 1], None if input_mask is None else input_mask[d:d + 1],
                   None if recurrent_mask is None else recurrent_mask[d:d + 1],
-                  gru_convention, True, range(d, d + 1)) for d in range(k)]
+                  True, range(d, d + 1)) for d in range(k)]
     return np.concatenate([h for h, _ in runs], axis=-1), [cache for _, cache in runs]
 
 
@@ -132,7 +130,7 @@ def unroll_backward(
 
 
 def _scan(seq: np.ndarray, cell: CellParams, input_mask: np.ndarray | None,
-          recurrent_mask: np.ndarray | None, gru_convention: str, want_cache: bool,
+          recurrent_mask: np.ndarray | None, want_cache: bool,
           directions: range) -> tuple[np.ndarray, dict | None]:
     """`unroll` as one scan of the stacked `directions`; the cache is one dict."""
     k, h, gates = len(cell.w_x), cell.hidden_size, cell.gates
@@ -156,7 +154,7 @@ def _scan(seq: np.ndarray, cell: CellParams, input_mask: np.ndarray | None,
         row = i % rows
         hm_i = (hs[i] if recurrent_mask is None
                 else np.multiply(hs[i], recurrent_mask, out=hm[row]))
-        step(xw[i % chunk], hs[i], hm_i, cell, gru_convention, acts[row], hs[i + 1])
+        step(xw[i % chunk], hs[i], hm_i, cell, acts[row], hs[i + 1])
 
     h_seq = np.empty((batch, timesteps, k, h))
     for j, d in enumerate(directions):
@@ -164,8 +162,7 @@ def _scan(seq: np.ndarray, cell: CellParams, input_mask: np.ndarray | None,
     cache = None
     if want_cache:
         cache = {"xm": xm, "hs": hs, "hm": hm, "acts": acts, "input_mask": input_mask,
-                 "recurrent_mask": recurrent_mask, "gru_convention": gru_convention,
-                 "directions": directions}
+                 "recurrent_mask": recurrent_mask, "directions": directions}
     return h_seq.reshape(batch, timesteps, k * h), cache
 
 
@@ -192,10 +189,7 @@ def _scan_backward(d_hseq: np.ndarray, cell: CellParams,
         if g:
             z, r = acts[i, 0], acts[i, 1]
             keep = 1.0 - z
-            if cache["gru_convention"] == "z_gates_candidate":
-                dz, d_cand, d_direct = dh * (cand - hs[i]), dh * z, dh * keep
-            else:
-                dz, d_cand, d_direct = dh * (hs[i] - cand), dh * keep, dh * z
+            dz, d_cand, d_direct = dh * (cand - hs[i]), dh * z, dh * keep
         else:
             d_cand, d_direct = dh, 0.0
         np.multiply(d_cand, 1.0 - cand ** 2, out=dp[g])

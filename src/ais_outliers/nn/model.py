@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigError, NumericError, ShapeError
-from .cells import GRU_CONVENTIONS, CellParams, GruCellParams, SimpleRnnCellParams
+from .cells import CellParams, GruCellParams, SimpleRnnCellParams
 from .dropout import DropoutMasks, sample_masks
 from .layers import dense_backward, dense_per_timestep, unroll, unroll_backward
 
@@ -32,13 +32,10 @@ class ModelConfig:
     dense_dropout_rate: float = 0.0      # conventional, before the output head
     timesteps: int = 48
     features: int = 4
-    gru_convention: str = "z_gates_candidate"
 
     def __post_init__(self):
         if self.cell_kind not in CELL_KINDS:
             raise ConfigError(f"cell_kind must be one of {CELL_KINDS}, got {self.cell_kind!r}")
-        if self.gru_convention not in GRU_CONVENTIONS:
-            raise ConfigError(f"gru_convention must be one of {GRU_CONVENTIONS}")
         if self.layers < 1:
             raise ConfigError("model needs at least one recurrent layer")
         if self.hidden < 1 or self.timesteps < 1 or self.features < 1:
@@ -175,8 +172,7 @@ def _forward_full(params: ModelParams, config: ModelConfig, batch: np.ndarray,
     caches = []
     for i, cell in enumerate(params.layers):
         out, cache = unroll(seq, cell, masks.input_masks[i] if masks else None,
-                            masks.recurrent_masks[i] if masks else None,
-                            config.gru_convention, want_cache)
+                            masks.recurrent_masks[i] if masks else None, want_cache)
         caches.append(cache)
         _check_finite(out, f"recurrent layer {i}")
         if i < config.layers - 1 and masks is not None and masks.interlayer[i] is not None:

@@ -67,6 +67,8 @@ def train(
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
+    if not 0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be finite and > 0, got {learning_rate}")
     train_set = np.asarray(train_set, dtype=np.float64)
     val_set = np.asarray(val_set, dtype=np.float64)
     n = train_set.shape[0]

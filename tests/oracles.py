@@ -289,15 +289,18 @@ def reference_layer_backward(d_out, layer, caches):
     return d_x, grads
 
 
-def reference_loss_and_gradients(params, config, batch, masks):
+def reference_loss_and_gradients(params, config, batch, masks,
+                                 convention="z_gates_candidate"):
     """The model's forward pass and MSE gradients composed from
-    `reference_layer`: (pred, layer outputs, gradients by dotted name)."""
+    `reference_layer`: (pred, layer outputs, gradients by dotted name).
+    `convention` names the GRU update rule: "z_gates_candidate" is
+    h = (1 - z) * h_prev + z * h~, "z_gates_state" h = z * h_prev + (1 - z) * h~."""
     last = config.layers - 1
     seq, outputs, caches = batch, [], []
     for i, layer in enumerate(params.layers):
         out, layer_caches = reference_layer(
             seq, layer, masks.input_masks[i] if masks else None,
-            masks.recurrent_masks[i] if masks else None, config.gru_convention)
+            masks.recurrent_masks[i] if masks else None, convention)
         outputs.append(out)
         caches.append(layer_caches)
         if i < last and masks is not None and masks.interlayer[i] is not None:

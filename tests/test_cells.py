@@ -122,16 +122,20 @@ def test_gru_scalar_loop_oracle(rng):
 
 
 def test_gru_both_conventions(rng):
+    # The one update rule, h = (1 - z) * h_prev + z * h~, and the other
+    # common form, h = z * h_prev + (1 - z) * h~: the same cell with the
+    # update gate's weights and bias negated.
     p = random_gru_params(rng, 2, 2)
     x = rng.uniform(-1, 1, 2)
     h_prev = rng.uniform(-1, 1, 2)
-    for convention in ("z_gates_candidate", "z_gates_state"):
-        mine = gru_step(x, h_prev, p, convention)
-        gold = gru_step_loop(x, h_prev, p, convention)
-        npt.assert_allclose(mine, gold, atol=1e-12)
-    a = gru_step(x, h_prev, p, "z_gates_candidate")
-    b = gru_step(x, h_prev, p, "z_gates_state")
-    assert not np.allclose(a, b)
+    mine = gru_step(x, h_prev, p)
+    npt.assert_allclose(mine, gru_step_loop(x, h_prev, p), atol=1e-12)
+    assert not np.allclose(mine, gru_step_loop(x, h_prev, p, "z_gates_state"))
+    negated = GruCellParams(p.w_x.copy(), p.w_h.copy(), p.b.copy())
+    for view in (negated.w_xz, negated.w_hz, negated.b_z):
+        view *= -1.0
+    npt.assert_allclose(gru_step(x, h_prev, negated),
+                        gru_step_loop(x, h_prev, p, "z_gates_state"), atol=1e-12)
 
 
 def test_gru_batched_matches_rowwise(rng):

@@ -9,6 +9,8 @@ from ais_outliers.errors import DataError
 from ais_outliers.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 
+from oracles import reference_loss_and_gradients
+
 
 def build_model(seed=4):
     cfg = ModelConfig(cell_kind="gru", bidirectional=True, layers=1, hidden=5,
@@ -53,16 +55,39 @@ def test_truncated_file_rejected(tmp_path):
             load_checkpoint(path)
 
 
-def _v1_checkpoint_bytes(config: dict, tensors: dict) -> bytes:
-    """A checkpoint in the version-1 layout: per-gate GRU tensors and a
-    config that still carries `dtype`."""
-    blob = json.dumps(dict(config, dtype="float64"), sort_keys=True).encode()
-    out = [MAGIC, struct.pack("<II", 1, len(blob)), blob, struct.pack("<I", len(tensors))]
+def _checkpoint_bytes(version: int, config: dict, tensors: dict) -> bytes:
+    """A checkpoint of `version` holding `config` and `tensors` as given."""
+    blob = json.dumps(config, sort_keys=True).encode()
+    out = [MAGIC, struct.pack("<II", version, len(blob)), blob,
+           struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         out += [struct.pack("<I", len(name)), name.encode(),
                 struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
                 arr.astype("<f8").tobytes()]
     return b"".join(out)
+
+
+def _v1_checkpoint_bytes(config: dict, tensors: dict) -> bytes:
+    """A checkpoint in the version-1 layout: per-gate GRU tensors and a
+    config that still carries `dtype`."""
+    return _checkpoint_bytes(1, dict(config, dtype="float64"), tensors)
+
+
+_V1_PARTS = {"w_x": ("w_xz", "w_xr", "w_xh"), "w_h": ("w_hz", "w_hr", "w_hh"),
+             "b": ("b_z", "b_r", "b_h")}
+
+
+def _v1_gate_tensors(flat: dict) -> dict:
+    """Fused tensors split into the version-1 per-gate GRU names."""
+    out = {}
+    for name, arr in flat.items():
+        prefix, _, fused = name.rpartition(".")
+        if name.startswith("layer"):
+            for part, block in zip(_V1_PARTS[fused], np.split(arr, 3, axis=-1)):
+                out[f"{prefix}.{part}"] = block
+        else:
+            out[name] = arr
+    return out
 
 
 @pytest.mark.parametrize("cell_kind, v1_names", [
@@ -105,3 +130,66 @@ def test_reload_then_retrain_consistency(tmp_path, rng):
         assert name_a == name_b
         npt.assert_array_equal(a, b)
         assert a is not b
+
+
+# -- checkpoints whose config names the GRU update rule ----------------------
+# Older configs carry `gru_convention`. "z_gates_state" (h = z * h_prev +
+# (1 - z) * h~) loads as today's rule with the update gate negated.
+
+def _convention_checkpoint(path, model, version, convention):
+    config = dict(model.config.to_dict(), gru_convention=convention)
+    flat = model.params.flat()
+    if version == 1:
+        config["dtype"] = "float64"
+        if model.config.cell_kind == "gru":
+            flat = _v1_gate_tensors(flat)
+    path.write_bytes(_checkpoint_bytes(version, config, flat))
+
+
+def _stacked_two_layer(cell_kind):
+    cfg = ModelConfig(cell_kind=cell_kind, bidirectional=True, layers=2, hidden=5,
+                      timesteps=6, features=4)
+    return RecurrentAutoencoder.initialize(cfg, 8)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("cell_kind, convention", [
+    ("gru", "z_gates_candidate"), ("simple_rnn", "z_gates_candidate"),
+    ("simple_rnn", "z_gates_state")])
+def test_convention_that_changes_nothing_loads_bitwise(tmp_path, version, cell_kind,
+                                                       convention):
+    model = _stacked_two_layer(cell_kind)
+    path = tmp_path / "old.ckpt"
+    _convention_checkpoint(path, model, version, convention)
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    npt.assert_array_equal(loaded.params.vector, model.params.vector)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_z_gates_state_checkpoint_reconstructs_as_stored(tmp_path, rng, version):
+    model = _stacked_two_layer("gru")
+    path = tmp_path / "old.ckpt"
+    _convention_checkpoint(path, model, version, "z_gates_state")
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    batch = rng.uniform(0, 1, (7, 6, 4))
+    expected = reference_loss_and_gradients(model.params, model.config, batch, None,
+                                            "z_gates_state")[0]
+    npt.assert_allclose(loaded.reconstruct(batch), expected, rtol=0, atol=1e-12)
+    for (name, a), b in zip(loaded.params.flat().items(), model.params.flat().values()):
+        if name.startswith("layer"):  # every block but the update gate's as stored
+            h = model.config.hidden
+            npt.assert_array_equal(a[..., :h], -b[..., :h])
+            npt.assert_array_equal(a[..., h:], b[..., h:])
+        else:
+            npt.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_unknown_convention_is_one_line_data_error(tmp_path, version):
+    path = tmp_path / "old.ckpt"
+    _convention_checkpoint(path, _stacked_two_layer("gru"), version, "mystery")
+    with pytest.raises(DataError, match="gru_convention") as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -64,6 +67,11 @@ def test_non_utf8_config_file_is_one_line_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, message", [
     ("dtype=float32", "unknown configuration key"),
     ("deterministic=true", "unknown configuration key"),
+    ("gru_convention=z_gates_state", "unknown configuration key"),
+    ("learning_rate=-1", "learning_rate must be finite and > 0"),
+    ("learning_rate=nan", "learning_rate must be finite and > 0"),
+    ("sigma_k=nan", "sigma_k must be > 0"),
+    ("min_length=nan", "min_length must be >= 0"),
     ("histogram_bins=0", "histogram_bins must be >= 1"),
     ("min_appearances=0", "min_appearances must be >= 1"),
     ("tolerance_s=-1", "tolerance_s must be >= 0"),
@@ -241,11 +249,29 @@ class _ClosedPipe:
 def test_stage_is_recorded_before_it_prints(tmp_path, corpus_dir, monkeypatch):
     run_dir = tmp_path / "run"
     stages = ("ingest", "preprocess", "split", "train", "score", "export-geojson")
-    monkeypatch.setattr("sys.stdout", _ClosedPipe())
     for done, command in enumerate(stages, start=1):
-        main(run_args(corpus_dir, run_dir, command))
+        monkeypatch.setattr("sys.stdout", _ClosedPipe())
+        assert main(run_args(corpus_dir, run_dir, command)) == 0, command
         recorded = json.loads((run_dir / "manifest.json").read_text())["stages"]
         assert set(recorded) == set(stages[:done]), command
+
+
+@pytest.mark.parametrize("report_lines", [1, 20000])  # inside and beyond one buffer
+def test_report_into_a_closed_pipe_exits_0_silently(tmp_path, report_lines):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    RunManifest(run_dir).record_stage("ingest", "", "0", [], [], 0.0)
+    (run_dir / "ingest_report.txt").write_text("rows kept: 1\n" * report_lines)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    try:
+        done = subprocess.run([sys.executable, "-m", "ais_outliers.cli", "report",
+                               "--run-dir", str(run_dir)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):

@@ -38,7 +38,6 @@ def batch_for(cfg, rng, batch=2):
     dict(layers=0),
     dict(dropout_rate=1.0),
     dict(recurrent_dropout_rate=-0.1),
-    dict(gru_convention="mystery"),
 ])
 def test_bad_configs_rejected(kw):
     with pytest.raises(ConfigError):
@@ -292,16 +291,9 @@ def test_gradients_stacked_with_interlayer_dropout():
     assert gradient_check(cfg, seed=19, with_dropout=True) < 1e-4
 
 
-def test_gradients_opposite_gru_convention():
-    cfg = toy_config(cell_kind="gru", gru_convention="z_gates_state",
-                     hidden=2, timesteps=3)
-    assert gradient_check(cfg, seed=23) < 1e-4
-
-
 def test_gradients_two_layer_bidirectional_gru_all_dropout():
     cfg = toy_config(cell_kind="gru", bidirectional=True, layers=2, hidden=2, timesteps=3,
-                     gru_convention="z_gates_state", dropout_rate=0.3,
-                     recurrent_dropout_rate=0.4, input_dropout_rate=0.3,
+                     dropout_rate=0.3, recurrent_dropout_rate=0.4, input_dropout_rate=0.3,
                      dense_dropout_rate=0.3)
     assert gradient_check(cfg, seed=31, with_dropout=True) < 1e-4
 
@@ -314,8 +306,8 @@ def test_gradients_two_layer_bidirectional_simple_rnn():
 
 # -- the stacked scan against each direction scanned on its own -------------
 
-CELL_VARIANTS = [("gru", "z_gates_candidate"), ("gru", "z_gates_state"),
-                 ("simple_rnn", "z_gates_candidate")]
+# (cell kind, the update rule the reference scans with)
+CELL_VARIANTS = [("gru", "z_gates_candidate"), ("simple_rnn", "z_gates_candidate")]
 
 
 def _dropout_rates(on):
@@ -331,7 +323,7 @@ def _dropout_rates(on):
 @pytest.mark.parametrize("cell,convention", CELL_VARIANTS)
 def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirectional,
                                                        n_layers, dropout, batch_size):
-    cfg = toy_config(cell_kind=cell, gru_convention=convention, bidirectional=bidirectional,
+    cfg = toy_config(cell_kind=cell, bidirectional=bidirectional,
                      layers=n_layers, hidden=4, timesteps=20, **_dropout_rates(dropout))
     model = make_model(cfg, seed=41)
     rng = np.random.default_rng(43)
@@ -350,7 +342,7 @@ def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirect
         ref_out, ref_caches = reference_layer(seq, layer, im, rm, convention)
         d_out = rng.normal(size=ref_out.shape)
         ref_dx, ref_g = reference_layer_backward(d_out, layer, ref_caches)
-        out, cache = unroll(seq, layer, im, rm, convention, True)
+        out, cache = unroll(seq, layer, im, rm, True)
         assert len(cache) == (2 if bidirectional and batch_size > 32 else 1)
         npt.assert_array_equal(out, ref_out)
         d_x, g = unroll_backward(d_out, layer, cache)
@@ -362,7 +354,7 @@ def test_stacked_scan_matches_per_direction_reference(cell, convention, bidirect
             cols = slice(0, cfg.hidden)
             fwd = layer[0:1]
             out, cache = unroll(seq, fwd, None if im is None else im[:1],
-                                None if rm is None else rm[:1], convention, True)
+                                None if rm is None else rm[:1], True)
             npt.assert_array_equal(out, ref_out[..., cols])
             _, g = unroll_backward(d_out[..., cols], fwd, cache)
             for name, arr in g.items():
