@@ -7,6 +7,7 @@ import pytest
 
 from ais_outliers.errors import DataError
 from ais_outliers.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from ais_outliers.nn.dropout import sample_masks
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 
 from oracles import reference_loss_and_gradients
@@ -184,6 +185,41 @@ def test_z_gates_state_checkpoint_reconstructs_as_stored(tmp_path, rng, version)
             npt.assert_array_equal(a[..., h:], b[..., h:])
         else:
             npt.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_z_gates_state_checkpoint_trains_as_stored(tmp_path, bidirectional, n_layers,
+                                                   dropout, batch_size):
+    # Through every scan path (one stacked scan up to batch 32, one per
+    # direction above it; stacked layers; dropout masks), the loaded model's
+    # forward pass is the stored model's, and its gradients are the stored
+    # model's with the update gate's blocks negated.
+    rate = 0.3 if dropout else 0.0
+    cfg = ModelConfig(cell_kind="gru", bidirectional=bidirectional, layers=n_layers,
+                      hidden=4, timesteps=20, features=4, dropout_rate=rate,
+                      recurrent_dropout_rate=rate, input_dropout_rate=rate,
+                      dense_dropout_rate=rate)
+    stored = RecurrentAutoencoder.initialize(cfg, 41)
+    path = tmp_path / "old.ckpt"
+    _convention_checkpoint(path, stored, 2, "z_gates_state")
+    loaded = load_checkpoint(path)
+    rng = np.random.default_rng(43)
+    batch = rng.uniform(0, 1, (batch_size, cfg.timesteps, cfg.features))
+    masks = sample_masks(cfg, batch_size, rng) if dropout else None
+    pred, _, ref_grads = reference_loss_and_gradients(stored.params, cfg, batch, masks,
+                                                      "z_gates_state")
+    mode = "train" if masks else "eval"
+    npt.assert_allclose(loaded.forward(batch, mode=mode, masks=masks), pred,
+                        rtol=0, atol=1e-12)
+    _, grads = loaded.loss_and_gradients(batch, masks)
+    for name, arr in grads.flat().items():
+        expected = ref_grads[name].copy()
+        if name.startswith("layer"):
+            expected[..., :cfg.hidden] *= -1.0
+        npt.assert_allclose(arr, expected, rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("version", [1, 2])
