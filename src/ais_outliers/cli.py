@@ -5,6 +5,11 @@ Every stage persists its artifacts under the run directory and stamps the
 run manifest with config, checksums and wall time, so a finished run is
 reproducible from the manifest alone. Exit codes: 0 success, 1 usage or
 configuration error, 2 data error, 3 numeric failure.
+
+This module loads no numpy at import: each stage command imports the code
+it runs when it is called, and the manifest (with hashlib) loads only when
+a stage records itself. So `--version`, `--help` and `--print-config` stay
+cheap, and `ingest` never compiles the network code.
 """
 
 from __future__ import annotations
@@ -19,30 +24,10 @@ from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
-from . import __version__, detect
+from . import __version__
 from .atomic import atomic_write
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError, utf8_text
-from .geojson import export_days
-from .ingest import TrackReader, ingest_files
-from .manifest import RunManifest, peak_rss_mb
-from .nn.checkpoint import load_checkpoint
-from .nn.model import RecurrentAutoencoder
-from .nn.train import train as train_model
-from .preprocess import (
-    NormalizationStats,
-    build_daily_grids,
-    load_corpus,
-    normalize_corpus,
-    save_corpus,
-)
-from .sequence import (
-    SequenceSet,
-    SplitSpec,
-    load_set,
-    save_set,
-    split as split_set,
-)
 
 TRACKS_FILE = "tracks.npy"
 # Sorted per-file runs that ingest merges into TRACKS_FILE; only ingest
@@ -62,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """The flags every command shares, built once and passed as `parents=`."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="FILE", help="key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a single config key (repeatable)")
@@ -72,6 +59,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         flag = "--" + f.name.replace("_", "-")
         parser.add_argument(flag, dest=f"cfg_{f.name}", metavar="V", default=None,
                             help=argparse.SUPPRESS)
+    return parser
 
 
 def _build_config(args) -> RunConfig:
@@ -99,11 +87,22 @@ def _seeds(config: RunConfig) -> dict[str, int]:
     return {"split": config.seed, "init": config.seed + 1, "train": config.seed + 2}
 
 
+def _record_stage(run_dir: Path, name: str, config: RunConfig, inputs: list,
+                  outputs: list, started: float, extra: dict | None = None) -> None:
+    from .manifest import RunManifest
+
+    RunManifest(run_dir).record_stage(name, config.to_text(), __version__, inputs,
+                                      outputs, time.monotonic() - started, extra=extra)
+
+
 # ---------------------------------------------------------------------------
 # Stage commands
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(config: RunConfig) -> int:
+    from .ingest import ingest_files
+    from .manifest import peak_rss_mb
+
     started = time.monotonic()
     paths = sorted(glob.glob(config.input_glob))
     if not paths:
@@ -116,18 +115,20 @@ def cmd_ingest(config: RunConfig) -> int:
     with atomic_write(run_dir / "ingest_report.txt", "w") as fh:
         fh.write(report.to_text())
 
-    RunManifest(run_dir).record_stage(
-        "ingest", config.to_text(), __version__, paths,
-        [tracks_path, run_dir / "ingest_report.txt"],
-        time.monotonic() - started,
-        extra={"files": len(paths), "rows_read": report.rows_read, **counts,
-               "peak_rss_mb": peak_rss_mb()})
+    _record_stage(run_dir, "ingest", config, paths,
+                  [tracks_path, run_dir / "ingest_report.txt"], started,
+                  extra={"files": len(paths), "rows_read": report.rows_read, **counts,
+                         "peak_rss_mb": peak_rss_mb()})
     print(report.to_text(), end="")
     print(f"track rows kept: {counts['rows_kept']}")
     return 0
 
 
 def cmd_preprocess(config: RunConfig) -> int:
+    from .ingest import TrackReader
+    from .manifest import peak_rss_mb
+    from .preprocess import build_daily_grids, normalize_corpus, save_corpus
+
     started = time.monotonic()
     run_dir = _run_dir(config)
     tracks = TrackReader(run_dir / TRACKS_FILE)
@@ -144,13 +145,11 @@ def cmd_preprocess(config: RunConfig) -> int:
     with atomic_write(report_path, "w") as fh:
         fh.write(summary.to_text())
 
-    RunManifest(run_dir).record_stage(
-        "preprocess", config.to_text(), __version__, [run_dir / TRACKS_FILE],
-        [corpus_path, index_path, stats_path, report_path],
-        time.monotonic() - started,
-        extra={"rows": tracks.rows, "vessels": tracks.vessels, "chunks": tracks.chunks,
-               "days_total": summary.days_total, "days_kept": summary.days_kept,
-               "peak_rss_mb": peak_rss_mb()})
+    _record_stage(run_dir, "preprocess", config, [run_dir / TRACKS_FILE],
+                  [corpus_path, index_path, stats_path, report_path], started,
+                  extra={"rows": tracks.rows, "vessels": tracks.vessels,
+                         "chunks": tracks.chunks, "days_total": summary.days_total,
+                         "days_kept": summary.days_kept, "peak_rss_mb": peak_rss_mb()})
     print(summary.to_text(), end="")
     _print_missing_histogram(summary)
     return 0
@@ -164,6 +163,9 @@ def _print_missing_histogram(summary) -> None:
 
 
 def cmd_split(config: RunConfig) -> int:
+    from .preprocess import load_corpus
+    from .sequence import SequenceSet, SplitSpec, save_set, split as split_set
+
     started = time.monotonic()
     run_dir = _run_dir(config)
     tensor, ids = load_corpus(run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX)
@@ -178,17 +180,19 @@ def cmd_split(config: RunConfig) -> int:
         save_set(subset, *paths)
         outputs += paths
 
-    RunManifest(run_dir).record_stage(
-        "split", config.to_text(), __version__,
-        [run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX], outputs,
-        time.monotonic() - started,
-        extra={"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)})
+    _record_stage(run_dir, "split", config, [run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX],
+                  outputs, started,
+                  extra={"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)})
     print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
           f"seed={spec.seed}")
     return 0
 
 
 def cmd_train(config: RunConfig) -> int:
+    from .nn.model import RecurrentAutoencoder
+    from .nn.train import train as train_model
+    from .sequence import load_set
+
     started = time.monotonic()
     run_dir = _run_dir(config)
     train_paths, val_paths = _set_paths(run_dir, "train"), _set_paths(run_dir, "val")
@@ -207,12 +211,9 @@ def cmd_train(config: RunConfig) -> int:
     history.to_csv(history_path)
 
     outputs = sorted(checkpoint_dir.glob("epoch_*.ckpt")) + [history_path]
-    RunManifest(run_dir).record_stage(
-        "train", config.to_text(), __version__,
-        train_paths + val_paths, outputs,
-        time.monotonic() - started,
-        extra={"final_train_loss": history.final().train_loss,
-               "final_val_loss": history.final().val_loss})
+    _record_stage(run_dir, "train", config, train_paths + val_paths, outputs, started,
+                  extra={"final_train_loss": history.final().train_loss,
+                         "final_val_loss": history.final().val_loss})
     for stats in history.epochs:
         print(f"epoch {stats.epoch}: train_loss={stats.train_loss:.6g} "
               f"val_loss={stats.val_loss:.6g} ({stats.wall_seconds:.1f}s)")
@@ -228,6 +229,11 @@ def _latest_checkpoint(run_dir: Path) -> Path:
 
 
 def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
+    from . import detect
+    from .nn.checkpoint import load_checkpoint
+    from .preprocess import NormalizationStats
+    from .sequence import load_set
+
     started = time.monotonic()
     run_dir = _run_dir(config)
     stats_path = run_dir / STATS_FILE
@@ -262,10 +268,8 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
     detect.write_outliers_csv(paths["outliers"], report, test_set.ids, rmse)
     detect.write_offenders_csv(paths["offenders"], offenders)
 
-    RunManifest(run_dir).record_stage(
-        "score", config.to_text(), __version__, inputs,
-        list(paths.values()), time.monotonic() - started,
-        extra={"threshold": report.threshold, "flagged": len(report.flagged)})
+    _record_stage(run_dir, "score", config, inputs, list(paths.values()), started,
+                  extra={"threshold": report.threshold, "flagged": len(report.flagged)})
     print(f"scored {len(rmse)} sequences from {checkpoint_path.name}")
     print(f"rmse mean={dist.mean:.6g} std={dist.std:.6g} "
           f"threshold(k={config.sigma_k:g})={report.threshold:.6g}")
@@ -292,6 +296,10 @@ def _read_csv_rows(path: Path, parse, expected: str) -> list:
 
 def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
                        output: str | None) -> int:
+    from .geojson import export_days
+    from .preprocess import NormalizationStats
+    from .sequence import load_set
+
     started = time.monotonic()
     if mmsi or day:
         if not (mmsi and day):
@@ -326,9 +334,7 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
     out_path = Path(output) if output else run_dir / "outliers.geojson"
     collection = export_days(out_path, selection, test_set.tensor,
                              list(test_set.ids), stats, rmse_by_id)
-    RunManifest(run_dir).record_stage(
-        "export-geojson", config.to_text(), __version__, inputs, [out_path],
-        time.monotonic() - started)
+    _record_stage(run_dir, "export-geojson", config, inputs, [out_path], started)
     print(f"wrote {len(collection['features'])} LineString feature(s) to {out_path}")
     return 0
 
@@ -339,6 +345,8 @@ def _read_text(path: Path) -> str:
 
 
 def cmd_report(config: RunConfig) -> int:
+    from .manifest import RunManifest
+
     run_dir = Path(config.run_dir)
     manifest = RunManifest(run_dir)
     if not manifest.data["stages"]:
@@ -381,15 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="AIS vessel-day outlier detection pipeline")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_config_flags()]
 
     for name in ("ingest", "preprocess", "split", "train", "score", "report"):
-        p = sub.add_parser(name)
-        _add_config_flags(p)
+        p = sub.add_parser(name, parents=common)
         if name == "score":
             p.add_argument("--checkpoint", help="score a specific checkpoint file")
 
-    p = sub.add_parser("export-geojson")
-    _add_config_flags(p)
+    p = sub.add_parser("export-geojson", parents=common)
     p.add_argument("--mmsi", help="select one vessel (requires --day)")
     p.add_argument("--day", help="select one UTC day, YYYY-MM-DD")
     p.add_argument("--output", help="output path (default: <run_dir>/outliers.geojson)")

@@ -3,16 +3,61 @@
 Values come from defaults, then an optional config file, then CLI flag
 overrides, in that order. The effective configuration is validated before
 any work starts and is stamped verbatim into the run manifest.
+
+This module imports no numpy, so the CLI can parse, print and check a
+configuration before it loads the code of any stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .nn.model import ModelConfig
-from .preprocess import N_SLOTS
+
+N_SLOTS = 48  # half-hour slots per vessel-day, the time axis of every grid
+CELL_KINDS = ("simple_rnn", "gru")
+
+
+@dataclass
+class ModelConfig:
+    cell_kind: str = "gru"
+    bidirectional: bool = False
+    layers: int = 1
+    hidden: int = 32
+    dropout_rate: float = 0.0            # conventional, between stacked layers
+    recurrent_dropout_rate: float = 0.0  # per-sequence mask on h_prev
+    input_dropout_rate: float = 0.0      # per-sequence mask on layer input
+    dense_dropout_rate: float = 0.0      # conventional, before the output head
+    timesteps: int = N_SLOTS
+    features: int = 4
+
+    def __post_init__(self):
+        if self.cell_kind not in CELL_KINDS:
+            raise ConfigError(f"cell_kind must be one of {CELL_KINDS}, got {self.cell_kind!r}")
+        if self.layers < 1:
+            raise ConfigError("model needs at least one recurrent layer")
+        if self.hidden < 1 or self.timesteps < 1 or self.features < 1:
+            raise ConfigError("hidden, timesteps and features must be >= 1")
+        for name in ("dropout_rate", "recurrent_dropout_rate",
+                     "input_dropout_rate", "dense_dropout_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {rate}")
+
+    @property
+    def directions(self) -> int:
+        return 2 if self.bidirectional else 1
+
+    def layer_input_size(self, layer: int) -> int:
+        return self.features if layer == 0 else self.hidden * self.directions
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ModelConfig":
+        return cls(**data)
 
 
 @dataclass

@@ -8,57 +8,16 @@ the model never predicts future timesteps.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import numpy as np
 
+from ..config import CELL_KINDS, ModelConfig  # noqa: F401 (CELL_KINDS: still importable here)
 from ..errors import ConfigError, NumericError, ShapeError
 from .cells import CellParams, GruCellParams, SimpleRnnCellParams
 from .dropout import DropoutMasks, sample_masks
 from .layers import dense_backward, dense_per_timestep, unroll, unroll_backward
 
 CELLS = {"simple_rnn": SimpleRnnCellParams, "gru": GruCellParams}
-CELL_KINDS = tuple(CELLS)
-
-
-@dataclass
-class ModelConfig:
-    cell_kind: str = "gru"
-    bidirectional: bool = False
-    layers: int = 1
-    hidden: int = 32
-    dropout_rate: float = 0.0            # conventional, between stacked layers
-    recurrent_dropout_rate: float = 0.0  # per-sequence mask on h_prev
-    input_dropout_rate: float = 0.0      # per-sequence mask on layer input
-    dense_dropout_rate: float = 0.0      # conventional, before the output head
-    timesteps: int = 48
-    features: int = 4
-
-    def __post_init__(self):
-        if self.cell_kind not in CELL_KINDS:
-            raise ConfigError(f"cell_kind must be one of {CELL_KINDS}, got {self.cell_kind!r}")
-        if self.layers < 1:
-            raise ConfigError("model needs at least one recurrent layer")
-        if self.hidden < 1 or self.timesteps < 1 or self.features < 1:
-            raise ConfigError("hidden, timesteps and features must be >= 1")
-        for name in ("dropout_rate", "recurrent_dropout_rate",
-                     "input_dropout_rate", "dense_dropout_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {rate}")
-
-    @property
-    def directions(self) -> int:
-        return 2 if self.bidirectional else 1
-
-    def layer_input_size(self, layer: int) -> int:
-        return self.features if layer == 0 else self.hidden * self.directions
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
 
 
 @dataclass

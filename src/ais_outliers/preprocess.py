@@ -17,18 +17,20 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .atomic import atomic_write
+from .config import N_SLOTS
 from .errors import ConfigError, DataError, utf8_text
-from .ingest import VesselTrack
+
+if TYPE_CHECKING:  # for annotations only: split, train and score never load ingest
+    from .ingest import VesselTrack
 
 # Canonical feature order of every matrix artifact in this package.
 FEATURES = ("lat", "lon", "sog", "cog")
 N_FEATURES = len(FEATURES)
-N_SLOTS = 48
 SLOT_SECONDS = 1800  # 30-minute grid
 
 DEFAULT_TOLERANCE_S = 60.0
@@ -175,14 +177,6 @@ def interpolate_gaps(values: np.ndarray, mask: np.ndarray,
     frac = (slot - lo) / (hi - lo)
     values[day, slot] = values[day, lo] + frac[:, None] * (values[day, hi] - values[day, lo])
     mask |= fill
-
-
-def denormalize(value: float, feature: int | str, stats: NormalizationStats) -> float:
-    """Invert min-max normalization; the -1 sentinel passes through."""
-    if value == SENTINEL:
-        return SENTINEL
-    j = FEATURES.index(feature) if isinstance(feature, str) else feature
-    return float(stats.minimum[j] + value * (stats.maximum[j] - stats.minimum[j]))
 
 
 # ---------------------------------------------------------------------------

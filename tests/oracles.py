@@ -11,6 +11,8 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
+from ais_outliers.preprocess import FEATURES, SENTINEL, NormalizationStats
+
 
 def sigmoid_scalar(x):
     if x >= 0:
@@ -454,6 +456,14 @@ def reference_normalize_corpus(grids, max_missing_fraction):
         matrix[grid.mask] = scaled[grid.mask]
         matrices.append(matrix)
     return matrices, [(g.mmsi, g.day) for g in survivors], minimum, maximum
+
+
+def denormalize(value: float, feature: int | str, stats: NormalizationStats) -> float:
+    """Invert min-max normalization; the -1 sentinel passes through."""
+    if value == SENTINEL:
+        return SENTINEL
+    j = FEATURES.index(feature) if isinstance(feature, str) else feature
+    return float(stats.minimum[j] + value * (stats.maximum[j] - stats.minimum[j]))
 
 
 _REFERENCE_STAMP_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S")

@@ -21,7 +21,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
-from .preprocess import N_SLOTS
+from ais_outliers.preprocess import N_SLOTS
 
 DEFAULT_ANOMALY_FRACTION = 0.02
 DEFAULT_TELEPORT_DEGREES = 5.0

@@ -25,20 +25,20 @@ from ais_outliers.nn.train import train
 from ais_outliers.preprocess import (
     SENTINEL,
     build_daily_grids,
-    denormalize,
     normalize_corpus,
 )
 from ais_outliers.sequence import SequenceSet, SplitSpec, split
-from ais_outliers.synthetic import day_matrices, generate_days, normalize_raw, write_ais_csv
 
 import fixture_ais
 from oracles import (
     auc_from_scores,
+    denormalize,
     finite_difference_gradients,
     gru_step_loop,
     max_relative_error,
     rnn_step_loop,
 )
+from synthetic import day_matrices, generate_days, normalize_raw, write_ais_csv
 from test_cells import random_gru_params, random_rnn_params
 
 

@@ -16,9 +16,9 @@ from ais_outliers.manifest import RunManifest
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import NormalizationStats, save_corpus
-from ais_outliers.synthetic import generate_days, write_ais_csv
 
 from conftest import make_record, make_table, utc
+from synthetic import generate_days, write_ais_csv
 
 
 @pytest.fixture(scope="module")

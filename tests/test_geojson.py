@@ -6,7 +6,9 @@ import pytest
 
 from ais_outliers.errors import DataError
 from ais_outliers.geojson import day_feature, export_days
-from ais_outliers.preprocess import N_SLOTS, SENTINEL, NormalizationStats, denormalize
+from ais_outliers.preprocess import N_SLOTS, SENTINEL, NormalizationStats
+
+from oracles import denormalize
 
 DAY = date(2019, 3, 6)
 

@@ -19,7 +19,6 @@ from ais_outliers.preprocess import (
     NormalizationStats,
     PreprocessSummary,
     build_daily_grids,
-    denormalize,
     interpolate_gaps,
     load_corpus,
     normalize_corpus,
@@ -28,7 +27,8 @@ from ais_outliers.preprocess import (
 )
 
 from conftest import make_record, make_track, utc
-from oracles import ReferenceDay, reference_build_daily_grids, reference_normalize_corpus
+from oracles import (ReferenceDay, denormalize, reference_build_daily_grids,
+                     reference_normalize_corpus)
 
 DAY = date(2019, 3, 6)
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -3,7 +3,8 @@ import numpy.testing as npt
 
 from ais_outliers.ingest import filter_by_length, group_and_sort, parse_ais_csv
 from ais_outliers.preprocess import N_SLOTS
-from ais_outliers.synthetic import (
+
+from synthetic import (
     day_matrices,
     generate_days,
     normalize_raw,
