@@ -222,7 +222,7 @@ def parse_ais_csv(
     for reason, n in zip(_CHECKS, tally.tolist()):
         if n:
             report.reject(reason, n)
-    return np.concatenate(tables), report
+    return np.concatenate([table.view(np.uint8) for table in tables]).view(TRACK_DTYPE), report
 
 
 def _parse_block(mmsi, stamp, lat, lon, sog, cog, length) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +346,13 @@ def filter_by_length(
     """
     if not min_length >= 0:
         raise ConfigError("min_length must be >= 0")
-    return records[records["length"] > min_length]
+    return _take_rows(records, records["length"] > min_length)
+
+
+def _take_rows(table: np.ndarray, index) -> np.ndarray:
+    """`table[index]` for a 1-D structured table, copied as uint8 rows of
+    its bytes: structured-row copies run several times slower."""
+    return table[:, None].view(np.uint8)[index].view(table.dtype).reshape(-1)
 
 
 def group_and_sort(
@@ -360,24 +366,28 @@ def group_and_sort(
     Tracks are returned ordered by MMSI so output is stable across runs.
     """
     # lexsort is stable, so input order survives among equal (mmsi, t).
-    table = records[np.lexsort((records["t"], records["mmsi"]))]
-    first = np.ones(len(table), dtype=bool)
-    first[1:] = ((table["mmsi"][1:] != table["mmsi"][:-1])
-                 | (table["t"][1:] != table["t"][:-1]))
-    if report is not None:
-        # Index of each row's group head; compared one field at a time.
-        head = np.maximum.accumulate(np.where(first, np.arange(len(table)), 0))
-        same = ~first
+    order = np.lexsort((records["t"], records["mmsi"]))
+    mmsi, t = records["mmsi"][order], records["t"][order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (mmsi[1:] != mmsi[:-1]) | (t[1:] != t[:-1])
+    del mmsi, t
+    heads = np.flatnonzero(first)  # where each (mmsi, t) group starts in `order`
+    if report is not None and len(heads) < len(order):
+        dups = np.flatnonzero(~first)
+        # Each duplicate row against its group's first row, one field at a time.
+        row, head = order[dups], order[heads[np.searchsorted(heads, dups) - 1]]
+        same = np.ones(len(dups), dtype=bool)
         for name in ("lat", "lon", "sog", "cog", "length"):
-            a = table[name]
-            b = a[head]
+            a, b = records[name][row], records[name][head]
             same &= (a == b) | (np.isnan(a) & np.isnan(b))
-        exact, conflicting = int(same.sum()), int((~first).sum() - same.sum())
+        exact = int(same.sum())
         if exact:
             report.reject("duplicate_row", exact)
-        if conflicting:
-            report.reject("duplicate_timestamp", conflicting)
-    return _split_tracks(table[first])
+        if exact < len(dups):
+            report.reject("duplicate_timestamp", len(dups) - exact)
+    kept = order[heads]
+    del order, first, heads  # before the kept rows are copied
+    return _split_tracks(_take_rows(records, kept))
 
 
 def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
@@ -420,16 +430,17 @@ def _npy_header(rows: int) -> bytes:
 def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = None,
                  min_length: float = DEFAULT_MIN_LENGTH_M) -> tuple[IngestReport, dict]:
     """Parse, length-filter and group AIS CSVs into the track store at
-    `tracks_path`, with memory set by the largest file and the largest
-    track rather than by the corpus.
+    `tracks_path`, with memory set by the largest file rather than by the
+    corpus or its largest vessel.
 
     Each file is parsed, filtered and sorted by (MMSI, time) on its own and
     spilled as a sorted run into `spill_dir`. The runs are then merged in
-    ascending MMSI order, in batches of whole vessels of at most the largest
-    run's rows; each batch goes through group_and_sort with its rows in file
-    order, so among rows sharing (MMSI, time) the first in input order wins,
-    as if every file had been grouped at once. `spill_dir` is replaced on
-    entry and removed on exit, on error too.
+    ascending MMSI order, in batches of at most the largest run's rows:
+    whole vessels, or time slabs of a vessel with more rows than that. Each
+    batch goes through group_and_sort with its rows in file order, and rows
+    sharing (MMSI, time) always fall in one batch, so among them the first
+    in input order wins, as if every file had been grouped at once.
+    `spill_dir` is replaced on entry and removed on exit, on error too.
 
     Returns the report and the rows, vessels and merge batches written.
     """
@@ -439,6 +450,7 @@ def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = 
     try:
         report = IngestReport()
         runs, kept = _spill_runs(paths, spill_dir, schema, min_length, report)
+        report.vessels_kept = len(kept)  # grouping keeps one row of every vessel at least
         takes = _plan_batches(runs, kept)
         with closing(_merge_runs(runs, takes, report)) as tracks:  # closes the runs
             rows = save_tracks(tracks_path, tracks)
@@ -463,7 +475,7 @@ def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: Inges
         seen = np.union1d(seen, table["mmsi"])
         table = filter_by_length(table, min_length)
         if len(table):
-            table = table[np.lexsort((table["t"], table["mmsi"]))]
+            table = _take_rows(table, np.lexsort((table["t"], table["mmsi"])))
             run = spill_dir / f"{i:06d}.run"
             table.tofile(run)
             mmsi, starts = np.unique(table["mmsi"], return_index=True)
@@ -477,10 +489,10 @@ def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: Inges
 def _plan_batches(runs, kept: np.ndarray) -> np.ndarray:
     """Rows of each run (axis 0) in each merge batch (axis 1).
 
-    A batch holds whole vessels, in MMSI order, and at most as many rows as
-    the largest run; a vessel with more rows is a batch of its own. Each
-    run's rows in a batch follow its rows in the previous batch, so every
-    run is read once, front to back.
+    A batch holds at most as many rows as the largest run (the cap): whole
+    vessels, in MMSI order, or one time slab of a vessel with more rows
+    than the cap (see _slab_ends). Each run's rows in a batch follow its
+    rows in the previous batch, so every run is read once, front to back.
     """
     rows = np.zeros(len(kept), np.int64)  # per vessel, over all runs
     for _, mmsi, offsets in runs:
@@ -492,32 +504,98 @@ def _plan_batches(runs, kept: np.ndarray) -> np.ndarray:
         stop = int(np.searchsorted(before, before[stops[-1]] + cap, side="right")) - 1
         stops.append(max(stop, stops[-1] + 1))
     last = kept[np.array(stops[1:], dtype=np.int64) - 1]  # each batch's last MMSI
-    takes = [np.diff(offsets[np.searchsorted(mmsi, last, side="right")], prepend=0)
-             for _, mmsi, offsets in runs]
-    return np.array(takes, dtype=np.int64).reshape(len(runs), len(last))
+    # Rows of each run up to the end of each batch.
+    ends = np.array([offsets[np.searchsorted(mmsi, last, side="right")]
+                     for _, mmsi, offsets in runs], dtype=np.int64).reshape(len(runs), len(last))
+    # A batch above the cap is one vessel: cut it into slabs.
+    large = np.flatnonzero(np.diff(before[stops]) > cap).tolist()
+    if large:
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(run, "rb")) for run, _, _ in runs]
+            pieces, done = [], 0
+            for batch in large:
+                starts = ends[:, batch - 1] if batch else np.zeros(len(runs), np.int64)
+                pieces += [ends[:, done:batch], _slab_ends(handles, starts, ends[:, batch], cap)]
+                done = batch
+            ends = np.concatenate(pieces + [ends[:, done:]], axis=1)
+    return np.diff(ends, axis=1, prepend=0)
+
+
+def _slab_ends(handles, starts: np.ndarray, stops: np.ndarray, cap: int) -> np.ndarray:
+    """Per run (axis 0), the row at which each time slab of one vessel but
+    the last ends (axis 1).
+
+    The vessel's rows are rows `starts`..`stops` of the runs open as
+    `handles`. A slab takes, from every run, the rows whose time lies
+    between the previous slab's last time (exclusive) and its own
+    (inclusive): at most `cap` rows, unless one time alone has more. So
+    rows sharing a time are never cut apart. Memory is one int64 per row
+    of the vessel: its times are read once and sorted to find each slab's
+    last time, then read again one run at a time to count each run's rows
+    up to it.
+    """
+    t = np.empty(int((stops - starts).sum()), np.int64)
+    pos = 0
+    for fh, start, stop in zip(handles, starts.tolist(), stops.tolist()):
+        _read_times(fh, start, t[pos:pos + stop - start])
+        pos += stop - start
+    t.sort()
+    last_times, start = [], 0
+    while start + cap < len(t):
+        end = int(np.searchsorted(t, t[start + cap]))  # the times whose rows all fit
+        if end == start:  # one time has more rows than the cap: a slab of its own
+            end = int(np.searchsorted(t, t[start], side="right"))
+            if end == len(t):
+                break
+        last_times.append(t[end - 1])
+        start = end
+    last_times = np.array(last_times, dtype=np.int64)
+    ends = np.empty((len(handles), len(last_times)), np.int64)
+    for i, (fh, start, stop) in enumerate(zip(handles, starts.tolist(), stops.tolist())):
+        times = t[:stop - start]
+        _read_times(fh, start, times)
+        ends[i] = start + np.searchsorted(times, last_times, side="right")
+    return ends
+
+
+def _read_times(fh, start: int, out: np.ndarray) -> None:
+    """Fill `out` with the times of the run rows from row `start` on, read
+    _CHUNK_ROWS rows at a time."""
+    fh.seek(start * TRACK_DTYPE.itemsize)
+    chunk = np.empty(min(_CHUNK_ROWS, len(out)), TRACK_DTYPE)
+    for i in range(0, len(out), _CHUNK_ROWS):
+        rows = chunk[:len(out) - i]
+        _read_rows(fh, rows.view(np.uint8))
+        out[i:i + len(rows)] = rows["t"]
+
+
+def _read_rows(fh, raw: np.ndarray) -> None:
+    """Fill the bytes `raw` from the run open as `fh`."""
+    if fh.readinto(raw) != len(raw):
+        raise DataError(f"ingest spill file {fh.name} is short")
 
 
 def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[VesselTrack]:
-    """Read each batch's rows from the runs, in file order, and group them."""
+    """Read each batch's rows from the runs, in file order, and group them.
+
+    A vessel cut into time slabs comes out as one track per slab."""
     with ExitStack() as stack:
         handles = [stack.enter_context(open(run, "rb")) for run, _, _ in runs]
         for take in takes.T:
             batch = np.empty(int(take.sum()), TRACK_DTYPE)
             raw, pos = batch.view(np.uint8), 0
             for fh, n in zip(handles, take.tolist()):
-                size = n * TRACK_DTYPE.itemsize
-                if fh.readinto(raw[pos:pos + size]) != size:
-                    raise DataError(f"ingest spill file {fh.name} is short")
-                pos += size
+                _read_rows(fh, raw[pos:pos + n * TRACK_DTYPE.itemsize])
+                pos += n * TRACK_DTYPE.itemsize
             tracks = group_and_sort(batch, report)
             del batch, raw
-            report.vessels_kept += len(tracks)
             yield from tracks
             del tracks  # before the next batch is read
 
 
-# Rows read per chunk when streaming a track store back: the reader's
-# memory is set by this plus the largest vessel's track, not by the store.
+# Rows read per chunk when streaming a track store back (the reader's
+# memory is set by this plus the largest vessel's track, not by the store),
+# and when reading a vessel's times from the runs.
 _CHUNK_ROWS = 1 << 12
 
 

@@ -22,10 +22,13 @@ def peak_rss_mb() -> float:
 
 
 def file_sha256(path) -> str:
+    """SHA-256 of a file, read through one reused 64 KiB buffer (not a new
+    `bytes` object per read; `hashlib.file_digest` needs Python 3.11)."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(buffer[:n])
     return digest.hexdigest()
 
 

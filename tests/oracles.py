@@ -553,12 +553,44 @@ def reference_parse_ais_csv(path, schema=None):
     return np.array(rows, dtype=TRACK_DTYPE), report
 
 
+def reference_group_and_sort(records, report=None):
+    """`ingest.group_and_sort` as it was before it sorted an index: a sorted
+    structured copy of the table, each row's group head by a running
+    maximum, every value field gathered through it, and `table[first]`.
+    Returns the same VesselTracks and tallies the same duplicates."""
+    from ais_outliers.ingest import VesselTrack
+
+    # lexsort is stable, so input order survives among equal (mmsi, t).
+    table = records[np.lexsort((records["t"], records["mmsi"]))]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = ((table["mmsi"][1:] != table["mmsi"][:-1])
+                 | (table["t"][1:] != table["t"][:-1]))
+    if report is not None:
+        # Index of each row's group head; compared one field at a time.
+        head = np.maximum.accumulate(np.where(first, np.arange(len(table)), 0))
+        same = ~first
+        for name in ("lat", "lon", "sog", "cog", "length"):
+            a = table[name]
+            b = a[head]
+            same &= (a == b) | (np.isnan(a) & np.isnan(b))
+        exact, conflicting = int(same.sum()), int((~first).sum() - same.sum())
+        if exact:
+            report.reject("duplicate_row", exact)
+        if conflicting:
+            report.reject("duplicate_timestamp", conflicting)
+    table = table[first]
+    if not len(table):
+        return []
+    cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
+    return [VesselTrack(mmsi=f"{chunk['mmsi'][0]:09d}", records=chunk)
+            for chunk in np.split(table, cuts)]
+
+
 def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     """The whole-corpus ingest: every file's table concatenated, then one
-    length filter, one `group_and_sort` and one `np.save` of the store.
-    Returns the IngestReport like `ingest_files`."""
-    from ais_outliers.ingest import (TRACK_DTYPE, IngestReport, filter_by_length,
-                                     group_and_sort, parse_ais_csv)
+    length filter, one `reference_group_and_sort` and one `np.save` of the
+    store. Returns the IngestReport like `ingest_files`."""
+    from ais_outliers.ingest import TRACK_DTYPE, IngestReport, parse_ais_csv
 
     tables, report = [], IngestReport()
     for path in paths:
@@ -566,10 +598,10 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
         tables.append(table)
         report.merge(file_report)
     records = np.concatenate(tables)
-    kept = filter_by_length(records, min_length)
+    kept = records[records["length"] > min_length]
     report.vessels_dropped_by_length = (len(np.unique(records["mmsi"]))
                                         - len(np.unique(kept["mmsi"])))
-    tracks = group_and_sort(kept, report)
+    tracks = reference_group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
     with open(tracks_path, "wb") as fh:
         np.save(fh, np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from ais_outliers.cli import SPILL_DIR, main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
 from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
-from ais_outliers.manifest import RunManifest
+from ais_outliers.manifest import RunManifest, file_sha256
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import NormalizationStats, save_corpus
@@ -292,6 +293,14 @@ def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):
         "export-geojson": ["outliers.csv", "scores.csv", "stats.txt", "test.f64",
                            "test_index.csv"],
     }
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 1 << 16, 3 << 16, (3 << 16) + 7])
+def test_file_sha256_matches_hashlib(tmp_path, size):
+    # Sizes around the 64 KiB read buffer: empty, smaller, exact multiples, larger.
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes())
+    assert file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_ingest_rerun_is_deterministic(tmp_path, corpus_dir):

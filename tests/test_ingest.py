@@ -21,7 +21,7 @@ from ais_outliers.ingest import (
 )
 
 from conftest import make_record, make_table, utc
-from oracles import reference_parse_ais_csv
+from oracles import reference_group_and_sort, reference_parse_ais_csv
 
 HEADER = "MMSI,BaseDateTime,LAT,LON,SOG,COG,Length\n"
 
@@ -380,6 +380,35 @@ def test_regrouping_preserves_accepted_multiset(rng):
         [first[key] for key in sorted(first)]
     kept = sum(len(t) for t in tracks)
     assert kept + report.rows_rejected == len(records)
+
+
+def _duplicate_heavy_table(rng, n):
+    """n unsorted rows of 6 vessels on 40 times each: many exact and
+    conflicting duplicates, NaN lengths and signed zeros."""
+    table = np.zeros(n, TRACK_DTYPE)
+    table["mmsi"] = 367000000 + rng.integers(0, 6, n)
+    table["t"] = 1551830400 + 60 * rng.integers(0, 40, n)
+    for name in ("lat", "lon", "sog", "cog", "length"):
+        table[name] = rng.choice([30.0, 31.0, 0.0, -0.0, np.nan], n)
+    return table
+
+
+@pytest.mark.parametrize("case", ["unsorted", "filtered", "empty", "one_row", "no_report"])
+def test_group_and_sort_matches_reference(rng, case):
+    table = _duplicate_heavy_table(rng, {"empty": 0, "one_row": 1}.get(case, 3000))
+    if case == "filtered":
+        table = table[::3]  # a strided view, not a contiguous table
+        assert not table.flags.c_contiguous
+    report, expected_report = ((None, None) if case == "no_report"
+                               else (IngestReport(), IngestReport()))
+    tracks = group_and_sort(table, report)
+    expected = reference_group_and_sort(table, expected_report)
+    assert [t.mmsi for t in tracks] == [t.mmsi for t in expected]
+    assert (b"".join(np.ascontiguousarray(t.records).tobytes() for t in tracks)
+            == b"".join(np.ascontiguousarray(t.records).tobytes() for t in expected))
+    assert report == expected_report
+    if case in ("unsorted", "filtered"):
+        assert set(report.reject_reasons) == {"duplicate_row", "duplicate_timestamp"}
 
 
 def test_report_text_and_csv_roundtrip():
