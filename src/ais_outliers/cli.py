@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import glob
 import os
 import sys
@@ -438,4 +439,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # Frozen, the objects alive now skip the collector's sweeps at
+    # interpreter exit; atexit handlers and flushes still run.
+    gc.freeze()
+    sys.exit(code)

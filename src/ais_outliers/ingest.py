@@ -3,6 +3,8 @@
 Parses MarineCadastre-style AIS exports into a table of validated records,
 filters vessels by length, and groups the table into time-sorted per-vessel
 tracks. Malformed rows are tallied per reason, never silently dropped.
+The tracks go to one track store, `tracks.npy`, of 40-byte rows (time,
+lat, lon, sog, cog) followed by a per-vessel (MMSI, rows) index.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from datetime import datetime, timedelta
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
+from tokenize import TokenError
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -59,15 +62,26 @@ _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_PUNCT = [4, 7, 13, 16]
 _STAMP_PUNCT_CODES = np.array([ord(c) for c in "--::"])
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# Blank float cells as _float_column reads them: NaN, without an exception.
+_BLANK_AS_NAN = {"": "nan"}
 
 
-# One accepted AIS row, in memory and in the `tracks.npy` store: MMSI as an
-# integer (rebuilt as a zero-padded 9-digit string), time as UTC epoch
-# seconds, and `length` NaN when not reported.
+# One accepted AIS row as parsed, filtered and merged: MMSI as an integer
+# (rebuilt as a zero-padded 9-digit string), time as UTC epoch seconds, and
+# `length` NaN when not reported. Spill runs hold these rows too, since the
+# merge needs MMSI and length to classify duplicates.
 TRACK_DTYPE = np.dtype([
     ("mmsi", "<i8"), ("t", "<i8"), ("lat", "<f8"), ("lon", "<f8"),
     ("sog", "<f8"), ("cog", "<f8"), ("length", "<f8"),
 ])
+# One row of the `tracks.npy` store: the fields preprocessing reads. The
+# MMSI is kept once per vessel in the store's index, and the length is
+# dropped once the length filter has run.
+STORE_DTYPE = np.dtype([(name, TRACK_DTYPE[name]) for name in ("t", "lat", "lon", "sog", "cog")])
+# One entry of the store's index: a vessel's MMSI and its number of rows.
+INDEX_DTYPE = np.dtype([("mmsi", "<i8"), ("rows", "<i8")])
+# The bytes of a TRACK_DTYPE row that make its STORE_DTYPE row.
+_STORE_BYTES = slice(TRACK_DTYPE.fields["t"][1], TRACK_DTYPE.fields["length"][1])
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 
@@ -76,7 +90,8 @@ _SECOND = timedelta(seconds=1)
 class VesselTrack:
     """All accepted records of one MMSI, ascending in time, deduplicated.
 
-    `records` is a TRACK_DTYPE view into the table the track came from.
+    `records` is a view into the table the track came from: TRACK_DTYPE
+    rows in ingest, STORE_DTYPE rows when read back by TrackReader.
     """
 
     mmsi: str
@@ -183,7 +198,9 @@ def parse_ais_csv(
         columns.update(schema)
 
     stream, owned = _open_text(source)
-    tables = [np.empty(0, TRACK_DTYPE)]
+    # Accepted rows as bytes, appended block by block: the blocks' tables
+    # are freed as they go instead of all being held until a concatenation.
+    data = bytearray()
     tally = np.zeros(len(_CHECKS) + 1, dtype=np.int64)  # last: accepted
     report = IngestReport()
     try:
@@ -191,7 +208,7 @@ def parse_ais_csv(
         try:
             header = next(reader)
         except StopIteration:
-            return tables[0], report
+            return np.empty(0, TRACK_DTYPE), report
 
         index: dict[str, int] = {}
         for logical, column in columns.items():
@@ -212,7 +229,7 @@ def parse_ais_csv(
                 report.reject("short_row", read - len(rows))
             if rows:
                 table, block_tally = _parse_block(*zip(*map(fields, rows)))
-                tables.append(table)
+                data += table.data
                 tally += block_tally
     except (UnicodeDecodeError, csv.Error, OSError) as exc:
         raise DataError(f"unreadable AIS stream: {exc}") from exc
@@ -222,7 +239,7 @@ def parse_ais_csv(
     for reason, n in zip(_CHECKS, tally.tolist()):
         if n:
             report.reject(reason, n)
-    return np.concatenate([table.view(np.uint8) for table in tables]).view(TRACK_DTYPE), report
+    return np.frombuffer(data, TRACK_DTYPE), report
 
 
 def _parse_block(mmsi, stamp, lat, lon, sog, cog, length) -> tuple[np.ndarray, np.ndarray]:
@@ -325,13 +342,24 @@ def _timestamp_column(values) -> tuple[np.ndarray, np.ndarray]:
 def _float_column(values, parse) -> np.ndarray:
     """Finite floats, NaN where `parse` (the per-value rule) gives None.
 
-    The whole column is converted with `float` first; only a column with a
-    value `float` rejects is converted value by value.
+    The whole column is converted with `float` first. In a column with a
+    value `float` rejects, blank values are read as "nan" (what `parse`
+    makes of them, and the commonest reject: an unreported length), any
+    other rejected value goes through `parse`, and the conversion resumes
+    after it, still in C: `list.extend` keeps the items appended before the
+    error, and `map` has consumed the rejected one. `parse` agrees with
+    `float` on every value `float` accepts.
     """
     try:
         column = np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
-        return np.array([parse(v) for v in values], dtype=np.float64)
+        floats, rest = [], map(_BLANK_AS_NAN.get, values, values)
+        while len(floats) < len(values):
+            try:
+                floats.extend(map(float, rest))
+            except ValueError:
+                floats.append(parse(values[len(floats)]))
+        column = np.array(floats, dtype=np.float64)  # None becomes NaN
     column[~np.isfinite(column)] = np.nan
     return column
 
@@ -400,29 +428,43 @@ def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
 
 
 def save_tracks(path, tracks: Iterable[VesselTrack]) -> int:
-    """Write every track's rows, in order, as one TRACK_DTYPE `.npy` file.
+    """Write TRACK_DTYPE tracks, ascending by MMSI, as the track store: the
+    rows as one STORE_DTYPE `.npy` array (so `np.load` reads them), then
+    the index as one INDEX_DTYPE `.npy` array of (MMSI, rows) per vessel.
 
-    The tracks are written as they arrive, so only the one in hand is held.
-    numpy pads the header so that its length does not depend on the row
-    count: a placeholder header goes first and the real one over it once
-    the count is known. Returns the number of rows written.
+    Consecutive tracks of one MMSI (the time slabs of a merge) make one
+    index entry. The rows are written as they arrive, so only the track in
+    hand is held, plus the index. numpy pads the header so that its length
+    does not depend on the row count: a placeholder header goes first and
+    the real one over it once the count is known. Returns the number of
+    rows written.
     """
-    rows = 0
+    mmsis, counts = [], []
     with atomic_write(path) as fh:
-        fh.write(_npy_header(0))
+        fh.write(_npy_header(STORE_DTYPE, 0))
         for track in tracks:
-            fh.write(np.ascontiguousarray(track.records).data)
-            rows += len(track)
+            fh.write(np.ascontiguousarray(
+                track.records[:, None].view(np.uint8)[:, _STORE_BYTES]).data)
+            mmsi = int(track.mmsi)
+            if mmsis and mmsis[-1] == mmsi:
+                counts[-1] += len(track)
+            else:
+                mmsis.append(mmsi)
+                counts.append(len(track))
             del track  # before the next one is made
+        index = np.empty(len(mmsis), INDEX_DTYPE)
+        index["mmsi"], index["rows"] = mmsis, counts
+        np.lib.format.write_array(fh, index)
+        rows = sum(counts)
         fh.seek(0)
-        fh.write(_npy_header(rows))
+        fh.write(_npy_header(STORE_DTYPE, rows))
     return rows
 
 
-def _npy_header(rows: int) -> bytes:
+def _npy_header(dtype: np.dtype, rows: int) -> bytes:
     out = io.BytesIO()
     np.lib.format.write_array_header_1_0(out, {
-        "descr": np.lib.format.dtype_to_descr(TRACK_DTYPE),
+        "descr": np.lib.format.dtype_to_descr(dtype),
         "fortran_order": False, "shape": (rows,)})
     return out.getvalue()
 
@@ -472,7 +514,7 @@ def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: Inges
     for i, path in enumerate(paths):
         table, file_report = parse_ais_csv(path, schema)
         report.merge(file_report)
-        seen = np.union1d(seen, table["mmsi"])
+        seen = _union(seen, table["mmsi"])
         table = filter_by_length(table, min_length)
         if len(table):
             table = _take_rows(table, np.lexsort((table["t"], table["mmsi"])))
@@ -480,10 +522,16 @@ def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: Inges
             table.tofile(run)
             mmsi, starts = np.unique(table["mmsi"], return_index=True)
             runs.append((run, mmsi, np.append(starts, len(table))))
-            kept = np.union1d(kept, mmsi)
+            kept = _union(kept, mmsi)
         del table  # before the next file is parsed
     report.vessels_dropped_by_length = len(seen) - len(kept)
     return runs, kept
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.union1d(a, b)`, which on numpy 2.4 imports `numpy.ma` through a
+    flagless `np.unique`; with a flag, `np.unique` just sorts."""
+    return np.unique(np.concatenate([a, b]), return_index=True)[0]
 
 
 def _plan_batches(runs, kept: np.ndarray) -> np.ndarray:
@@ -594,20 +642,23 @@ def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[Vesse
 
 
 # Rows read per chunk when streaming a track store back (the reader's
-# memory is set by this plus the largest vessel's track, not by the store),
-# and when reading a vessel's times from the runs.
+# memory is set by this plus the largest vessel's track and the index, not
+# by the store), and when reading a vessel's times from the runs.
 _CHUNK_ROWS = 1 << 12
 
 
 class TrackReader:
-    """Streams a store written by save_tracks as VesselTracks.
+    """Streams a store written by save_tracks as VesselTracks of STORE_DTYPE
+    records.
 
-    The store is read _CHUNK_ROWS rows at a time and cut at vessel
-    boundaries; the last, possibly partial, vessel of a chunk is carried
-    into the next. Damage (missing file, foreign header, other dtype,
-    truncation, rows out of (MMSI, time) order, across chunks too) is a
-    DataError, raised when the reader reaches it. `rows`, `vessels` and
-    `chunks` count what has been read.
+    The index is read and checked first; then the rows, in chunks of whole
+    vessels of at most _CHUNK_ROWS rows (a larger vessel is a chunk of its
+    own). Damage is a one-line DataError naming `ingest`: a missing file, a
+    foreign header or dtype, a size other than the headers give, MMSIs not
+    strictly ascending, a vessel count below 1 or counts not adding up to
+    the rows (raised before any track), and times not strictly ascending
+    within a vessel (raised when the reader reaches them). `rows`,
+    `vessels` and `chunks` count what has been read.
     """
 
     def __init__(self, path):
@@ -615,52 +666,62 @@ class TrackReader:
         self.rows = self.vessels = self.chunks = 0
 
     def __iter__(self) -> Iterator[VesselTrack]:
-        path = self.path
-        if not path.exists():
-            raise DataError(f"track store not found: {path} (run `ingest` first)")
-        with open(path, "rb") as fh:
-            n = self._read_header(fh)
-            carry = np.empty(0, TRACK_DTYPE)
-            for start in range(0, n, _CHUNK_ROWS):
-                # The carried rows, then the next chunk read in behind them.
-                table = np.empty(len(carry) + min(_CHUNK_ROWS, n - start), TRACK_DTYPE)
-                raw = table.view(np.uint8)  # byte copies: field-wise ones are slow
-                raw[:carry.nbytes] = carry.view(np.uint8)
-                fh.readinto(raw[carry.nbytes:])  # the size was checked
+        if not self.path.exists():
+            raise DataError(f"track store not found: {self.path} (run `ingest` first)")
+        with open(self.path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            n = self._read_header(fh, STORE_DTYPE)
+            rows_at = fh.tell()
+            if rows_at + n * STORE_DTYPE.itemsize > size:
+                raise self._damaged(f"its header gives {n} rows, more than it holds")
+            fh.seek(rows_at + n * STORE_DTYPE.itemsize)
+            vessels = self._read_header(fh, INDEX_DTYPE)
+            if size != fh.tell() + vessels * INDEX_DTYPE.itemsize:
+                raise self._damaged(f"its index header gives {vessels} vessels, but "
+                                    f"{size - fh.tell()} bytes follow it")
+            index = np.empty(vessels, INDEX_DTYPE)
+            fh.readinto(index.view(np.uint8))  # the size was checked
+            mmsi, counts = index["mmsi"], index["rows"]
+            if (np.diff(mmsi) <= 0).any():
+                raise self._damaged("its index is not sorted by MMSI")
+            # Counts of at most n cannot overflow their sum.
+            if ((counts < 1) | (counts > n)).any() or counts.sum() != n:
+                raise self._damaged(f"its index does not count its {n} rows")
+            ends = np.cumsum(counts)
+            fh.seek(rows_at)
+            first = start = 0
+            while first < len(ends):
+                stop = max(int(np.searchsorted(ends, start + _CHUNK_ROWS, side="right")),
+                           first + 1)
+                table = np.empty(int(ends[stop - 1]) - start, STORE_DTYPE)
+                fh.readinto(table.view(np.uint8))
+                cuts = ends[first:stop - 1] - start
+                ascending = np.diff(table["t"]) > 0
+                ascending[cuts - 1] = True  # each vessel's times start afresh
+                if not ascending.all():
+                    raise self._damaged("its times do not ascend within a vessel")
                 self.chunks += 1
-                self.rows += len(table) - len(carry)
-                # Rows from the last carried one on are unchecked against
-                # their predecessor.
-                new = table[max(len(carry) - 1, 0):]
-                mmsi_step, t_step = np.diff(new["mmsi"]), np.diff(new["t"])
-                if ((mmsi_step < 0) | ((mmsi_step == 0) & (t_step <= 0))).any():
-                    raise DataError(f"track store {path} is not sorted by MMSI then time")
-                # Everything before the last vessel is whole, unless this is
-                # the store's end.
-                cut = (len(table) if start + _CHUNK_ROWS >= n
-                       else int(np.searchsorted(table["mmsi"], table["mmsi"][-1])))
-                carry = table[cut:]
-                tracks = _split_tracks(table[:cut])
-                self.vessels += len(tracks)
-                yield from tracks
+                self.rows += len(table)
+                self.vessels += stop - first
+                names = [f"{m:09d}" for m in mmsi[first:stop].tolist()]
+                yield from map(VesselTrack, names, np.split(table, cuts))
+                first, start = stop, int(ends[stop - 1])
 
-    def _read_header(self, fh) -> int:
-        """The row count from the `.npy` header, after checking it and the
-        file size against TRACK_DTYPE."""
+    def _read_header(self, fh, dtype: np.dtype) -> int:
+        """The length of the 1-D `dtype` array whose `.npy` header comes
+        next in `fh`, after checking the header."""
         try:
             version = np.lib.format.read_magic(fh)
             if version not in ((1, 0), (2, 0)):
                 raise ValueError(f"unsupported .npy version {version}")
             read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                     else np.lib.format.read_array_header_2_0)
-            shape, _, dtype = read(fh)
-        except (ValueError, EOFError) as exc:
-            raise DataError(f"track store {self.path} is damaged: {exc}") from None
-        if dtype != TRACK_DTYPE or len(shape) != 1:
-            raise DataError(f"track store {self.path} holds {dtype} {shape}, "
-                            f"not a table of {TRACK_DTYPE}")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != shape[0] * TRACK_DTYPE.itemsize:
-            raise DataError(f"track store {self.path} is damaged: its header says "
-                            f"{shape[0]} rows but it holds {size} bytes of rows")
+            shape, _, found = read(fh)
+        except (ValueError, EOFError, TokenError) as exc:  # numpy tokenizes a bad header
+            raise self._damaged(str(exc)) from None
+        if found != dtype or len(shape) != 1 or shape[0] < 0:
+            raise self._damaged(f"it holds {found} {shape} where a table of {dtype} belongs")
         return shape[0]
+
+    def _damaged(self, what: str) -> DataError:
+        return DataError(f"track store {self.path} is damaged: {what} (run `ingest` again)")

@@ -588,8 +588,10 @@ def reference_group_and_sort(records, report=None):
 
 def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     """The whole-corpus ingest: every file's table concatenated, then one
-    length filter, one `reference_group_and_sort` and one `np.save` of the
-    store. Returns the IngestReport like `ingest_files`."""
+    length filter, one `reference_group_and_sort`, and the store written
+    with two `np.save` calls: the rows' (t, lat, lon, sog, cog), then one
+    (mmsi, rows) entry per track. Returns the IngestReport like
+    `ingest_files`."""
     from ais_outliers.ingest import TRACK_DTYPE, IngestReport, parse_ais_csv
 
     tables, report = [], IngestReport()
@@ -603,8 +605,12 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
                                         - len(np.unique(kept["mmsi"])))
     tracks = reference_group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
+    records = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
+    stored = ["t", "lat", "lon", "sog", "cog"]
     with open(tracks_path, "wb") as fh:
-        np.save(fh, np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)]))
+        np.save(fh, records[stored].astype([(name, records.dtype[name]) for name in stored]))
+        np.save(fh, np.array([(int(t.mmsi), len(t)) for t in tracks],
+                             dtype=[("mmsi", "<i8"), ("rows", "<i8")]))
     return report
 
 

@@ -12,7 +12,8 @@ import pytest
 from ais_outliers.cli import SPILL_DIR, main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
-from ais_outliers.ingest import TRACK_DTYPE, group_and_sort, save_tracks
+from ais_outliers.ingest import (INDEX_DTYPE, STORE_DTYPE, TRACK_DTYPE, TrackReader,
+                                 group_and_sort, save_tracks)
 from ais_outliers.manifest import RunManifest, file_sha256
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
@@ -119,11 +120,12 @@ def test_score_without_stats_refused(tmp_path, capsys):
 def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
-    table = np.load(run_dir / "tracks.npy", allow_pickle=False)
-    assert table.dtype == TRACK_DTYPE
+    tracks = list(TrackReader(run_dir / "tracks.npy"))
+    assert all(t.records.dtype == STORE_DTYPE for t in tracks)
     # One store, ordered by MMSI then time.
-    assert (np.lexsort((table["t"], table["mmsi"])) == np.arange(len(table))).all()
-    assert len(np.unique(table["mmsi"])) == 10  # 60 days / 6 per vessel
+    assert [t.mmsi for t in tracks] == sorted({t.mmsi for t in tracks})
+    assert all((np.diff(t.records["t"]) > 0).all() for t in tracks)
+    assert len(tracks) == 10  # 60 days / 6 per vessel
 
 
 def test_ingest_leaves_only_its_artifacts(tmp_path, corpus_dir):
@@ -168,7 +170,7 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     for command in ("ingest", "preprocess"):
         assert main(run_args(corpus_dir, run_dir, command)) == 0
     stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
-    rows = len(np.load(run_dir / "tracks.npy"))
+    rows = sum(map(len, TrackReader(run_dir / "tracks.npy")))
     ingest, preprocess = stages["ingest"]["extra"], stages["preprocess"]["extra"]
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
@@ -377,6 +379,15 @@ def test_usage_error_exit_code_is_one(capsys):
     ("preprocess", "truncated_tracks"),
     ("preprocess", "tracks_not_npy"),
     ("preprocess", "tracks_other_dtype"),
+    ("preprocess", "tracks_counts_short_of_rows"),
+    ("preprocess", "tracks_mmsi_out_of_order"),
+    ("preprocess", "tracks_zero_count"),
+    ("preprocess", "tracks_index_cut"),
+    ("preprocess", "tracks_without_index"),
+    ("preprocess", "tracks_row_cut"),
+    ("preprocess", "tracks_header_cut"),
+    ("preprocess", "tracks_trailing_bytes"),
+    ("preprocess", "tracks_parent_format"),
     ("export-geojson", "truncated_manifest"),
     ("report", "manifest_not_object"),
     ("score", "reordered_index_row"),
@@ -406,8 +417,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     scores.write_text("mmsi,day,rmse\n367000000,2019-03-06,0.5\n")
     outliers.write_text("rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-03-06,0.5,0.4,6.0\n")
     tracks = run_dir / "tracks.npy"
-    save_tracks(tracks, group_and_sort(make_table(
-        make_record(ts=utc(2019, 3, 6, h)) for h in range(3))))
+    track_table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
+    save_tracks(tracks, group_and_sort(track_table))
     manifest = run_dir / "manifest.json"
     RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
     index_rows = index.read_text().splitlines()
@@ -416,6 +427,15 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         data = bytearray(checkpoint.read_bytes())
         data[offset] ^= 0xFF
         checkpoint.write_bytes(bytes(data))
+
+    index_bytes = 128 + INDEX_DTYPE.itemsize  # the store's index: its header and one entry
+
+    def set_tracks_index(entries):  # the rows kept, the index replaced
+        with open(tracks, "rb") as fh:
+            rows = np.load(fh)
+        with open(tracks, "wb") as fh:
+            np.save(fh, rows)
+            np.save(fh, np.array(entries, INDEX_DTYPE))
 
     def set_stage(name, entry):
         data = json.loads(manifest.read_text())
@@ -431,6 +451,21 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "truncated_tracks": lambda: tracks.write_bytes(tracks.read_bytes()[:-10]),
         "tracks_not_npy": lambda: tracks.write_text("mmsi,timestamp,lat\n"),
         "tracks_other_dtype": lambda: np.save(tracks, np.zeros((3, 7))),
+        "tracks_counts_short_of_rows": lambda: set_tracks_index([(367000001, 2)]),
+        "tracks_mmsi_out_of_order": lambda: set_tracks_index([(367000002, 1),
+                                                             (367000001, 2)]),
+        "tracks_zero_count": lambda: set_tracks_index([(367000001, 3), (367000002, 0)]),
+        "tracks_index_cut": lambda: tracks.write_bytes(
+            tracks.read_bytes()[:-INDEX_DTYPE.itemsize]),
+        "tracks_without_index": lambda: tracks.write_bytes(tracks.read_bytes()[:-index_bytes]),
+        "tracks_row_cut": lambda: tracks.write_bytes(  # the last row, before the index
+            tracks.read_bytes()[:-(index_bytes + STORE_DTYPE.itemsize)]
+            + tracks.read_bytes()[-index_bytes:]),
+        "tracks_header_cut": lambda: tracks.write_bytes(
+            tracks.read_bytes()[:100] + tracks.read_bytes()[140:]),
+        "tracks_trailing_bytes": lambda: tracks.write_bytes(
+            tracks.read_bytes() + bytes(INDEX_DTYPE.itemsize)),
+        "tracks_parent_format": lambda: np.save(tracks, track_table),
         "truncated_manifest": lambda: manifest.write_bytes(manifest.read_bytes()[:100]),
         "manifest_not_object": lambda: manifest.write_text('["stages"]\n'),
         "reordered_index_row": lambda: index.write_text(
@@ -459,6 +494,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "scores_row_not_utf8": ("scores.csv",),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
+    if "tracks" in damage:
+        named[damage] = ("tracks.npy", "`ingest`")
     damages[damage]()
 
     assert main([command, "--run-dir", str(run_dir)]) == 2

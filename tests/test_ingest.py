@@ -250,6 +250,27 @@ def test_all_short_and_all_rejected_blocks_parse_like_reference(tmp_path):
     assert report.reject_reasons == {"short_row": n, "bad_mmsi": n}
 
 
+def test_bad_floats_at_block_edges_parse_like_reference(tmp_path):
+    # Two blocks. Lengths `float` rejects sit first, last, side by side and
+    # at the seam of the blocks; other columns hold rejected values first or
+    # last in a block, or two side by side.
+    rng = random.Random(6)
+    n = ingest._BLOCK_ROWS
+    rows = [_valid_row(rng)[:6] + ["50.0"] for _ in range(2 * n)]
+    for k, i in enumerate((0, 1, 2, 5, 6, n - 2, n - 1, n, 2 * n - 1)):
+        rows[i][6] = ["", " ", "abc", "\x85"][k % 4]
+    rows[n + 2][6] = "\x1c50"  # rejected by `float`, a length once stripped
+    for column, i in ((2, 0), (3, n - 1), (4, n), (4, n + 1), (5, 2 * n - 1)):
+        rows[i][column] = "x"
+    path = _write_csv(tmp_path / "edges.csv", rows)
+    assert_same_parse(path)
+    table, report = parse_ais_csv(path)
+    assert report.reject_reasons == {"bad_lat": 1, "bad_lon": 1, "bad_sog": 2, "bad_cog": 1}
+    # Rows 1, 2, 5, 6 and n - 2, after the rejected row 0.
+    assert np.flatnonzero(np.isnan(table["length"])).tolist() == [0, 1, 4, 5, n - 3]
+    assert table["length"][n - 2] == 50.0  # row n + 2
+
+
 def test_remapped_schema_parses_like_reference(tmp_path):
     names = ["loa", "course", "speed", "when", "longitude", "latitude", "id"]
     schema = dict(zip(["length", "cog", "sog", "timestamp", "lon", "lat", "mmsi"], names))
@@ -281,6 +302,22 @@ def test_parse_memory_is_bounded_by_the_block(tmp_path):
         tracemalloc.stop()
     assert report.rows_rejected == 0 and len(table) == 64_000
     assert peak < 3 * table.nbytes, (peak, table.nbytes)
+
+
+def test_parse_peaks_at_1_6_times_its_table(tmp_path):
+    # The blocks' rows are appended to one buffer as they are parsed, not
+    # held as tables until the end (2.1 times the table).
+    rng = random.Random(4)
+    path = _write_csv(tmp_path / "big.csv", (_valid_row(rng) for _ in range(64_000)))
+    parse_ais_csv(io.StringIO(HEADER + "367000001,2019-03-06T00:00:00,30,-80,1,2,50\n"))
+    tracemalloc.start()
+    try:
+        table, _ = parse_ais_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 64_000
+    assert peak <= 1.6 * table.nbytes, peak / table.nbytes
 
 
 # -- filter_by_length ------------------------------------------------------

@@ -2,8 +2,10 @@
 
 `ingest_files` spills one sorted run per input file and merges the runs in
 batches of whole vessels, or time slabs of a vessel larger than a batch;
-`TrackReader` reads the store back in chunks cut at vessel boundaries. Both are checked against the whole-corpus path
-(`oracles.reference_ingest`) and against `np.load` of the store.
+`save_tracks` stores 40-byte rows and a per-vessel index after them, and
+`TrackReader` reads the store back in chunks cut at vessel boundaries. Both
+are checked against the whole-corpus path (`oracles.reference_ingest`) and
+against `np.load` of the store.
 """
 
 import subprocess
@@ -16,8 +18,8 @@ import pytest
 
 from ais_outliers import ingest
 from ais_outliers.errors import DataError
-from ais_outliers.ingest import (TRACK_DTYPE, IngestReport, TrackReader, group_and_sort,
-                                 ingest_files, save_tracks)
+from ais_outliers.ingest import (INDEX_DTYPE, STORE_DTYPE, TRACK_DTYPE, IngestReport,
+                                 TrackReader, group_and_sort, ingest_files, save_tracks)
 
 from conftest import make_record, make_table, make_track, utc
 from oracles import reference_group_and_sort, reference_ingest
@@ -160,7 +162,7 @@ def _traced_peak(run) -> int:
 
 
 def test_ingest_memory_does_not_grow_with_the_number_of_files(tmp_path):
-    file_bytes = 4000 * TRACK_DTYPE.itemsize  # one file's rows in the store
+    file_bytes = 4000 * TRACK_DTYPE.itemsize  # one file's parsed rows
     corpora = {n: _daily_files(tmp_path / f"n{n}", n) for n in (2, 8)}
     out = tmp_path / "out"
     out.mkdir()
@@ -239,41 +241,64 @@ def _store(tmp_path, lengths):
     return path, tracks
 
 
+def _stored(records):
+    """The STORE_DTYPE rows of TRACK_DTYPE `records`, field by field."""
+    return records[list(STORE_DTYPE.names)].astype(STORE_DTYPE)
+
+
 def _assert_reads_back(path, tracks):
     reader = TrackReader(path)
     read = list(reader)
     assert [t.mmsi for t in read] == [t.mmsi for t in tracks]
-    assert [t.records.tobytes() for t in read] == [t.records.tobytes() for t in tracks]
+    assert all(t.records.dtype == STORE_DTYPE for t in read)
+    assert [t.records.tobytes() for t in read] == [_stored(t.records).tobytes() for t in tracks]
     assert (reader.rows, reader.vessels) == (sum(map(len, tracks)), len(tracks))
     return reader
 
 
-def test_reader_carries_a_vessel_cut_by_a_chunk(tmp_path, monkeypatch):
+def test_store_is_the_rows_then_one_index_entry_per_vessel(tmp_path):
+    a = make_table(make_record(mmsi="367000001", ts=utc(2019, 3, 6, h)) for h in range(5))
+    b = make_table([make_record(mmsi="367000002", length=None)])
+    path = tmp_path / "tracks.npy"
+    # Consecutive tracks of one vessel, as time slabs of a merge, make one entry.
+    assert save_tracks(path, [make_track("367000001", a[:2]), make_track("367000001", a[2:]),
+                              make_track("367000002", b)]) == 6
+    with open(path, "rb") as fh:
+        rows, index = np.load(fh), np.load(fh)
+        assert fh.read() == b""
+    assert rows.tobytes() == _stored(np.concatenate([a, b])).tobytes()
+    assert index.dtype == INDEX_DTYPE
+    assert index.tolist() == [(367000001, 5), (367000002, 1)]
+    assert STORE_DTYPE.itemsize == 40 and INDEX_DTYPE.itemsize == 16
+
+
+def test_reader_cuts_chunks_at_vessel_boundaries(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_CHUNK_ROWS", 5)
-    path, tracks = _store(tmp_path, [3, 4, 4, 2])  # chunks end inside vessels 1 and 2
+    # Vessels 0-2 fill a chunk exactly; vessel 4 would not fit beside vessel 3.
+    path, tracks = _store(tmp_path, [2, 2, 1, 4, 3])
     assert _assert_reads_back(path, tracks).chunks == 3
 
 
 def test_reader_holds_a_vessel_larger_than_a_chunk(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
     path, tracks = _store(tmp_path, [2, 11, 1])
-    assert _assert_reads_back(path, tracks).chunks == 4
+    assert _assert_reads_back(path, tracks).chunks == 3
 
 
-def test_reader_rejects_a_store_unsorted_across_a_chunk_boundary(tmp_path, monkeypatch):
+@pytest.mark.parametrize("hours", [(0, 1, 2, 5, 4, 6, 7, 8), (0, 1, 2, 3, 3, 4, 5, 6)])
+def test_reader_rejects_times_not_ascending_within_a_vessel(tmp_path, monkeypatch, hours):
     monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
-    rows = [make_record(ts=utc(2019, 3, 6, h)) for h in (0, 1, 2, 5, 4, 6, 7, 8)]
-    table = make_table(rows)
+    table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in hours)
     path = tmp_path / "tracks.npy"
-    np.save(path, table)
-    for chunk in (table[:4], table[4:]):  # each chunk on its own is sorted
-        assert (np.diff(chunk["t"]) > 0).all()
-    with pytest.raises(DataError, match="not sorted by MMSI then time"):
+    with open(path, "wb") as fh:  # two `np.save` calls, as the oracle writes a store
+        np.save(fh, _stored(table))
+        np.save(fh, np.array([(367000001, len(table))], INDEX_DTYPE))
+    with pytest.raises(DataError, match="times do not ascend within a vessel"):
         list(TrackReader(path))
 
 
 def test_reader_rejects_trailing_bytes(tmp_path):
     path, _ = _store(tmp_path, [3])
-    path.write_bytes(path.read_bytes() + b"\0" * TRACK_DTYPE.itemsize)
-    with pytest.raises(DataError, match="header says 3 rows"):
+    path.write_bytes(path.read_bytes() + b"\0" * INDEX_DTYPE.itemsize)
+    with pytest.raises(DataError, match="gives 1 vessels, but 32 bytes follow it"):
         list(TrackReader(path))
