@@ -438,9 +438,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def entry() -> int:
+    """The `ais-outliers` command and `python -m ais_outliers.cli`: `main`,
+    then the objects alive are frozen, so interpreter exit skips the
+    collector's sweep over them; atexit handlers and flushes still run."""
     code = main()
-    # Frozen, the objects alive now skip the collector's sweeps at
-    # interpreter exit; atexit handlers and flushes still run.
     gc.freeze()
-    sys.exit(code)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

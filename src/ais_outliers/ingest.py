@@ -18,7 +18,7 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from pathlib import Path
 from tokenize import TokenError
 from typing import IO, Iterable, Iterator
@@ -346,19 +346,26 @@ def _float_column(values, parse) -> np.ndarray:
     value `float` rejects, blank values are read as "nan" (what `parse`
     makes of them, and the commonest reject: an unreported length), any
     other rejected value goes through `parse`, and the conversion resumes
-    after it, still in C: `list.extend` keeps the items appended before the
-    error, and `map` has consumed the rejected one. `parse` agrees with
+    after it, still in C. The rejected value's position is read from the
+    source iterator, and `list.extend` must have kept the items appended
+    before the error (CPython does); if it has not, the column raises
+    rather than shift values into the wrong rows. `parse` agrees with
     `float` on every value `float` accepts.
     """
     try:
         column = np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
-        floats, rest = [], map(_BLANK_AS_NAN.get, values, values)
+        source = iter(values)
+        floats, rest = [], map(_BLANK_AS_NAN.get, source, values)
         while len(floats) < len(values):
             try:
                 floats.extend(map(float, rest))
             except ValueError:
-                floats.append(parse(values[len(floats)]))
+                bad = len(values) - length_hint(source) - 1
+                if bad != len(floats):
+                    raise RuntimeError(
+                        f"float column lost its place: value {bad}, {len(floats)} kept")
+                floats.append(parse(values[bad]))
         column = np.array(floats, dtype=np.float64)  # None becomes NaN
     column[~np.isfinite(column)] = np.nan
     return column

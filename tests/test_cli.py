@@ -370,6 +370,46 @@ def test_usage_error_exit_code_is_one(capsys):
     assert exc.value.code == 1
 
 
+# Runs the CLI the way LAUNCH does, in a fresh interpreter, and writes the
+# collector's frozen-object count to OUT at exit.
+FREEZE_PROBE = """
+import atexit, gc, importlib, runpy, sys
+out, launch = sys.argv.pop(1), sys.argv.pop(1)
+
+@atexit.register
+def dump():
+    with open(out, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+if launch == "-m":
+    runpy.run_module("ais_outliers.cli", run_name="__main__", alter_sys=True)
+else:  # what the generated console script does with "module:function"
+    module, function = launch.split(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def _console_script() -> str:
+    import tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]["ais-outliers"]
+
+
+@pytest.mark.parametrize("launch", ["-m", "console-script"])
+@pytest.mark.parametrize("args, code", [
+    (["ingest", "--print-config"], 0),
+    (["train", "--set", "hidden=abc"], 1),
+])
+def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, code):
+    out = tmp_path / "frozen.txt"
+    target = launch if launch == "-m" else _console_script()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, str(out), target, *args],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == code, done.stderr
+    assert int(out.read_text()) > 0
+
+
 @pytest.mark.parametrize("command, damage", [
     ("score", "truncated_checkpoint"),
     ("export-geojson", "short_index_row"),
