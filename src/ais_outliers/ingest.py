@@ -17,11 +17,11 @@ import shutil
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import islice
-from operator import itemgetter, length_hint
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from tokenize import TokenError
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,9 +50,12 @@ DEFAULT_MIN_LENGTH_M = 20.0
 _CHECKS = ("bad_mmsi", "bad_timestamp", "bad_lat", "lat_out_of_range", "bad_lon",
            "lon_out_of_range", "bad_sog", "sog_out_of_range", "bad_cog",
            "cog_out_of_range")
-# Rows parsed per block: parse memory beyond the returned table grows with
-# this, not with the file.
-_BLOCK_ROWS = 1024
+# Source bytes read per chunk: parse memory beyond the returned table grows
+# with this, not with the file.
+_BLOCK_BYTES = 1 << 16
+# Rows per block where csv.reader splits the lines: about a chunk's worth.
+_CSV_BLOCK_ROWS = _BLOCK_BYTES // 64
+_COMMA, _LF, _CR = b",\n\r"
 
 _ZERO = ord("0")
 _MMSI_WEIGHTS = 10 ** np.arange(8, -1, -1, dtype=np.int64)
@@ -62,8 +65,17 @@ _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_PUNCT = [4, 7, 13, 16]
 _STAMP_PUNCT_CODES = np.array([ord(c) for c in "--::"])
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-# Blank float cells as _float_column reads them: NaN, without an exception.
-_BLANK_AS_NAN = {"": "nan"}
+# Float values are gathered this many bytes wide; wider ones take the
+# per-value rule. Per width 0.._FLOAT_WIDTH, the words that keep a value's
+# bytes and clear the rest of its gather.
+_FLOAT_WIDTH = 24
+_FLOAT_MASKS = np.where(np.arange(_FLOAT_WIDTH) < np.arange(_FLOAT_WIDTH + 1)[:, None],
+                        np.uint8(255), np.uint8(0)).view(np.uint64)
+# First bytes of the float values converted from their bytes.
+_NUMBER_START = np.zeros(256, dtype=bool)
+_NUMBER_START[list(b"0123456789+-.")] = True
+# Zero bytes after a block's bytes, so that every gather stays inside them.
+_PAD = bytes(_FLOAT_WIDTH)
 
 
 # One accepted AIS row as parsed, filtered and merged: MMSI as an integer
@@ -164,15 +176,44 @@ def _parse_length(text: str) -> float | None:
     return _parse_float(text.strip())
 
 
-def _open_text(source) -> tuple[IO[str], bool]:
-    """Accept a path, text stream, or byte stream. Returns (stream, owned)."""
+def _read_chunks(source) -> Iterator[bytes]:
+    """The bytes of `source` in chunks of about _BLOCK_BYTES, each cut after
+    its last line end (`\\n` or `\\r`), so every chunk starts a line; only
+    the last may end without a line end.
+
+    A path is opened as bytes and closed when done. A byte stream is read
+    as it is, and a text stream is encoded read by read with
+    `surrogatepass`; neither is closed. Chunks of a path or byte stream are
+    checked to be UTF-8 (UnicodeDecodeError) before they are handed on.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    if hasattr(source, "read"):  # binary stream
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-    raise ConfigError(f"unsupported AIS source: {type(source).__name__}")
+        with open(source, "rb") as fh:
+            yield from _line_chunks(fh.read, check=True)
+    elif isinstance(source, io.TextIOBase):
+        yield from _line_chunks(
+            lambda n: source.read(n).encode("utf-8", "surrogatepass"), check=False)
+    elif hasattr(source, "read"):
+        yield from _line_chunks(source.read, check=True)
+    else:
+        raise ConfigError(f"unsupported AIS source: {type(source).__name__}")
+
+
+def _line_chunks(read, check: bool) -> Iterator[bytes]:
+    pending = []  # what was read since the last line end
+    while block := read(_BLOCK_BYTES):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut:
+            yield _utf8(b"".join([*pending, block[:cut]]), check)
+            pending, block = [], block[cut:]
+        pending.append(block)
+    if tail := b"".join(pending):
+        yield _utf8(tail, check)
+
+
+def _utf8(chunk: bytes, check: bool) -> bytes:
+    if check and not chunk.isascii():
+        chunk.decode("utf-8")  # raises UnicodeDecodeError
+    return chunk
 
 
 def parse_ais_csv(
@@ -180,15 +221,25 @@ def parse_ais_csv(
 ) -> tuple[np.ndarray, IngestReport]:
     """Parse one AIS CSV into a TRACK_DTYPE table plus a rejection report.
 
-    `source` may be a path, an open text stream, or an open byte stream.
-    `schema` maps logical fields (mmsi, timestamp, lat, lon, sog, cog,
-    length) to column names; defaults match MarineCadastre headers.
-    Accepted rows keep their input order. A missing required column raises
-    ConfigError; an unreadable stream raises DataError. Bad rows never
-    raise: they are tallied by reason.
+    `source` may be a path, an open text stream, or an open byte stream; a
+    stream is read from where it stands and left open. `schema` maps
+    logical fields (mmsi, timestamp, lat, lon, sog, cog, length) to column
+    names; defaults match MarineCadastre headers. Accepted rows keep their
+    input order. A missing required column raises ConfigError; an
+    unreadable stream (bytes that are not UTF-8, say) raises DataError.
+    Bad rows never raise: they are tallied by reason.
 
-    Rows are read and validated in blocks of _BLOCK_ROWS, one column at a
-    time, so memory beyond the returned table is bounded by the block.
+    The source is read as bytes in chunks of about _BLOCK_BYTES that end at
+    a line end. Each chunk is split into fields in one array pass over its
+    bytes: `,` ends a field and `\\n` or `\\r` a line, so `\\r\\n` leaves a
+    blank line behind, and blank lines are not rows. The fields the schema
+    names are validated one column at a time as byte spans of the chunk,
+    so memory beyond the returned table is bounded by the chunk. From the
+    first chunk that holds a `"` (or a field longer than
+    csv.field_size_limit()) to the end of the file, csv.reader splits the
+    lines instead; its rows are turned into byte spans for the same
+    column checks. That chunk starts a line with no quote before it, so
+    both ways give the rows csv.reader gives on the whole file.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -197,61 +248,159 @@ def parse_ais_csv(
             raise ConfigError(f"unknown schema fields: {sorted(unknown)}")
         columns.update(schema)
 
-    stream, owned = _open_text(source)
     # Accepted rows as bytes, appended block by block: the blocks' tables
     # are freed as they go instead of all being held until a concatenation.
     data = bytearray()
     tally = np.zeros(len(_CHECKS) + 1, dtype=np.int64)  # last: accepted
     report = IngestReport()
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return np.empty(0, TRACK_DTYPE), report
-
-        index: dict[str, int] = {}
-        for logical, column in columns.items():
-            try:
-                index[logical] = header.index(column)
-            except ValueError:
-                raise ConfigError(
-                    f"missing required column '{column}' (field '{logical}')"
-                ) from None
-        max_index = max(index.values())
-        fields = itemgetter(*(index[name] for name in DEFAULT_SCHEMA))
-
-        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            rows = [row for row in block if len(row) > max_index]
-            read = len(block) - block.count([])  # blank lines are not rows
-            report.rows_read += read
-            if read > len(rows):
-                report.reject("short_row", read - len(rows))
-            if rows:
-                table, block_tally = _parse_block(*zip(*map(fields, rows)))
-                data += table.data
-                tally += block_tally
+        with closing(_blocks(source, columns)) as blocks:
+            for raw, starts, ends, read, short in blocks:
+                report.rows_read += read
+                if short:
+                    report.reject("short_row", short)
+                if starts.shape[1]:
+                    table, block_tally = _parse_block(raw, starts, ends)
+                    data += table.data
+                    tally += block_tally
     except (UnicodeDecodeError, csv.Error, OSError) as exc:
         raise DataError(f"unreadable AIS stream: {exc}") from exc
-    finally:
-        if owned:
-            stream.close()
     for reason, n in zip(_CHECKS, tally.tolist()):
         if n:
             report.reject(reason, n)
     return np.frombuffer(data, TRACK_DTYPE), report
 
 
-def _parse_block(mmsi, stamp, lat, lon, sog, cog, length) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one block of rows given as string columns.
+def _blocks(source, columns: dict[str, str]) -> Iterator[tuple]:
+    """The rows of `source` after its header, in blocks of
+    (bytes, starts, ends, lines read, short rows): `starts` and `ends` are
+    (7, rows) offsets into the bytes of each row's DEFAULT_SCHEMA fields,
+    for the rows with enough fields; blank lines are not read."""
+    with closing(_read_chunks(source)) as chunks:
+        first = next(chunks, b"")
+        if not first:
+            return
+        end = min((i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0),
+                  default=len(first))
+        if b'"' in first or end > csv.field_size_limit():
+            yield from _csv_blocks(chain([first], chunks), columns)
+            return
+        header = first[:end].decode("utf-8", "surrogatepass").split(",") if end else []
+        fields = _field_indexes(header, columns)
+        for chunk in chain([first[end + 1:]], chunks):
+            block = None if b'"' in chunk else _tokenize(chunk, fields)
+            if block is None:
+                yield from _csv_blocks(chain([chunk], chunks), columns, fields)
+                return
+            yield block
+
+
+def _field_indexes(header: list[str], columns: dict[str, str]) -> np.ndarray:
+    """Column index of each logical field, in DEFAULT_SCHEMA order."""
+    index = []
+    for logical, column in columns.items():
+        try:
+            index.append(header.index(column))
+        except ValueError:
+            raise ConfigError(f"missing required column '{column}' (field '{logical}')") from None
+    return np.array(index)
+
+
+def _tokenize(chunk: bytes, fields: np.ndarray) -> tuple | None:
+    """The block of a chunk of whole lines without a quote, or None when
+    one of its fields is longer than csv.field_size_limit()."""
+    buf = np.frombuffer(chunk, np.uint8)
+    near = np.flatnonzero(buf <= _COMMA)  # the separators and a few other bytes
+    kind = buf[near]
+    is_separator = (kind == _COMMA) | (kind == _LF) | (kind == _CR)
+    ends, kind = near[is_separator], kind[is_separator]
+    if chunk[-1:] not in (b"\n", b"\r"):  # the last line of a file without a line end
+        ends, kind = np.append(ends, len(chunk)), np.append(kind, _LF)
+    # A field ends at a separator and starts after the one before it.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    limit = csv.field_size_limit()
+    if len(chunk) > limit and (ends - starts).max() > limit:
+        return None
+    line_end = np.flatnonzero(kind != _COMMA)  # each line's last field
+    line_first = np.concatenate(([0], line_end[:-1] + 1))
+    n_fields = line_end - line_first + 1
+    blank = (n_fields == 1) & (ends[line_end] == starts[line_end])
+    read = len(line_end) - int(blank.sum())
+    at = line_first[n_fields > fields.max()] + fields[:, None]
+    return chunk, starts[at], ends[at], read, read - at.shape[1]
+
+
+def _csv_blocks(chunks: Iterable[bytes], columns: dict[str, str],
+                fields: np.ndarray | None = None) -> Iterator[tuple]:
+    """_blocks of the rows csv.reader makes of the lines in `chunks`, split
+    as a file opened with newline="" splits them, in blocks of
+    _CSV_BLOCK_ROWS rows. The first row is the header unless `fields` is
+    given."""
+    reader = csv.reader(chain.from_iterable(
+        io.StringIO(chunk.decode("utf-8", "surrogatepass"), newline="") for chunk in chunks))
+    if fields is None:
+        header = next(reader, None)
+        if header is None:
+            return
+        fields = _field_indexes(header, columns)
+    take, max_index = itemgetter(*fields.tolist()), int(fields.max())
+    for rows in iter(lambda: list(islice(reader, _CSV_BLOCK_ROWS)), []):
+        read = len(rows) - rows.count([])
+        values = list(chain.from_iterable(map(take, [row for row in rows if len(row) > max_index])))
+        # One encoding of all values, each followed by "\n": where no value
+        # holds a "\n", those bytes are where the values end.
+        raw = "\n".join([*values, ""]).encode("utf-8", "surrogatepass")
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == _LF)
+        if len(ends) != len(values):
+            lengths = np.fromiter((len(v.encode("utf-8", "surrogatepass")) for v in values),
+                                  np.int64, len(values))
+            ends = np.cumsum(lengths + 1) - 1
+        starts = np.concatenate(([-1], ends))[:-1] + 1
+        yield (raw, starts.reshape(-1, len(fields)).T, ends.reshape(-1, len(fields)).T,
+               read, read - len(values) // len(fields))
+
+
+class _Bytes(NamedTuple):
+    """The bytes a block's field spans point into."""
+
+    raw: bytes
+    chars: np.ndarray  # `raw` then _PAD, as uint8
+    odd: np.ndarray | None  # NUL and non-ASCII bytes before each offset; None if none
+
+    @classmethod
+    def of(cls, raw: bytes) -> "_Bytes":
+        chars = np.frombuffer(raw + _PAD, np.uint8)
+        odd = None
+        if not raw.isascii() or b"\0" in raw:
+            odd = np.concatenate(([0], np.cumsum((chars == 0) | (chars >= 0x80))))
+        return cls(raw, chars, odd)
+
+    def text(self, start: int, end: int) -> str:
+        return self.raw[start:end].decode("utf-8", "surrogatepass")
+
+    def gather(self, start: np.ndarray, width: int) -> np.ndarray:
+        """(n, width) bytes from each offset in `start`, through a view of
+        every `width` bytes in a row (sliding_window_view, without its
+        checks)."""
+        windows = np.ndarray((len(self.chars) - width + 1, width), np.uint8, self.chars,
+                             strides=(1, 1))
+        return windows[start]
+
+
+def _parse_block(raw: bytes, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one block of rows given as (7, rows) spans of `raw`, one
+    row of spans per DEFAULT_SCHEMA field.
 
     Returns the accepted rows and, per entry of _CHECKS plus one for
     accepted rows, how many rows the block has whose first failing check it is.
     """
-    mmsi, mmsi_ok = _mmsi_column(mmsi)
-    t, t_ok = _timestamp_column(stamp)
-    lat, lon, sog, cog = (_float_column(c, _parse_float) for c in (lat, lon, sog, cog))
-    length = _float_column(length, _parse_length)
+    block = _Bytes.of(raw)
+    mmsi, mmsi_ok = _mmsi_column(block, starts[0], ends[0])
+    t, t_ok = _timestamp_column(block, starts[1], ends[1])
+    lat, lon, sog, cog = (_float_column(block, starts[i], ends[i], _parse_float)
+                          for i in range(2, 6))
+    length = _float_column(block, starts[6], ends[6], _parse_length)
     # One row per entry of _CHECKS, in order, then one all-true row that
     # rows passing every check stop at. NaN marks an unparsable float.
     fails = np.stack([
@@ -277,31 +426,23 @@ def _parse_block(mmsi, stamp, lat, lon, sog, cog, length) -> tuple[np.ndarray, n
     return table, np.bincount(first_failed, minlength=len(fails))
 
 
-def _codepoints(values, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, width) code points of each value, and which values are exactly
-    `width` long. A numpy str array drops trailing NULs and truncates
-    longer values, so the length comes from Python."""
-    n = len(values)
-    chars = np.array(values, dtype=f"U{width}").view(np.uint32).reshape(n, width)
-    return chars, np.fromiter(map(len, values), np.int64, n) == width
-
-
-def _mmsi_column(values) -> tuple[np.ndarray, np.ndarray]:
+def _mmsi_column(block: _Bytes, start: np.ndarray,
+                 end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MMSIs as integers, and which values are nine ASCII digits once
     stripped. Values that are not exactly nine ASCII digits as given are
     checked one by one."""
-    chars, ok = _codepoints(values, 9)
-    digits = chars - _ZERO  # unsigned: code points below "0" wrap to large values
-    ok &= (digits <= 9).all(axis=1)
+    digits = block.gather(start, 9) - _ZERO  # unsigned: bytes below "0" wrap to large values
+    ok = (end - start == 9) & (digits <= 9).all(axis=1)
     mmsi = digits @ _MMSI_WEIGHTS
     for i in np.flatnonzero(~ok).tolist():
-        text = values[i].strip()
+        text = block.text(start[i], end[i]).strip()
         if len(text) == 9 and text.isascii() and text.isdigit():
             mmsi[i], ok[i] = int(text), True
     return mmsi, ok
 
 
-def _timestamp_column(values) -> tuple[np.ndarray, np.ndarray]:
+def _timestamp_column(block: _Bytes, start: np.ndarray,
+                      end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """UTC epoch seconds, and which values parse.
 
     Values of the form YYYY-MM-DD[T ]hh:mm:ss in ASCII digits that name a
@@ -309,7 +450,8 @@ def _timestamp_column(values) -> tuple[np.ndarray, np.ndarray]:
     every other value goes through _parse_timestamp, which also accepts
     e.g. unpadded fields and rejects impossible dates.
     """
-    chars, ok = _codepoints(values, _STAMP_WIDTH)
+    chars = block.gather(start, _STAMP_WIDTH)
+    ok = end - start == _STAMP_WIDTH
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - _ZERO
     ok &= ((digits >= 0) & (digits <= 9)).all(axis=1)
     ok &= (chars[:, _STAMP_PUNCT] == _STAMP_PUNCT_CODES).all(axis=1)
@@ -333,42 +475,59 @@ def _timestamp_column(values) -> tuple[np.ndarray, np.ndarray]:
     t = days * 86400 + hour * 3600 + minute * 60 + second
 
     for i in np.flatnonzero(~ok).tolist():
-        parsed = _parse_timestamp(values[i].strip())
+        parsed = _parse_timestamp(block.text(start[i], end[i]).strip())
         if parsed is not None:
             t[i], ok[i] = parsed, True
     return t, ok
 
 
-def _float_column(values, parse) -> np.ndarray:
-    """Finite floats, NaN where `parse` (the per-value rule) gives None.
+def _float_column(block: _Bytes, start: np.ndarray, end: np.ndarray, parse) -> np.ndarray:
+    """Finite floats, NaN where `parse` (the per-value rule, on the decoded
+    value) gives None.
 
-    The whole column is converted with `float` first. In a column with a
-    value `float` rejects, blank values are read as "nan" (what `parse`
-    makes of them, and the commonest reject: an unreported length), any
-    other rejected value goes through `parse`, and the conversion resumes
-    after it, still in C. The rejected value's position is read from the
-    source iterator, and `list.extend` must have kept the items appended
-    before the error (CPython does); if it has not, the column raises
-    rather than shift values into the wrong rows. `parse` agrees with
-    `float` on every value `float` accepts.
+    Values that start like a number (a digit, sign or point), fit in
+    _FLOAT_WIDTH bytes and hold no NUL and no byte of 0x80 or above go
+    through _float_values. Blank values are NaN, as `parse` makes them, and
+    every other value goes through `parse`.
     """
-    try:
-        column = np.fromiter(map(float, values), np.float64, len(values))
-    except ValueError:
-        source = iter(values)
-        floats, rest = [], map(_BLANK_AS_NAN.get, source, values)
-        while len(floats) < len(values):
-            try:
-                floats.extend(map(float, rest))
-            except ValueError:
-                bad = len(values) - length_hint(source) - 1
-                if bad != len(floats):
-                    raise RuntimeError(
-                        f"float column lost its place: value {bad}, {len(floats)} kept")
-                floats.append(parse(values[bad]))
-        column = np.array(floats, dtype=np.float64)  # None becomes NaN
+    width = end - start
+    fast = (width > 0) & (width <= _FLOAT_WIDTH) & _NUMBER_START[block.chars[start]]
+    if block.odd is not None:
+        fast &= block.odd[end] == block.odd[start]
+    if fast.all():
+        column = _float_values(block, start, width, parse)
+    else:
+        column = np.full(len(start), np.nan)
+        column[fast] = _float_values(block, start[fast], width[fast], parse)
+        for i in np.flatnonzero(~fast & (width > 0)).tolist():
+            value = parse(block.text(start[i], end[i]))
+            if value is not None:
+                column[i] = value
     column[~np.isfinite(column)] = np.nan
     return column
+
+
+def _float_values(block: _Bytes, start: np.ndarray, width: np.ndarray, parse) -> np.ndarray:
+    """`float` of each value's bytes, gathered NUL-padded into one
+    fixed-width bytes array: one `float` call per value. For the values
+    _float_column sends here, `float` on the bytes accepts only what
+    `parse` accepts, and gives the same value. If `float` rejects one,
+    each value is converted on its own and the rejected ones go through
+    `parse` (None becomes NaN)."""
+    chars = block.gather(start, _FLOAT_WIDTH)
+    chars.view(np.uint64)[...] &= _FLOAT_MASKS[width]  # NULs after each value
+    values = chars.view(f"S{_FLOAT_WIDTH}").ravel().tolist()  # numpy drops trailing NULs
+    try:
+        return np.fromiter(map(float, values), np.float64, len(values))
+    except ValueError:
+        return np.array([_float_or_parse(v, parse) for v in values], dtype=np.float64)
+
+
+def _float_or_parse(value: bytes, parse) -> float | None:
+    try:
+        return float(value)
+    except ValueError:
+        return parse(value.decode("ascii"))
 
 
 def filter_by_length(

@@ -13,6 +13,7 @@ with missing slots set to -1.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from datetime import date
 from itertools import compress
@@ -264,9 +265,13 @@ def normalize_corpus(
 
 def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
                 tensor_path, index_path) -> None:
-    """Write (N, 48, 4) days as raw row-major '<f8' cells plus an id sidecar."""
+    """Write (N, 48, 4) days as raw row-major '<f8' cells plus an id sidecar.
+
+    The cells are written from the tensor's own buffer when it is already
+    C-ordered '<f8', as the corpora this pipeline makes are.
+    """
     with atomic_write(tensor_path) as fh:
-        fh.write(np.asarray(tensor, dtype="<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(tensor, dtype="<f8").data)
     with atomic_write(index_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_index", "mmsi", "day"])
@@ -275,14 +280,22 @@ def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
 
 
 def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, date]]]:
-    """Read a persisted corpus back into (tensor, ids)."""
+    """Read a persisted corpus back into (tensor, ids).
+
+    The cells are read straight into the returned '<f8' tensor, so loading
+    holds the tensor once, plus the ids.
+    """
     tensor_path, index_path = Path(tensor_path), Path(index_path)
     if not tensor_path.exists() or not index_path.exists():
         raise DataError(f"corpus not found: {tensor_path} / {index_path}")
-    raw = np.frombuffer(tensor_path.read_bytes(), dtype="<f8")
-    if raw.size % (N_SLOTS * N_FEATURES) != 0:
-        raise DataError(f"corpus file {tensor_path} is not a whole number of days")
-    tensor = raw.reshape(-1, N_SLOTS, N_FEATURES).astype(np.float64)
+    day_bytes = N_SLOTS * N_FEATURES * 8
+    with open(tensor_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size % day_bytes != 0:
+            raise DataError(f"corpus file {tensor_path} is not a whole number of days")
+        tensor = np.empty((size // day_bytes, N_SLOTS, N_FEATURES), dtype="<f8")
+        if fh.readinto(tensor) != size:
+            raise DataError(f"corpus file {tensor_path} changed while it was read")
     ids: list[tuple[str, date]] = []
     with utf8_text(index_path), open(index_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import random
 import subprocess
@@ -122,12 +123,6 @@ def test_schema_remap_and_extra_columns():
     assert len(records) == 1
 
 
-def test_undecodable_bytes_raise_data_error():
-    stream = io.BytesIO(HEADER.encode() + b"\xff\xfe\x00garbage\xff\n")
-    with pytest.raises(DataError):
-        parse_ais_csv(stream)
-
-
 def test_parse_is_total_over_malformed_rows():
     # Structurally odd but decodable rows must tally, never raise.
     random.seed(7)
@@ -148,7 +143,9 @@ def test_parse_is_total_over_malformed_rows():
 _FLOATS = ["nan", "-nan", "inf", "-inf", "1_0", " 2.5 ", "+3", "0x10", "", " ", "50\x00",
            "\x0050", "5\x000", "\x1c2.5", "\x852.5", "\xa02.5", "\u30002.5", "\uff11\uff12",
            "\u00b9", "1e309", "-0.0", "0", "360", "360.0", "360.5", "-1", "90", "90.5", "-91",
-           "180", "-181", "abc", "NaN", "1,5"]
+           "180", "-181", "abc", "NaN", "1,5",
+           # 23 to 26 bytes and 31: about as wide as the bytes a float is read from.
+           "1" * 23, "0." + "0" * 20 + "15", "3" * 25, "-0." + "0" * 20 + "25", "-" + "4" * 30]
 ODD_FIELDS = {
     "mmsi": ["123456789\x00", "\x00123456789", "1234\x0056789", " 367000002 ", "\x1c367000003",
              "367000004\x85", "\xa0367000005", "\u3000367000006",
@@ -201,23 +198,73 @@ def _mixed_rows(rng: random.Random, n: int) -> list[list[str]]:
     return rows
 
 
-def _write_csv(path: Path, rows, header=("MMSI", "BaseDateTime", "LAT", "LON", "SOG", "COG",
-                                         "Length")) -> Path:
+COLUMNS = ("MMSI", "BaseDateTime", "LAT", "LON", "SOG", "COG", "Length")
+# Line ends csv.writer may write: "\r\n" is its default.
+LINE_ENDS = pytest.mark.parametrize("lineterminator", ["\n", "\r\n"], ids=["lf", "crlf"])
+
+
+def _write_csv(path: Path, rows, header=COLUMNS, lineterminator="\r\n") -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
     return path
 
 
-def assert_same_parse(path, schema=None):
-    table, report = parse_ais_csv(path, schema)
+# Lines of _write_chunked_csv files other than the header: a chunk holds
+# SEAM_ROWS of them.
+ROW_BYTES = 128
+SEAM_ROWS = ingest._BLOCK_BYTES // ROW_BYTES
+
+
+def _write_chunked_csv(path: Path, rows, lineterminator: str) -> Path:
+    """_write_csv with one more column, of spaces, that makes the header
+    line a whole chunk and every row that is not blank ROW_BYTES long, so
+    that each chunk after the first holds SEAM_ROWS lines: a file of rows
+    without blank ones has row i in chunk i // SEAM_ROWS + 1."""
+    def line(row) -> bytes:
+        out = io.StringIO()
+        csv.writer(out, lineterminator=lineterminator).writerow(row)
+        return out.getvalue().encode()
+
+    def padded(row, size: int) -> bytes:
+        pad = size - len(line([*row, ""]))
+        assert pad >= 0
+        return line([*row, " " * pad])
+
+    with open(path, "wb") as fh:
+        fh.write(padded(COLUMNS, ingest._BLOCK_BYTES))
+        fh.writelines(padded(row, ROW_BYTES) if row else line(row) for row in rows)
+    return path
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader used on a file without quotes")
+
+
+def assert_same_parse(path, schema=None, guard=None):
+    """The parse of `path` equals the reference's. With `guard` (pytest's
+    monkeypatch) the file must hold no quote, and csv.reader raises while
+    it is parsed."""
     expected, expected_report = reference_parse_ais_csv(path, schema)
+    if guard is not None:
+        assert b'"' not in Path(path).read_bytes()
+        guard.setattr(ingest.csv, "reader", _no_csv_reader)
+    try:
+        table, report = parse_ais_csv(path, schema)
+    finally:
+        if guard is not None:
+            guard.undo()
     assert table.tobytes() == expected.tobytes()
     assert report.to_text() == expected_report.to_text()
 
 
-def test_every_odd_field_value_parses_like_reference(tmp_path):
+def _quote_free(rows):
+    """Rows csv.writer writes without quotes: commas in values become ";"."""
+    return [[value.replace(",", ";") for value in row] for row in rows]
+
+
+def _odd_field_rows():
     rng = random.Random(11)
     rows = []
     for i, field in enumerate(FIELDS):
@@ -225,45 +272,78 @@ def test_every_odd_field_value_parses_like_reference(tmp_path):
             row = _valid_row(rng)
             row[i] = value
             rows.append(row)
-    assert_same_parse(_write_csv(tmp_path / "odd.csv", rows))
+    return rows
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_mixed_files_parse_like_reference(tmp_path, seed):
+@LINE_ENDS
+def test_every_odd_field_value_parses_like_reference(tmp_path, lineterminator):
+    assert_same_parse(_write_csv(tmp_path / "odd.csv", _odd_field_rows(),
+                                 lineterminator=lineterminator))
+
+
+@LINE_ENDS
+def test_every_odd_field_value_without_quotes_parses_like_reference(
+        tmp_path, lineterminator, monkeypatch):
+    path = _write_csv(tmp_path / "odd.csv", _quote_free(_odd_field_rows()),
+                      lineterminator=lineterminator)
+    assert_same_parse(path, guard=monkeypatch)
+
+
+def _mixed_file(path: Path, seed: int, lineterminator: str, quotes: bool = True) -> Path:
     rng = random.Random(seed)
-    rows = _mixed_rows(rng, rng.randint(2 * ingest._BLOCK_ROWS, 3 * ingest._BLOCK_ROWS))
-    assert_same_parse(_write_csv(tmp_path / "mixed.csv", rows))
+    # Two to three chunks of 64-byte rows.
+    rows = _mixed_rows(rng, rng.randint(2 * ingest._BLOCK_BYTES // 64,
+                                        3 * ingest._BLOCK_BYTES // 64))
+    return _write_csv(path, rows if quotes else _quote_free(rows), lineterminator=lineterminator)
 
 
-def test_all_short_and_all_rejected_blocks_parse_like_reference(tmp_path):
+@LINE_ENDS
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_mixed_files_parse_like_reference(tmp_path, seed, lineterminator):
+    assert_same_parse(_mixed_file(tmp_path / "mixed.csv", seed, lineterminator))
+
+
+@LINE_ENDS
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_mixed_files_without_quotes_parse_like_reference(
+        tmp_path, seed, lineterminator, monkeypatch):
+    path = _mixed_file(tmp_path / "mixed.csv", seed, lineterminator, quotes=False)
+    assert_same_parse(path, guard=monkeypatch)
+
+
+@LINE_ENDS
+def test_all_short_and_all_rejected_blocks_parse_like_reference(
+        tmp_path, lineterminator, monkeypatch):
+    # One chunk each of valid, short and rejected rows, then blank lines.
     rng = random.Random(5)
-    n = ingest._BLOCK_ROWS
+    n = SEAM_ROWS
     rows = ([_valid_row(rng) for _ in range(n)]
             + [_valid_row(rng)[:3] for _ in range(n)]
             + [["bad"] + _valid_row(rng)[1:] for _ in range(n)]
             + [[] for _ in range(n)]
             + [_valid_row(rng) for _ in range(10)])
-    path = _write_csv(tmp_path / "blocks.csv", rows)
-    assert_same_parse(path)
+    path = _write_chunked_csv(tmp_path / "blocks.csv", rows, lineterminator)
+    assert_same_parse(path, guard=monkeypatch)
     table, report = parse_ais_csv(path)
     assert len(table) == n + 10
     assert report.reject_reasons == {"short_row": n, "bad_mmsi": n}
 
 
-def test_bad_floats_at_block_edges_parse_like_reference(tmp_path):
-    # Two blocks. Lengths `float` rejects sit first, last, side by side and
-    # at the seam of the blocks; other columns hold rejected values first or
-    # last in a block, or two side by side.
+@LINE_ENDS
+def test_bad_floats_at_block_edges_parse_like_reference(tmp_path, lineterminator, monkeypatch):
+    # Two chunks of rows. Lengths `float` rejects sit first, last, side by
+    # side and at the seam of the chunks; other columns hold rejected values
+    # first or last in a chunk, or two side by side.
     rng = random.Random(6)
-    n = ingest._BLOCK_ROWS
+    n = SEAM_ROWS
     rows = [_valid_row(rng)[:6] + ["50.0"] for _ in range(2 * n)]
     for k, i in enumerate((0, 1, 2, 5, 6, n - 2, n - 1, n, 2 * n - 1)):
         rows[i][6] = ["", " ", "abc", "\x85"][k % 4]
     rows[n + 2][6] = "\x1c50"  # rejected by `float`, a length once stripped
     for column, i in ((2, 0), (3, n - 1), (4, n), (4, n + 1), (5, 2 * n - 1)):
         rows[i][column] = "x"
-    path = _write_csv(tmp_path / "edges.csv", rows)
-    assert_same_parse(path)
+    path = _write_chunked_csv(tmp_path / "edges.csv", rows, lineterminator)
+    assert_same_parse(path, guard=monkeypatch)
     table, report = parse_ais_csv(path)
     assert report.reject_reasons == {"bad_lat": 1, "bad_lon": 1, "bad_sog": 2, "bad_cog": 1}
     # Rows 1, 2, 5, 6 and n - 2, after the rejected row 0.
@@ -271,16 +351,18 @@ def test_bad_floats_at_block_edges_parse_like_reference(tmp_path):
     assert table["length"][n - 2] == 50.0  # row n + 2
 
 
-def test_remapped_schema_parses_like_reference(tmp_path):
+@LINE_ENDS
+def test_remapped_schema_parses_like_reference(tmp_path, lineterminator):
     names = ["loa", "course", "speed", "when", "longitude", "latitude", "id"]
     schema = dict(zip(["length", "cog", "sog", "timestamp", "lon", "lat", "mmsi"], names))
     rows = [["pad", *row[::-1]] for row in _mixed_rows(random.Random(9), 500)]
-    assert_same_parse(_write_csv(tmp_path / "remap.csv", rows, ["unused", *names]), schema)
+    assert_same_parse(_write_csv(tmp_path / "remap.csv", rows, ["unused", *names],
+                                 lineterminator=lineterminator), schema)
 
 
 @pytest.mark.parametrize("kind, params", [
     ("lanes", ["days=120"]), ("dense", ["vessels=3", "days=6"])])
-def test_benchmark_generator_files_parse_like_reference(tmp_path, kind, params):
+def test_benchmark_generator_files_parse_like_reference(tmp_path, kind, params, monkeypatch):
     root = Path(__file__).resolve().parent.parent
     subprocess.run([sys.executable, str(root / "bench" / "gen.py"), kind, "--seed", "3",
                     "--out", str(tmp_path)] + [a for p in params for a in ("--param", p)],
@@ -288,7 +370,134 @@ def test_benchmark_generator_files_parse_like_reference(tmp_path, kind, params):
     paths = sorted(tmp_path.glob("*.csv"))
     assert paths
     for path in paths:
-        assert_same_parse(path)
+        assert_same_parse(path, guard=monkeypatch)
+
+
+# -- byte-level cases against the reference ---------------------------------
+
+ROW = "367000001,2019-03-06T00:00:00,30.0,-80.0,1.0,10.0,50.0"
+B = ingest._BLOCK_BYTES
+
+
+def _at(offset: int, text: str) -> str:
+    """HEADER, then rows (and one short row of filler) up to byte `offset`
+    of the file, then `text`."""
+    head = HEADER + f"{ROW}\n" * ((offset - len(HEADER)) // (len(ROW) + 1) - 1)
+    return head + "x" * (offset - len(head) - 1) + "\n" + text
+
+
+@pytest.mark.parametrize("data", [
+    HEADER.encode() + b"\xff\xfe\x00garbage\xff\n",
+    b"MMSI,BaseDateTime\n\xff\n",  # reported before the missing columns
+    _at(B + 100, f"{ROW}\n").encode() + b"\xff\n",  # after the first chunk
+], ids=["first_row", "before_header_check", "after_first_chunk"])
+def test_undecodable_bytes_raise_data_error(data):
+    stream = io.BytesIO(data)
+    with pytest.raises(DataError, match="unreadable AIS stream"):
+        parse_ais_csv(stream)
+
+
+BYTE_CASES = {
+    "lone_cr": HEADER[:-1] + "\r" + f"{ROW}\r{ROW[:-4]}\r\n{ROW}\n\r{ROW}",
+    "blank_lines": HEADER + "\r\n\r\n" + f"{ROW}\n\n\r\r\n{ROW}\r\n\r\n\n",
+    "no_trailing_line_end": HEADER + f"{ROW}\n{ROW}",
+    "no_trailing_line_end_short": HEADER + f"{ROW}\n36700000",
+    "header_only": HEADER,
+    "header_only_no_line_end": HEADER[:-1],
+    "header_only_crlf": HEADER[:-1] + "\r\n",
+    "empty": "",
+    "nul_values": HEADER + "\x00,\x00,\x00,\x00,\x00,\x00,\x00\n"
+                  + "367000001\x00,2019-03-06T00:00:00\x00,3\x00,-80\x00,1\x00,1\x00,5\x00\n"
+                  + "367000001,2019-03-06T00:00:00,30\x00.0,-80.0,1.0,10.0,\x00\n" + ROW + "\n",
+    "quoted_header": ('"MMSI",BaseDateTime,LAT,LON,SOG,COG,Length,"x\ny"\n'
+                      f'"{ROW[:9]}"{ROW[9:]},\n{ROW},\n'),
+    # The quote opens 3 bytes before the second read ends and the field's
+    # first line end ends that read, so the field spans two chunks.
+    "quoted_newline_across_seam": _at(2 * B - 3 - len(ROW[:-4]),
+                                      f'{ROW[:-4]}"5\n\n0.0"\n{ROW}\n' * 3),
+    "quote_after_seam": _at(2 * B + 3, f'"{ROW[:9]}"{ROW[9:]}\n{ROW}\n'),
+    "quote_in_unquoted_field": HEADER + f'{ROW[:-4]}5"0\n{ROW}\n',
+    "quoted_short_rows_only": HEADER + '"36700000",1\n\n"x"\n',
+    "quoted_empty_values": HEADER + f'"",{ROW[10:]}\n{ROW[:-4]}""\n"{ROW[:9]}",{ROW[10:]}\n',
+    # The first read ends inside "５".
+    "multibyte_across_read": _at(B - 1 - len(ROW[:-4]), f"{ROW[:-4]}５０,{ROW}\n{ROW}\n"),
+    "long_line_across_reads": HEADER + f"{ROW},{'x' * (2 * B)}\n{ROW}\n",
+    # The first read ends with "\r" and the second starts with "\n".
+    "cr_at_read_end": _at(B - len(ROW) - 1, f"{ROW}\r\n{ROW}\n"),
+}
+
+
+def test_byte_cases_straddle_the_reads():
+    def at(case, byte):
+        return BYTE_CASES[case].encode().index(byte)
+
+    assert at("quoted_newline_across_seam", b'"') == 2 * B - 3
+    assert at("multibyte_across_read", "５".encode()) == B - 1
+    assert BYTE_CASES["cr_at_read_end"].encode()[B - 1:B + 1] == b"\r\n"
+    assert at("quote_after_seam", b'"') == 2 * B + 3
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_byte_cases_parse_like_reference(tmp_path, case):
+    text = BYTE_CASES[case]
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected, expected_report = reference_parse_ais_csv(path)
+    for source in (path, io.BytesIO(text.encode("utf-8")), io.StringIO(text, newline="")):
+        table, report = parse_ais_csv(source)
+        assert table.tobytes() == expected.tobytes()
+        assert report.to_text() == expected_report.to_text()
+
+
+def test_byte_cases_reach_the_reader_they_are_meant_to(monkeypatch):
+    # The cases without a quote never reach csv.reader; the others do.
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(ingest.csv, "reader", lambda *a: calls.append(1) or reader(*a))
+    for case, text in BYTE_CASES.items():
+        calls.clear()
+        parse_ais_csv(io.BytesIO(text.encode("utf-8")))
+        assert bool(calls) == ('"' in text), case
+
+
+@pytest.mark.parametrize("where", ["header", "row", "row_after_seam"])
+def test_field_over_the_csv_limit_is_data_error(tmp_path, where):
+    big = "x" * (csv.field_size_limit() + 1)
+    text = {"header": HEADER[:-1] + f",{big}\n{ROW}\n",
+            "row": HEADER + f"{ROW},{big}\n",
+            "row_after_seam": _at(2 * B, f"{ROW},{big}\n")}[where]
+    path = tmp_path / "big.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(csv.Error):
+        reference_parse_ais_csv(path)
+    with pytest.raises(DataError, match="field larger than field limit"):
+        parse_ais_csv(path)
+    # A field at the limit is read.
+    path.write_bytes(text.replace(big, big[1:]).encode())
+    assert_same_parse(path)
+
+
+def test_blank_first_line_is_the_header():
+    # As csv.reader reads it: a header without columns.
+    for text in ("\n" + HEADER, "\r\n" + HEADER, "\r" + HEADER):
+        with pytest.raises(ConfigError, match="missing required column 'MMSI'"):
+            parse_ais_csv(io.BytesIO(text.encode()))
+
+
+def test_byte_stream_is_left_open_and_readable():
+    stream = io.BytesIO((HEADER + ROW + "\n").encode())
+    records, _ = parse_ais_csv(stream)
+    gc.collect()
+    assert len(records) == 1 and not stream.closed
+    stream.seek(0)
+    assert stream.read(4) == b"MMSI"
+
+
+def test_text_stream_with_lone_surrogate_tallies_it():
+    # A str stream may hold what UTF-8 cannot: such a value is rejected,
+    # not an unreadable stream.
+    records, report = parse_text(HEADER + "36700000\ud800," + ROW[10:] + "\n" + ROW + "\n")
+    assert len(records) == 1 and report.reject_reasons == {"bad_mmsi": 1}
 
 
 def test_parse_memory_is_bounded_by_the_block(tmp_path):

@@ -2,6 +2,7 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -601,3 +602,41 @@ def test_malformed_sidecar_row_is_data_error(tmp_path, rng, bad_row):
     index_path.write_text("\n".join(lines[:-1] + [bad_row]) + "\n")
     with pytest.raises(DataError, match="line 3"):
         load_corpus(tensor_path, index_path)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corpus_io_holds_the_tensor_once(tmp_path):
+    # Per vessel-day, loading peaks at the tensor plus its ids (about 1.7 KB,
+    # 1.5 KB of it cells), and saving writes the tensor's own buffer: the
+    # sidecar writer's buffers are the same at any size.
+    tensor_path, index_path = tmp_path / "corpus.f64", tmp_path / "corpus_index.csv"
+    save_peaks, load_peaks = {}, {}
+    for n in (250, 1000):
+        days = np.random.default_rng(n).uniform(0, 1, (n, N_SLOTS, 4))
+        ids = [(f"{367000000 + i % 50:09d}", DAY + timedelta(days=i // 50)) for i in range(n)]
+        save_corpus(days, ids, tensor_path, index_path)  # first-call allocations
+        save_peaks[n] = _traced_peak(lambda: save_corpus(days, ids, tensor_path, index_path))
+        assert tensor_path.read_bytes() == days.astype("<f8").tobytes()
+        load_peaks[n] = _traced_peak(lambda: load_corpus(tensor_path, index_path))
+    per_day = {name: (peaks[1000] - peaks[250]) / 750
+               for name, peaks in (("save", save_peaks), ("load", load_peaks))}
+    assert per_day["save"] < 100, per_day
+    assert per_day["load"] < 1.8 * 1024, per_day
+
+
+def test_corpus_file_of_part_of_a_day_is_data_error(tmp_path, rng):
+    tensor_path, index_path = tmp_path / "corpus.f64", tmp_path / "corpus_index.csv"
+    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), [(f"36700000{i}", DAY) for i in range(2)],
+                tensor_path, index_path)
+    for cut in (8, 3):  # a whole cell short, and part of a cell
+        tensor_path.write_bytes(tensor_path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="not a whole number of days"):
+            load_corpus(tensor_path, index_path)
