@@ -144,7 +144,7 @@ _FLOATS = ["nan", "-nan", "inf", "-inf", "1_0", " 2.5 ", "+3", "0x10", "", " ", 
            "\x0050", "5\x000", "\x1c2.5", "\x852.5", "\xa02.5", "\u30002.5", "\uff11\uff12",
            "\u00b9", "1e309", "-0.0", "0", "360", "360.0", "360.5", "-1", "90", "90.5", "-91",
            "180", "-181", "abc", "NaN", "1,5",
-           # 23 to 26 bytes and 31: about as wide as the bytes a float is read from.
+           # 23, 24, 25 and 31 bytes: about as wide as the gather a float is read from.
            "1" * 23, "0." + "0" * 20 + "15", "3" * 25, "-0." + "0" * 20 + "25", "-" + "4" * 30]
 ODD_FIELDS = {
     "mmsi": ["123456789\x00", "\x00123456789", "1234\x0056789", " 367000002 ", "\x1c367000003",
