@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import glob
 import os
@@ -88,23 +89,35 @@ def _seeds(config: RunConfig) -> dict[str, int]:
     return {"split": config.seed, "init": config.seed + 1, "train": config.seed + 2}
 
 
-def _record_stage(run_dir: Path, name: str, config: RunConfig, inputs: list,
-                  outputs: list, started: float, extra: dict | None = None) -> None:
-    from .manifest import RunManifest
+def _stage(name: str):
+    """Make stage `name`'s command from `body(config, ...)`, which does the
+    work and returns `(inputs, outputs, extra, summary)`. The command times
+    the body, records the manifest entry with the body's counts in `extra`
+    plus the peak RSS, and only then prints the summary."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run(config: RunConfig, *args) -> int:
+            started = time.monotonic()
+            inputs, outputs, extra, summary = body(config, *args)
+            from .manifest import RunManifest, peak_rss_mb
 
-    RunManifest(run_dir).record_stage(name, config.to_text(), __version__, inputs,
-                                      outputs, time.monotonic() - started, extra=extra)
+            RunManifest(config.run_dir).record_stage(
+                name, config.to_text(), __version__, inputs, outputs,
+                time.monotonic() - started, extra={**extra, "peak_rss_mb": peak_rss_mb()})
+            print(summary, end="")
+            return 0
+        return run
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 # Stage commands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(config: RunConfig) -> int:
+@_stage("ingest")
+def cmd_ingest(config: RunConfig):
     from .ingest import ingest_files
-    from .manifest import peak_rss_mb
 
-    started = time.monotonic()
     paths = sorted(glob.glob(config.input_glob))
     if not paths:
         raise ConfigError(f"input glob matched no files: {config.input_glob!r}")
@@ -115,22 +128,16 @@ def cmd_ingest(config: RunConfig) -> int:
                                   config.schema(), config.min_length)
     with atomic_write(run_dir / "ingest_report.txt", "w") as fh:
         fh.write(report.to_text())
-
-    _record_stage(run_dir, "ingest", config, paths,
-                  [tracks_path, run_dir / "ingest_report.txt"], started,
-                  extra={"files": len(paths), "rows_read": report.rows_read, **counts,
-                         "peak_rss_mb": peak_rss_mb()})
-    print(report.to_text(), end="")
-    print(f"track rows kept: {counts['rows_kept']}")
-    return 0
+    return (paths, [tracks_path, run_dir / "ingest_report.txt"],
+            {"files": len(paths), "rows_read": report.rows_read, **counts},
+            f"{report.to_text()}track rows kept: {counts['rows_kept']}\n")
 
 
-def cmd_preprocess(config: RunConfig) -> int:
+@_stage("preprocess")
+def cmd_preprocess(config: RunConfig):
     from .ingest import TrackReader
-    from .manifest import peak_rss_mb
     from .preprocess import build_daily_grids, normalize_corpus, save_corpus
 
-    started = time.monotonic()
     run_dir = _run_dir(config)
     tracks = TrackReader(run_dir / TRACKS_FILE)
     grids, summary = build_daily_grids(
@@ -145,29 +152,20 @@ def cmd_preprocess(config: RunConfig) -> int:
     report_path = run_dir / "preprocess_report.txt"
     with atomic_write(report_path, "w") as fh:
         fh.write(summary.to_text())
-
-    _record_stage(run_dir, "preprocess", config, [run_dir / TRACKS_FILE],
-                  [corpus_path, index_path, stats_path, report_path], started,
-                  extra={"rows": tracks.rows, "vessels": tracks.vessels,
-                         "chunks": tracks.chunks, "days_total": summary.days_total,
-                         "days_kept": summary.days_kept, "peak_rss_mb": peak_rss_mb()})
-    print(summary.to_text(), end="")
-    _print_missing_histogram(summary)
-    return 0
+    histogram = "".join(f"  {i/10:.1f}-{(i+1)/10:.1f}: {count:6d} {'#' * min(count, 60)}\n"
+                        for i, count in enumerate(summary.missing_histogram))
+    return ([run_dir / TRACKS_FILE], [corpus_path, index_path, stats_path, report_path],
+            {"rows": tracks.rows, "vessels": tracks.vessels, "chunks": tracks.chunks,
+             "days_total": summary.days_total, "days_kept": summary.days_kept},
+            f"{summary.to_text()}missing-fraction histogram (post-interpolation days):\n"
+            f"{histogram}")
 
 
-def _print_missing_histogram(summary) -> None:
-    print("missing-fraction histogram (post-interpolation days):")
-    for i, count in enumerate(summary.missing_histogram):
-        bar = "#" * min(count, 60)
-        print(f"  {i/10:.1f}-{(i+1)/10:.1f}: {count:6d} {bar}")
-
-
-def cmd_split(config: RunConfig) -> int:
+@_stage("split")
+def cmd_split(config: RunConfig):
     from .preprocess import load_corpus
     from .sequence import SequenceSet, SplitSpec, save_set, split as split_set
 
-    started = time.monotonic()
     run_dir = _run_dir(config)
     tensor, ids = load_corpus(run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX)
     sset = SequenceSet(tensor, tuple(ids))
@@ -180,21 +178,18 @@ def cmd_split(config: RunConfig) -> int:
         paths = _set_paths(run_dir, name)
         save_set(subset, *paths)
         outputs += paths
-
-    _record_stage(run_dir, "split", config, [run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX],
-                  outputs, started,
-                  extra={"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)})
-    print(f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
-          f"seed={spec.seed}")
-    return 0
+    return ([run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX], outputs,
+            {"n_train": len(train_s), "n_val": len(val_s), "n_test": len(test_s)},
+            f"split: train={len(train_s)} val={len(val_s)} test={len(test_s)} "
+            f"seed={spec.seed}\n")
 
 
-def cmd_train(config: RunConfig) -> int:
+@_stage("train")
+def cmd_train(config: RunConfig):
     from .nn.model import RecurrentAutoencoder
     from .nn.train import train as train_model
     from .sequence import load_set
 
-    started = time.monotonic()
     run_dir = _run_dir(config)
     train_paths, val_paths = _set_paths(run_dir, "train"), _set_paths(run_dir, "val")
     train_set = load_set(*train_paths)
@@ -203,6 +198,8 @@ def cmd_train(config: RunConfig) -> int:
     seeds = _seeds(config)
     model = RecurrentAutoencoder.initialize(config.model_config(), seeds["init"])
     checkpoint_dir = run_dir / "checkpoints"
+    for stale in checkpoint_dir.glob("epoch_*.ckpt"):  # an earlier model's epochs
+        stale.unlink()
     history = train_model(model, train_set.tensor, val_set.tensor,
                           epochs=config.epochs, batch_size=config.batch_size,
                           seed=seeds["train"], learning_rate=config.learning_rate,
@@ -210,15 +207,13 @@ def cmd_train(config: RunConfig) -> int:
                           mask_sentinel_loss=config.mask_sentinel_loss)
     history_path = run_dir / "history.csv"
     history.to_csv(history_path)
-
-    outputs = sorted(checkpoint_dir.glob("epoch_*.ckpt")) + [history_path]
-    _record_stage(run_dir, "train", config, train_paths + val_paths, outputs, started,
-                  extra={"final_train_loss": history.final().train_loss,
-                         "final_val_loss": history.final().val_loss})
-    for stats in history.epochs:
-        print(f"epoch {stats.epoch}: train_loss={stats.train_loss:.6g} "
-              f"val_loss={stats.val_loss:.6g} ({stats.wall_seconds:.1f}s)")
-    return 0
+    return (train_paths + val_paths,
+            sorted(checkpoint_dir.glob("epoch_*.ckpt")) + [history_path],
+            {"final_train_loss": history.final().train_loss,
+             "final_val_loss": history.final().val_loss},
+            "".join(f"epoch {s.epoch}: train_loss={s.train_loss:.6g} "
+                    f"val_loss={s.val_loss:.6g} ({s.wall_seconds:.1f}s)\n"
+                    for s in history.epochs))
 
 
 def _latest_checkpoint(run_dir: Path) -> Path:
@@ -229,19 +224,16 @@ def _latest_checkpoint(run_dir: Path) -> Path:
     return checkpoints[-1]
 
 
-def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
+@_stage("score")
+def cmd_score(config: RunConfig, checkpoint: str | None = None):
     from . import detect
     from .nn.checkpoint import load_checkpoint
     from .preprocess import NormalizationStats
     from .sequence import load_set
 
-    started = time.monotonic()
     run_dir = _run_dir(config)
     stats_path = run_dir / STATS_FILE
-    if not stats_path.exists():
-        raise DataError(f"refusing to score without normalization stats: "
-                        f"{stats_path} is missing")
-    NormalizationStats.load(stats_path)  # fail fast on a corrupt file
+    NormalizationStats.load(stats_path)  # fail fast on a missing or corrupt file
 
     checkpoint_path = Path(checkpoint) if checkpoint else _latest_checkpoint(run_dir)
     model = load_checkpoint(checkpoint_path)
@@ -268,16 +260,14 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None) -> int:
     detect.write_histogram_csv(paths["histogram"], dist)
     detect.write_outliers_csv(paths["outliers"], report, test_set.ids, rmse)
     detect.write_offenders_csv(paths["offenders"], offenders)
-
-    _record_stage(run_dir, "score", config, inputs, list(paths.values()), started,
-                  extra={"threshold": report.threshold, "flagged": len(report.flagged)})
-    print(f"scored {len(rmse)} sequences from {checkpoint_path.name}")
-    print(f"rmse mean={dist.mean:.6g} std={dist.std:.6g} "
-          f"threshold(k={config.sigma_k:g})={report.threshold:.6g}")
-    print(f"flagged {len(report.flagged)} vessel-days; "
-          f"{offenders.persistent.sum()} persistent offender MMSIs "
-          f"(>= {config.min_appearances} flags)")
-    return 0
+    return (inputs, list(paths.values()),
+            {"threshold": report.threshold, "flagged": len(report.flagged)},
+            f"scored {len(rmse)} sequences from {checkpoint_path.name}\n"
+            f"rmse mean={dist.mean:.6g} std={dist.std:.6g} "
+            f"threshold(k={config.sigma_k:g})={report.threshold:.6g}\n"
+            f"flagged {len(report.flagged)} vessel-days; "
+            f"{offenders.persistent.sum()} persistent offender MMSIs "
+            f"(>= {config.min_appearances} flags)\n")
 
 
 def _read_csv_rows(path: Path, parse, expected: str) -> list:
@@ -295,13 +285,13 @@ def _read_csv_rows(path: Path, parse, expected: str) -> list:
     return out
 
 
+@_stage("export-geojson")
 def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
-                       output: str | None) -> int:
+                       output: str | None):
     from .geojson import export_days
     from .preprocess import NormalizationStats
     from .sequence import load_set
 
-    started = time.monotonic()
     if mmsi or day:
         if not (mmsi and day):
             raise ConfigError("--mmsi and --day must be given together")
@@ -335,9 +325,9 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
     out_path = Path(output) if output else run_dir / "outliers.geojson"
     collection = export_days(out_path, selection, test_set.tensor,
                              list(test_set.ids), stats, rmse_by_id)
-    _record_stage(run_dir, "export-geojson", config, inputs, [out_path], started)
-    print(f"wrote {len(collection['features'])} LineString feature(s) to {out_path}")
-    return 0
+    features = len(collection["features"])
+    return (inputs, [out_path], {"features": features},
+            f"wrote {features} LineString feature(s) to {out_path}\n")
 
 
 def _read_text(path: Path) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import resource
 from pathlib import Path
 
@@ -39,7 +40,8 @@ class RunManifest:
         self.data = {"stages": {}}
         if self.path.exists():
             try:
-                self.data = json.loads(self.path.read_text())
+                # A bare NaN that an older writer left reads as null.
+                self.data = json.loads(self.path.read_text(), parse_constant=lambda _: None)
             except ValueError:  # not UTF-8 or not JSON, e.g. truncated
                 self.data = None
             if not isinstance(self.data, dict) or not isinstance(self.data.get("stages"), dict):
@@ -49,7 +51,9 @@ class RunManifest:
     def record_stage(self, name: str, config_text: str, version: str,
                      inputs: list, outputs: list, wall_seconds: float,
                      extra: dict | None = None) -> None:
-        """Record (or replace, on rerun) one stage's provenance."""
+        """Record (or replace, on rerun) one stage's provenance. A non-finite
+        float in `extra` (a loss with no validation set, say) is written as
+        null, so the file stays JSON."""
         entry = {
             "tool_version": version,
             "wall_seconds": round(wall_seconds, 3),
@@ -58,8 +62,9 @@ class RunManifest:
             "outputs": {str(p): file_sha256(p) for p in outputs},
         }
         if extra:
-            entry["extra"] = extra
+            entry["extra"] = {key: None if isinstance(value, float) and not math.isfinite(value)
+                              else value for key, value in extra.items()}
         self.data["stages"][name] = entry
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with atomic_write(self.path, "w") as fh:
-            fh.write(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False) + "\n")

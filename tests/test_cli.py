@@ -108,6 +108,7 @@ def test_empty_glob_is_usage_error(tmp_path, capsys):
                  "--run-dir", str(tmp_path / "run")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_score_without_stats_refused(tmp_path, capsys):
@@ -233,6 +234,7 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
         for path, digest in entry["outputs"].items():
             assert Path(path).exists()
             assert len(digest) == 64
+        assert entry["extra"]["peak_rss_mb"] > 0
     split = manifest["stages"]["split"]["extra"]
     assert split["n_train"] + split["n_val"] + split["n_test"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
@@ -297,6 +299,54 @@ def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):
     }
 
 
+def test_retrain_removes_the_earlier_models_checkpoints(tmp_path, corpus_dir, capsys):
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess", "split"):
+        assert main(run_args(corpus_dir, run_dir, command)) == 0
+    for epochs, hidden in (("3", "4"), ("1", "5")):
+        assert main(run_args(corpus_dir, run_dir, "train")
+                    + ["--epochs", epochs, "--hidden", hidden]) == 0
+    checkpoint = run_dir / "checkpoints" / "epoch_001.ckpt"
+    assert list((run_dir / "checkpoints").iterdir()) == [checkpoint]
+    capsys.readouterr()
+    assert main(run_args(corpus_dir, run_dir, "score") + ["--hidden", "5"]) == 0
+    assert f"from {checkpoint.name}" in capsys.readouterr().out
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert [Path(p).name for p in stages["train"]["outputs"]] == \
+        ["epoch_001.ckpt", "history.csv"]
+    assert str(checkpoint) in stages["score"]["inputs"]
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_undefined_loss_is_null_in_the_manifest(tmp_path):
+    # Five vessel-days leave no validation set, so the validation loss is NaN.
+    csv_path = tmp_path / "ais.csv"
+    write_ais_csv(generate_days(5, anomaly_fraction=0.0, seed=3, days_per_vessel=1), csv_path)
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess", "split", "train"):
+        assert main([command, "--input-glob", str(csv_path), "--run-dir", str(run_dir),
+                     "--hidden", "4", "--epochs", "1"]) == 0
+    stages = _strict_json((run_dir / "manifest.json").read_text())["stages"]
+    assert stages["split"]["extra"]["n_val"] == 0
+    assert stages["train"]["extra"]["final_val_loss"] is None
+    assert stages["train"]["extra"]["final_train_loss"] > 0
+
+
+def test_bare_nan_left_in_a_manifest_is_rewritten_as_null(tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        '{"stages": {"train": {"extra": {"final_val_loss": NaN}}}}')
+    RunManifest(tmp_path).record_stage("split", "", "0", [], [], 0.0,
+                                       extra={"loss": float("inf")})
+    stages = _strict_json((tmp_path / "manifest.json").read_text())["stages"]
+    assert stages["train"]["extra"]["final_val_loss"] is None
+    assert stages["split"]["extra"]["loss"] is None
+
+
 @pytest.mark.parametrize("size", [0, 1, 4095, 1 << 16, 3 << 16, (3 << 16) + 7])
 def test_file_sha256_matches_hashlib(tmp_path, size):
     # Sizes around the 64 KiB read buffer: empty, smaller, exact multiples, larger.
@@ -352,6 +402,7 @@ def test_bad_geojson_selection_is_one_line_config_error(tmp_path, capsys, select
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: --") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_per_feature_rmse_columns(tmp_path, corpus_dir):
