@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from dataclasses import fields
-from datetime import date
 from pathlib import Path
 
 from . import __version__
@@ -167,8 +166,7 @@ def cmd_split(config: RunConfig):
     from .sequence import SequenceSet, SplitSpec, save_set, split as split_set
 
     run_dir = _run_dir(config)
-    tensor, ids = load_corpus(run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX)
-    sset = SequenceSet(tensor, tuple(ids))
+    sset = SequenceSet(*load_corpus(run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX))
     spec = SplitSpec(test_fraction=config.test_fraction,
                      val_fraction=config.val_fraction, seed=_seeds(config)["split"])
     train_s, val_s, test_s = split_set(sset, spec, by_vessel=config.split_by_vessel)
@@ -288,28 +286,31 @@ def _read_csv_rows(path: Path, parse, expected: str) -> list:
 @_stage("export-geojson")
 def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
                        output: str | None):
+    import numpy as np
+
     from .geojson import export_days
-    from .preprocess import NormalizationStats
+    from .preprocess import IDS_DTYPE, NormalizationStats, parse_id
     from .sequence import load_set
 
     if mmsi or day:
         if not (mmsi and day):
             raise ConfigError("--mmsi and --day must be given together")
         try:
-            selection = [(mmsi, date.fromisoformat(day))]
-        except ValueError:
-            raise ConfigError(f"--day must be a date as YYYY-MM-DD, got {day!r}") from None
+            selection = np.array([parse_id(mmsi, day)], IDS_DTYPE)
+        except ValueError as exc:  # its message starts with the field's name
+            raise ConfigError(f"--{exc}") from None
     run_dir = _run_dir(config)
     stats = NormalizationStats.load(run_dir / STATS_FILE)
     test_paths = _set_paths(run_dir, "test")
     test_set = load_set(*test_paths)
     inputs = [*test_paths, run_dir / STATS_FILE]
     scores_path = run_dir / "scores.csv"
-    rmse_by_id = {}
+    scores = None
     if scores_path.exists():
-        rmse_by_id = dict(_read_csv_rows(
-            scores_path, lambda row: ((row[0], date.fromisoformat(row[1])), float(row[2])),
-            "mmsi,day,rmse"))
+        scored = _read_csv_rows(scores_path, lambda row: (parse_id(row[0], row[1]),
+                                                          float(row[2])), "mmsi,day,rmse")
+        scores = (np.array([i for i, _ in scored], IDS_DTYPE),
+                  np.array([rmse for _, rmse in scored]))
         inputs.append(scores_path)
 
     if not (mmsi or day):
@@ -317,14 +318,12 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
         if not outliers_path.exists():
             raise DataError(f"no outlier report at {outliers_path}; "
                             "run `score` first or select --mmsi/--day")
-        selection = _read_csv_rows(
-            outliers_path, lambda row: (row[1], date.fromisoformat(row[2])),
-            "rank,mmsi,day,...")
+        selection = np.array(_read_csv_rows(outliers_path, lambda row: parse_id(row[1], row[2]),
+                                            "rank,mmsi,day,..."), IDS_DTYPE)
         inputs.append(outliers_path)
 
     out_path = Path(output) if output else run_dir / "outliers.geojson"
-    collection = export_days(out_path, selection, test_set.tensor,
-                             list(test_set.ids), stats, rmse_by_id)
+    collection = export_days(out_path, selection, test_set.tensor, test_set.ids, stats, scores)
     features = len(collection["features"])
     return (inputs, [out_path], {"features": features},
             f"wrote {features} LineString feature(s) to {out_path}\n")

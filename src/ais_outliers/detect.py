@@ -1,6 +1,6 @@
 """Reconstruction errors -> outlier decisions.
 
-Scores are columns whose rows line up with the scored set's (mmsi, day)
+Scores are columns whose rows line up with the scored set's IDS_DTYPE
 ids: one RMSE per sequence over all 48x4 cells in normalized space, plus
 a diagnostic RMSE per feature. Rows whose RMSE exceeds mean + k*sigma
 (population sigma, strict comparison) are flagged, and MMSIs flagged on
@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import DataError
-from .preprocess import FEATURES
+from .preprocess import FEATURES, SENTINEL, id_text, mmsi_text
 from .sequence import SequenceSet
 
 DEFAULT_SIGMA_K = 6.0
 DEFAULT_BINS = 50
 DEFAULT_MIN_APPEARANCES = 5
-SENTINEL = -1.0
-
-Ids = tuple[tuple[str, date], ...]  # (mmsi, day) per row, as in SequenceSet.ids
 
 
 @dataclass
@@ -96,14 +92,7 @@ def fit_distribution(rmse: np.ndarray, bins: int = DEFAULT_BINS) -> ScoreDistrib
     )
 
 
-def _id_columns(ids: Ids, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The MMSI and day columns of the given rows of an id sidecar."""
-    picked = [ids[i] for i in rows.tolist()]
-    return (np.array([mmsi for mmsi, _ in picked], dtype=str),
-            np.array([day for _, day in picked], dtype="datetime64[D]"))
-
-
-def flag_outliers(rmse: np.ndarray, ids: Ids,
+def flag_outliers(rmse: np.ndarray, ids: np.ndarray,
                   dist: ScoreDistribution, k: float = DEFAULT_SIGMA_K) -> OutlierReport:
     """Flag rows strictly above mean + k*sigma, RMSE descending; equal
     RMSEs go by MMSI, then day."""
@@ -111,17 +100,17 @@ def flag_outliers(rmse: np.ndarray, ids: Ids,
         raise DataError(f"sigma multiplier must be > 0, got {k}")
     threshold = dist.mean + k * dist.std
     rows = np.flatnonzero(rmse > threshold)
-    mmsi, day = _id_columns(ids, rows)
-    return OutlierReport(threshold=threshold, k=k,
-                         flagged=rows[np.lexsort((day, mmsi, -rmse[rows]))])
+    picked = ids[rows]
+    return OutlierReport(threshold=threshold, k=k, flagged=rows[
+        np.lexsort((picked["day"], picked["mmsi"], -rmse[rows]))])
 
 
-def offender_frequency(report: OutlierReport, ids: Ids,
+def offender_frequency(report: OutlierReport, ids: np.ndarray,
                        min_appearances: int = DEFAULT_MIN_APPEARANCES) -> OffenderReport:
     """Count flagged days per MMSI; persistent = count >= min_appearances."""
     if min_appearances < 1:
         raise DataError("min_appearances must be >= 1")
-    mmsi, count = np.unique(_id_columns(ids, report.flagged)[0], return_counts=True)
+    mmsi, count = np.unique(ids["mmsi"][report.flagged], return_counts=True)
     order = np.argsort(-count, kind="stable")  # np.unique sorted by MMSI
     return OffenderReport(mmsi=mmsi[order], count=count[order],
                           min_appearances=min_appearances)
@@ -132,7 +121,7 @@ def offender_frequency(report: OutlierReport, ids: Ids,
 # which spells a numpy scalar as "np.float64(...)".
 # ---------------------------------------------------------------------------
 
-def write_scores_csv(path, ids: Ids, rmse: np.ndarray, mask_sentinel: bool = False,
+def write_scores_csv(path, ids: np.ndarray, rmse: np.ndarray, mask_sentinel: bool = False,
                      feature_rmse: np.ndarray | None = None) -> None:
     """One row per scored sequence; `feature_rmse` adds one column per feature."""
     rmse_col = "rmse_masked" if mask_sentinel else "rmse"
@@ -144,18 +133,18 @@ def write_scores_csv(path, ids: Ids, rmse: np.ndarray, mask_sentinel: bool = Fal
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([mmsi, day.isoformat(), *map(repr, row)]
-                         for (mmsi, day), row in zip(ids, values.tolist()))
+        writer.writerows([mmsi, day, *map(repr, row)]
+                         for (mmsi, day), row in zip(id_text(ids), values.tolist()))
 
 
-def write_outliers_csv(path, report: OutlierReport, ids: Ids, rmse: np.ndarray) -> None:
+def write_outliers_csv(path, report: OutlierReport, ids: np.ndarray, rmse: np.ndarray) -> None:
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rank", "mmsi", "day", "rmse", "threshold", "k"])
-        for rank, i in enumerate(report.flagged.tolist(), start=1):
-            mmsi, day = ids[i]
-            writer.writerow([rank, mmsi, day.isoformat(), repr(float(rmse[i])),
-                             repr(report.threshold), repr(report.k)])
+        for rank, ((mmsi, day), value) in enumerate(
+                zip(id_text(ids[report.flagged]), rmse[report.flagged].tolist()), start=1):
+            writer.writerow([rank, mmsi, day, repr(value), repr(report.threshold),
+                             repr(report.k)])
 
 
 def write_histogram_csv(path, dist: ScoreDistribution) -> None:
@@ -172,5 +161,5 @@ def write_offenders_csv(path, offenders: OffenderReport) -> None:
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mmsi", "flag_count", "persistent"])
-        writer.writerows(zip(offenders.mmsi.tolist(), offenders.count.tolist(),
+        writer.writerows(zip(map(mmsi_text, offenders.mmsi.tolist()), offenders.count.tolist(),
                              offenders.persistent.astype(int).tolist()))

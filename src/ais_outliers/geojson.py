@@ -9,28 +9,24 @@ so gaps shorten the line rather than spiking to -1.
 from __future__ import annotations
 
 import json
-from datetime import date
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import DataError
-from .preprocess import FEATURES, SENTINEL, NormalizationStats
+from .preprocess import FEATURES, SENTINEL, NormalizationStats, id_text
 
-_LAT = FEATURES.index("lat")
-_LON = FEATURES.index("lon")
+_LON_LAT = [FEATURES.index("lon"), FEATURES.index("lat")]  # the RFC 7946 order
 
 
-def day_feature(mmsi: str, day: date, matrix: np.ndarray,
+def day_feature(mmsi: str, day: str, matrix: np.ndarray,
                 stats: NormalizationStats, rmse: float | None = None) -> dict:
-    """One vessel-day as a GeoJSON LineString feature."""
-    present = matrix[:, _LAT] != SENTINEL
-    span_lat = stats.maximum[_LAT] - stats.minimum[_LAT]
-    span_lon = stats.maximum[_LON] - stats.minimum[_LON]
-    lat = stats.minimum[_LAT] + matrix[present, _LAT] * span_lat
-    lon = stats.minimum[_LON] + matrix[present, _LON] * span_lon
-    coordinates = [[float(x), float(y)] for x, y in zip(lon, lat)]
-    properties = {"mmsi": mmsi, "day": day.isoformat()}
+    """One vessel-day, its id spelt as `id_text` spells it, as a GeoJSON
+    LineString feature."""
+    present = matrix[:, _LON_LAT[1]] != SENTINEL
+    span = stats.maximum[_LON_LAT] - stats.minimum[_LON_LAT]
+    coordinates = (stats.minimum[_LON_LAT] + matrix[present][:, _LON_LAT] * span).tolist()
+    properties = {"mmsi": mmsi, "day": day}
     if rmse is not None:
         properties["rmse"] = float(rmse)
     return {
@@ -40,35 +36,31 @@ def day_feature(mmsi: str, day: date, matrix: np.ndarray,
     }
 
 
-def feature_collection(features: list[dict]) -> dict:
-    return {"type": "FeatureCollection", "features": features}
+def _rows_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each IDS_DTYPE key's row in `ids`, or a row past its end where absent."""
+    _, first, inverse = np.unique(np.concatenate((ids, keys)), return_index=True,
+                                  return_inverse=True)
+    return first[inverse[len(ids):]]
 
 
-def write_geojson(path, collection: dict) -> None:
+def export_days(path, selection: np.ndarray, tensor: np.ndarray, ids: np.ndarray,
+                stats: NormalizationStats,
+                scores: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
+    """Write the selected vessel-days of a corpus to `path`; `selection` and
+    `ids` are IDS_DTYPE arrays. `scores`, ids and their RMSEs, adds the RMSE
+    of each selected day it holds.
+
+    Raises DataError when a selected id is not in the corpus.
+    """
+    scored, rmse = scores if scores is not None else (ids[:0], np.empty(0))
+    features = []
+    for (mmsi, day), row, at in zip(id_text(selection), _rows_of(selection, ids).tolist(),
+                                    _rows_of(selection, scored).tolist()):
+        if row >= len(ids):
+            raise DataError(f"vessel-day {mmsi} {day} is not in the scored corpus")
+        features.append(day_feature(mmsi, day, tensor[row], stats,
+                                    rmse[at] if at < len(rmse) else None))
+    collection = {"type": "FeatureCollection", "features": features}
     with atomic_write(path, "w") as fh:
         fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def export_days(
-    path,
-    selection: list[tuple[str, date]],
-    tensor: np.ndarray,
-    ids: list[tuple[str, date]],
-    stats: NormalizationStats,
-    rmse_by_id: dict[tuple[str, date], float] | None = None,
-) -> dict:
-    """Write the selected vessel-days from a corpus to `path`.
-
-    Raises DataError when a selected (mmsi, day) is not in the corpus.
-    """
-    index = {key: i for i, key in enumerate(ids)}
-    features = []
-    for key in selection:
-        if key not in index:
-            raise DataError(f"vessel-day {key[0]} {key[1].isoformat()} "
-                            "is not in the scored corpus")
-        rmse = rmse_by_id.get(key) if rmse_by_id else None
-        features.append(day_feature(key[0], key[1], tensor[index[key]], stats, rmse))
-    collection = feature_collection(features)
-    write_geojson(path, collection)
     return collection

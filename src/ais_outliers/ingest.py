@@ -79,7 +79,7 @@ _PAD = bytes(_FLOAT_WIDTH)
 
 
 # One accepted AIS row as parsed, filtered and merged: MMSI as an integer
-# (rebuilt as a zero-padded 9-digit string), time as UTC epoch seconds, and
+# (artifacts spell it as nine digits), time as UTC epoch seconds, and
 # `length` NaN when not reported. Spill runs hold these rows too, since the
 # merge needs MMSI and length to classify duplicates.
 TRACK_DTYPE = np.dtype([
@@ -106,7 +106,7 @@ class VesselTrack:
     rows in ingest, STORE_DTYPE rows when read back by TrackReader.
     """
 
-    mmsi: str
+    mmsi: int
     records: np.ndarray
 
     def __len__(self) -> int:
@@ -589,7 +589,7 @@ def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
     if not len(table):
         return []
     cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
-    return [VesselTrack(mmsi=f"{chunk['mmsi'][0]:09d}", records=chunk)
+    return [VesselTrack(mmsi=int(chunk["mmsi"][0]), records=chunk)
             for chunk in np.split(table, cuts)]
 
 
@@ -611,11 +611,10 @@ def save_tracks(path, tracks: Iterable[VesselTrack]) -> int:
         for track in tracks:
             fh.write(np.ascontiguousarray(
                 track.records[:, None].view(np.uint8)[:, _STORE_BYTES]).data)
-            mmsi = int(track.mmsi)
-            if mmsis and mmsis[-1] == mmsi:
+            if mmsis and mmsis[-1] == track.mmsi:
                 counts[-1] += len(track)
             else:
-                mmsis.append(mmsi)
+                mmsis.append(track.mmsi)
                 counts.append(len(track))
             del track  # before the next one is made
         index = np.empty(len(mmsis), INDEX_DTYPE)
@@ -869,8 +868,7 @@ class TrackReader:
                 self.chunks += 1
                 self.rows += len(table)
                 self.vessels += stop - first
-                names = [f"{m:09d}" for m in mmsi[first:stop].tolist()]
-                yield from map(VesselTrack, names, np.split(table, cuts))
+                yield from map(VesselTrack, mmsi[first:stop].tolist(), np.split(table, cuts))
                 first, start = stop, int(ends[stop - 1])
 
     def _read_header(self, fh, dtype: np.dtype) -> int:

@@ -14,6 +14,8 @@ from .atomic import atomic_write
 from .errors import DataError
 
 MANIFEST_NAME = "manifest.json"
+# Pipeline order: a stage's rerun leaves the entries of the stages after it stale.
+STAGES = ("ingest", "preprocess", "split", "train", "score", "export-geojson")
 
 
 def peak_rss_mb() -> float:
@@ -51,19 +53,29 @@ class RunManifest:
     def record_stage(self, name: str, config_text: str, version: str,
                      inputs: list, outputs: list, wall_seconds: float,
                      extra: dict | None = None) -> None:
-        """Record (or replace, on rerun) one stage's provenance. A non-finite
+        """Record (or replace, on rerun) one stage's provenance, and drop the
+        entries of the stages after it. A path inside the run directory is
+        recorded relative to it, any other as an absolute path. A non-finite
         float in `extra` (a loss with no validation set, say) is written as
         null, so the file stays JSON."""
+        root = self.run_dir.resolve()
+
+        def as_key(path) -> str:
+            path = Path(path).resolve()
+            return str(path.relative_to(root) if path.is_relative_to(root) else path)
+
         entry = {
             "tool_version": version,
             "wall_seconds": round(wall_seconds, 3),
             "config": config_text,
-            "inputs": {str(p): file_sha256(p) for p in inputs},
-            "outputs": {str(p): file_sha256(p) for p in outputs},
+            "inputs": {as_key(p): file_sha256(p) for p in inputs},
+            "outputs": {as_key(p): file_sha256(p) for p in outputs},
         }
         if extra:
             entry["extra"] = {key: None if isinstance(value, float) and not math.isfinite(value)
                               else value for key, value in extra.items()}
+        for later in STAGES[STAGES.index(name) + 1:]:
+            self.data["stages"].pop(later, None)
         self.data["stages"][name] = entry
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with atomic_write(self.path, "w") as fh:

@@ -16,9 +16,8 @@ import csv
 import os
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -40,17 +39,44 @@ DEFAULT_MAX_FILL = 20
 DEFAULT_MAX_MISSING_FRACTION = 0.30
 SENTINEL = -1.0
 
+# The (MMSI, UTC day) identity of a vessel-day; an id array has one per tensor row.
+IDS_DTYPE = np.dtype([("mmsi", "<i8"), ("day", "<M8[D]")])
+_EPOCH = date(1970, 1, 1)
+
+
+def mmsi_text(mmsi: int) -> str:
+    """An MMSI as every artifact spells it: nine zero-padded ASCII digits."""
+    return f"{mmsi:09d}"
+
+
+def id_text(ids: np.ndarray) -> Iterator[tuple[str, str]]:
+    """The (mmsi, day) text of each IDS_DTYPE id, made one at a time: the
+    MMSI as `mmsi_text` spells it, the day as an ISO date."""
+    return ((mmsi_text(mmsi), str(day)) for mmsi, day in zip(ids["mmsi"], ids["day"]))
+
+
+def parse_id(mmsi: str, day: str) -> tuple[int, int]:
+    """The IDS_DTYPE record, (MMSI, days since 1970-01-01), that `id_text`
+    spells as `mmsi` and `day`; any other text is a ValueError whose
+    message starts with the field's name."""
+    if not (len(mmsi) == 9 and mmsi.isascii() and mmsi.isdigit()):
+        raise ValueError(f"mmsi must be nine ASCII digits, got {mmsi!r}")
+    try:
+        return int(mmsi), (date.fromisoformat(day) - _EPOCH).days
+    except ValueError:
+        raise ValueError(f"day must be a date as YYYY-MM-DD, got {day!r}") from None
+
 
 @dataclass(frozen=True)
 class DayGrids:
     """Vessel-days on the half-hour grid, one row per day.
 
-    Row n is the day `ids[n]` = (mmsi, day); slot i is 00:00 + i*30min.
+    Row n is the IDS_DTYPE vessel-day `ids[n]`; slot i is 00:00 + i*30min.
     `values` (N, 48, 4) is NaN where `mask` (N, 48) is False; `mask` is
     True where a slot holds observed or interpolated data.
     """
 
-    ids: list[tuple[str, date]]
+    ids: np.ndarray
     values: np.ndarray
     mask: np.ndarray
 
@@ -59,7 +85,7 @@ class DayGrids:
 
     def take(self, rows: np.ndarray) -> "DayGrids":
         """The days where the boolean `rows` is True."""
-        return DayGrids(list(compress(self.ids, rows)), self.values[rows], self.mask[rows])
+        return DayGrids(self.ids[rows], self.values[rows], self.mask[rows])
 
 
 def _missing_fraction(mask: np.ndarray) -> np.ndarray:
@@ -152,7 +178,8 @@ def resample_daily(track: VesselTrack, tolerance_s: float = DEFAULT_TOLERANCE_S)
     for j, name in enumerate(FEATURES):
         values[row, col, j] = track.records[name][best]
     mask[row, col] = True
-    ids = list(zip([track.mmsi] * len(days), days.astype("datetime64[D]").tolist()))
+    ids = np.empty(len(days), IDS_DTYPE)
+    ids["mmsi"], ids["day"] = track.mmsi, days.astype("datetime64[D]")
     return DayGrids(ids, values, mask)
 
 
@@ -218,16 +245,17 @@ def build_daily_grids(
     if not 0 <= min_entries <= N_SLOTS:
         raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
     summary = PreprocessSummary()
-    ids, values, masks = [], [np.empty((0, N_SLOTS, N_FEATURES))], [np.empty((0, N_SLOTS), bool)]
+    ids = [np.empty(0, IDS_DTYPE)]
+    values, masks = [np.empty((0, N_SLOTS, N_FEATURES))], [np.empty((0, N_SLOTS), bool)]
     for track in tracks:
         grids = resample_daily(track, tolerance_s)
         summary.days_total += len(grids)
         grids = grids.take(grids.mask.sum(axis=1) >= min_entries)
         interpolate_gaps(grids.values, grids.mask, max_fill)
-        ids += grids.ids
+        ids.append(grids.ids)
         values.append(grids.values)
         masks.append(grids.mask)
-    grids = DayGrids(ids, np.concatenate(values), np.concatenate(masks))
+    grids = DayGrids(np.concatenate(ids), np.concatenate(values), np.concatenate(masks))
     summary.days_sparse_dropped = summary.days_total - len(grids)
     bins = np.minimum((_missing_fraction(grids.mask) * 10).astype(np.int64), 9)
     summary.missing_histogram = np.bincount(bins, minlength=10).tolist()
@@ -238,13 +266,13 @@ def normalize_corpus(
     grids: DayGrids,
     max_missing_fraction: float = DEFAULT_MAX_MISSING_FRACTION,
     summary: PreprocessSummary | None = None,
-) -> tuple[np.ndarray, list[tuple[str, date]], NormalizationStats]:
+) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
     """Apply the 30%-missing rule, then min-max normalize the surviving days.
 
     The stats are each feature's extrema over every present cell of the
     surviving (post-interpolation) days, so present cells land in [0, 1];
     missing slots become -1. Returns the (N, 48, 4) tensor, the
-    (mmsi, day) id of each row, and the stats.
+    IDS_DTYPE id of each row, and the stats.
     """
     survivors = grids.take(_missing_fraction(grids.mask) <= max_missing_fraction)
     if summary is not None:
@@ -263,8 +291,7 @@ def normalize_corpus(
 # Corpus persistence: flat little-endian float64 binary + CSV sidecar.
 # ---------------------------------------------------------------------------
 
-def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
-                tensor_path, index_path) -> None:
+def save_corpus(tensor: np.ndarray, ids: np.ndarray, tensor_path, index_path) -> None:
     """Write (N, 48, 4) days as raw row-major '<f8' cells plus an id sidecar.
 
     The cells are written from the tensor's own buffer when it is already
@@ -275,15 +302,15 @@ def save_corpus(tensor: np.ndarray, ids: Sequence[tuple[str, date]],
     with atomic_write(index_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_index", "mmsi", "day"])
-        for i, (mmsi, day) in enumerate(ids):
-            writer.writerow([i, mmsi, day.isoformat()])
+        writer.writerows((i, mmsi, day) for i, (mmsi, day) in enumerate(id_text(ids)))
 
 
-def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, date]]]:
-    """Read a persisted corpus back into (tensor, ids).
+def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a persisted corpus back into (tensor, IDS_DTYPE ids).
 
-    The cells are read straight into the returned '<f8' tensor, so loading
-    holds the tensor once, plus the ids.
+    The cells are read straight into the returned '<f8' tensor and the ids
+    into an array sized from it, so loading holds the tensor once, plus
+    16 bytes of id per day.
     """
     tensor_path, index_path = Path(tensor_path), Path(index_path)
     if not tensor_path.exists() or not index_path.exists():
@@ -296,23 +323,26 @@ def load_corpus(tensor_path, index_path) -> tuple[np.ndarray, list[tuple[str, da
         tensor = np.empty((size // day_bytes, N_SLOTS, N_FEATURES), dtype="<f8")
         if fh.readinto(tensor) != size:
             raise DataError(f"corpus file {tensor_path} changed while it was read")
-    ids: list[tuple[str, date]] = []
+    ids = np.empty(len(tensor), IDS_DTYPE)
+    listed = -1
     with utf8_text(index_path), open(index_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["record_index", "mmsi", "day"]:
             raise DataError(f"unexpected sidecar header in {index_path}: {header}")
-        for row in reader:
+        for listed, row in enumerate(reader):
             try:
                 index, mmsi, day = row
-                ids.append((mmsi, date.fromisoformat(day)))
+                ident = parse_id(mmsi, day)
             except ValueError:
                 raise DataError(f"{index_path} line {reader.line_num}: expected "
                                 f"record_index,mmsi,day, got {row}") from None
-            if index != str(len(ids) - 1):  # a moved row would mislabel a tensor row
+            if index != str(listed):  # a moved row would mislabel a tensor row
                 raise DataError(f"{index_path} line {reader.line_num}: record_index "
-                                f"{index!r} out of order, expected {len(ids) - 1}")
-    if len(ids) != tensor.shape[0]:
-        raise DataError(f"{index_path} lists {len(ids)} days but {tensor_path} "
-                        f"holds {tensor.shape[0]}")
+                                f"{index!r} out of order, expected {listed}")
+            if listed < len(ids):
+                ids[listed] = ident
+    if listed + 1 != len(ids):
+        raise DataError(f"{index_path} lists {listed + 1} days but {tensor_path} "
+                        f"holds {len(ids)}")
     return tensor, ids

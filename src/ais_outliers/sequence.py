@@ -1,19 +1,18 @@
 """Hold the normalized days as one tensor and split it reproducibly.
 
-The MMSI/day sidecar travels with every tensor row but is never a model
-input. Shuffling uses numpy's PCG64 generator so splits are reproducible
-from the recorded seed.
+The (MMSI, day) ids, one IDS_DTYPE array, travel with the tensor rows but
+are never a model input. Shuffling uses numpy's PCG64 generator so splits
+are reproducible from the recorded seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .preprocess import N_FEATURES, N_SLOTS, load_corpus, save_corpus
+from .preprocess import IDS_DTYPE, N_FEATURES, N_SLOTS, load_corpus, save_corpus
 
 DEFAULT_TEST_FRACTION = 0.20
 DEFAULT_VAL_FRACTION = 0.20
@@ -21,14 +20,14 @@ DEFAULT_VAL_FRACTION = 0.20
 
 @dataclass
 class SequenceSet:
-    """N x 48 x 4 tensor plus the (mmsi, day) identity of each row."""
+    """N x 48 x 4 tensor plus the IDS_DTYPE (mmsi, day) id of each row."""
 
     tensor: np.ndarray
-    ids: tuple[tuple[str, date], ...]
+    ids: np.ndarray
 
     def __post_init__(self):
         self.tensor = np.asarray(self.tensor, dtype=np.float64)
-        self.ids = tuple(self.ids)
+        self.ids = np.asarray(self.ids, dtype=IDS_DTYPE)
         if self.tensor.ndim != 3 or self.tensor.shape[1:] != (N_SLOTS, N_FEATURES):
             raise DataError(f"sequence tensor must be Nx{N_SLOTS}x{N_FEATURES}, "
                             f"got {self.tensor.shape}")
@@ -39,7 +38,7 @@ class SequenceSet:
         return self.tensor.shape[0]
 
     def take(self, indices: np.ndarray) -> "SequenceSet":
-        return SequenceSet(self.tensor[indices], tuple(self.ids[i] for i in indices))
+        return SequenceSet(self.tensor[indices], self.ids[indices])
 
 
 @dataclass(frozen=True)
@@ -73,29 +72,20 @@ def split(
     rng = np.random.default_rng(spec.seed)
 
     if not by_vessel:
-        perm = rng.permutation(n)
-        test_idx = perm[:n_test]
-        val_idx = perm[n_test:n_test + n_val]
-        train_idx = perm[n_test + n_val:]
+        rows, test_end, val_end = rng.permutation(n), n_test, n_test + n_val
     else:
-        vessels = sorted({mmsi for mmsi, _ in sset.ids})
-        rng.shuffle(vessels)
-        rows = {m: [] for m in vessels}
-        for i, (mmsi, _) in enumerate(sset.ids):
-            rows[mmsi].append(i)
-        test_list, val_list, train_list = [], [], []
-        for mmsi in vessels:
-            if len(test_list) < n_test:
-                test_list.extend(rows[mmsi])
-            elif len(val_list) < n_val:
-                val_list.extend(rows[mmsi])
-            else:
-                train_list.extend(rows[mmsi])
-        test_idx = np.array(test_list, dtype=int)
-        val_idx = np.array(val_list, dtype=int)
-        train_idx = np.array(train_list, dtype=int)
+        _, vessel_of_row, sizes = np.unique(sset.ids["mmsi"], return_inverse=True,
+                                            return_counts=True)
+        order = rng.permutation(len(sizes))
+        # The rows vessel by vessel in shuffled order, each vessel's in index order.
+        rows = np.argsort(np.argsort(order)[vessel_of_row], kind="stable")
+        # Whole vessels join test while it holds fewer than n_test rows, then val.
+        edges = np.concatenate(([0], np.cumsum(sizes[order])))
+        test_end = edges[np.searchsorted(edges, n_test)]
+        val_end = edges[np.searchsorted(edges, min(test_end + n_val, n))]
 
-    return sset.take(train_idx), sset.take(val_idx), sset.take(test_idx)
+    return (sset.take(rows[val_end:]), sset.take(rows[test_end:val_end]),
+            sset.take(rows[:test_end]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,5 +97,4 @@ def save_set(sset: SequenceSet, tensor_path, index_path) -> None:
 
 
 def load_set(tensor_path, index_path) -> SequenceSet:
-    tensor, ids = load_corpus(tensor_path, index_path)
-    return SequenceSet(tensor, tuple(ids))
+    return SequenceSet(*load_corpus(tensor_path, index_path))

@@ -24,7 +24,7 @@ def make_table(records):
 
 
 def make_track(mmsi, records):
-    return VesselTrack(mmsi=mmsi, records=make_table(records))
+    return VesselTrack(mmsi=int(mmsi), records=make_table(records))
 
 
 @pytest.fixture

@@ -351,7 +351,7 @@ class ReferenceDay:
     """One vessel's day on the half-hour grid: slot i is 00:00 + i*30min;
     `values` (48, 4) is NaN where `mask` (48,) is False."""
 
-    mmsi: str
+    mmsi: int
     day: date
     values: np.ndarray
     mask: np.ndarray
@@ -582,7 +582,7 @@ def reference_group_and_sort(records, report=None):
     if not len(table):
         return []
     cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
-    return [VesselTrack(mmsi=f"{chunk['mmsi'][0]:09d}", records=chunk)
+    return [VesselTrack(mmsi=int(chunk["mmsi"][0]), records=chunk)
             for chunk in np.split(table, cuts)]
 
 
@@ -609,7 +609,7 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     stored = ["t", "lat", "lon", "sog", "cog"]
     with open(tracks_path, "wb") as fh:
         np.save(fh, records[stored].astype([(name, records.dtype[name]) for name in stored]))
-        np.save(fh, np.array([(int(t.mmsi), len(t)) for t in tracks],
+        np.save(fh, np.array([(t.mmsi, len(t)) for t in tracks],
                              dtype=[("mmsi", "<i8"), ("rows", "<i8")]))
     return report
 
@@ -634,9 +634,9 @@ def _reference_score_records(model, sset, mask_sentinel):
     else:
         rmse = np.sqrt(diff2.mean(axis=(1, 2)))
     features = np.sqrt(diff2.mean(axis=-2))
-    return [ScoreRecord(mmsi=mmsi, day=day, rmse=float(rmse[i]),
+    return [ScoreRecord(mmsi=f"{mmsi:09d}", day=day, rmse=float(rmse[i]),
                         feature_rmse=tuple(map(float, features[i])))
-            for i, (mmsi, day) in enumerate(sset.ids)]
+            for i, (mmsi, day) in enumerate(sset.ids.tolist())]
 
 
 def reference_score_csvs(out_dir, model, test_set, basis_set=None, mask_sentinel=False,
@@ -687,3 +687,27 @@ def reference_score_csvs(out_dir, model, test_set, basis_set=None, mask_sentinel
           [[mmsi, count, int(count >= min_appearances)]
            for mmsi, count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))])
     return flagged
+
+
+def reference_split_by_vessel(mmsis, spec):
+    """The vessel-by-vessel split: the sorted MMSIs shuffled as a list by
+    the seed's generator, then each vessel's rows, in index order, appended
+    to test while it holds fewer than floor(N * test_fraction) rows, then to
+    val likewise, then to train. Returns the (train, val, test) row lists."""
+    n = len(mmsis)
+    n_test = int(n * spec.test_fraction)
+    n_val = int((n - n_test) * spec.val_fraction)
+    vessels = sorted(set(mmsis))
+    np.random.default_rng(spec.seed).shuffle(vessels)
+    rows = {m: [] for m in vessels}
+    for i, mmsi in enumerate(mmsis):
+        rows[mmsi].append(i)
+    test, val, train = [], [], []
+    for mmsi in vessels:
+        if len(test) < n_test:
+            test += rows[mmsi]
+        elif len(val) < n_val:
+            val += rows[mmsi]
+        else:
+            train += rows[mmsi]
+    return train, val, test

@@ -23,6 +23,7 @@ from ais_outliers.nn.layers import unroll
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.nn.train import train
 from ais_outliers.preprocess import (
+    IDS_DTYPE,
     SENTINEL,
     build_daily_grids,
     normalize_corpus,
@@ -231,12 +232,13 @@ def test_pipeline_oracle():
         tensor, ids, stats = normalize_corpus(grids, max_missing_fraction=0.30,
                                               summary=summary)
         assert summary.days_missing_dropped == fixture_ais.EXPECTED_MISSING_DROPPED
-        assert tuple(sorted(mmsi for mmsi, _ in ids)) == fixture_ais.EXPECTED_SURVIVORS
+        assert tuple(sorted(f"{mmsi:09d}" for mmsi in ids["mmsi"].tolist())) == \
+            fixture_ais.EXPECTED_SURVIVORS
 
         # Post-interpolation grids match the closed-form construction exactly.
         expected = fixture_ais.expected_surviving_grids()
-        surviving = {mmsi: (grids.values[row], grids.mask[row])
-                     for row, (mmsi, _) in enumerate(grids.ids)
+        surviving = {f"{mmsi:09d}": (grids.values[row], grids.mask[row])
+                     for row, mmsi in enumerate(grids.ids["mmsi"].tolist())
                      if 1.0 - grids.mask[row].sum() / 48 <= 0.30}
         for mmsi, (exp_values, exp_mask) in expected.items():
             values, mask = surviving[mmsi]
@@ -251,7 +253,7 @@ def test_pipeline_oracle():
         npt.assert_array_equal(stats.maximum, cells.max(axis=0))
 
         # Normalization: bounds, sentinels, and round-trip within 1e-9.
-        by_mmsi = {mmsi: tensor[i] for i, (mmsi, _) in enumerate(ids)}
+        by_mmsi = {f"{mmsi:09d}": tensor[i] for i, mmsi in enumerate(ids["mmsi"].tolist())}
         sentinel_cells = int((tensor == SENTINEL).sum())
         assert sentinel_cells == fixture_ais.EXPECTED_SENTINEL_CELLS
         npt.assert_array_equal(
@@ -302,7 +304,7 @@ def test_synthetic_end_to_end_detection():
         train_seconds = time.monotonic() - started
         assert train_seconds < 600.0, f"training took {train_seconds:.0f}s"
 
-        ids = tuple((d.mmsi, d.day) for d in days)
+        ids = np.array([(int(d.mmsi), d.day) for d in days], IDS_DTYPE)
         sset = SequenceSet(norm, ids)
         rmse, _ = detect.score_set(model, sset)
 
@@ -322,8 +324,8 @@ def test_synthetic_end_to_end_detection():
                 flagged_report = candidate
                 break
         assert flagged_report is not None
-        label_by_id = {(d.mmsi, d.day): d.anomalous for d in days}
-        hits = sum(label_by_id[ids[i]] for i in flagged_report.flagged)
+        label_by_id = {(int(d.mmsi), d.day): d.anomalous for d in days}
+        hits = sum(label_by_id[key] for key in ids[flagged_report.flagged].tolist())
         precision = hits / len(flagged_report.flagged)
         assert precision >= 0.80, (
             f"k={flagged_report.k}: {hits}/{len(flagged_report.flagged)} correct")
@@ -340,7 +342,7 @@ def test_synthetic_end_to_end_detection():
 def test_detector_arithmetic():
     with criterion("detector-arithmetic"):
         rmse = np.array([1, 1, 1, 1, 100], dtype=np.float64)
-        ids = tuple(("100000001", date(2019, 3, 6 + i)) for i in range(5))
+        ids = np.array([(100000001, date(2019, 3, 6 + i)) for i in range(5)], IDS_DTYPE)
         dist = detect.fit_distribution(rmse)
 
         mean = (1 + 1 + 1 + 1 + 100) / 5.0
@@ -405,7 +407,8 @@ def test_cli_determinism(tmp_path):
 def test_tensor_shape_and_split_conformance(rng):
     with criterion("shape-and-split-conformance"):
         sset = SequenceSet(rng.uniform(0, 1, (100, 48, 4)),
-                           [(f"3670000{i:02d}", date(2019, 3, 6)) for i in range(100)])
+                           np.array([(367000000 + i, date(2019, 3, 6)) for i in range(100)],
+                                    IDS_DTYPE))
         assert sset.tensor.shape == (100, 48, 4)
 
         train_s, val_s, test_s = split(sset, SplitSpec(

@@ -17,7 +17,7 @@ from ais_outliers.ingest import (INDEX_DTYPE, STORE_DTYPE, TRACK_DTYPE, TrackRea
 from ais_outliers.manifest import RunManifest, file_sha256
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
-from ais_outliers.preprocess import NormalizationStats, save_corpus
+from ais_outliers.preprocess import IDS_DTYPE, NormalizationStats, save_corpus
 
 from conftest import make_record, make_table, utc
 from synthetic import generate_days, write_ais_csv
@@ -232,7 +232,7 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
                                        "score", "export-geojson"}
     for entry in manifest["stages"].values():
         for path, digest in entry["outputs"].items():
-            assert Path(path).exists()
+            assert (run_dir / path).exists()
             assert len(digest) == 64
         assert entry["extra"]["peak_rss_mb"] > 0
     split = manifest["stages"]["split"]["extra"]
@@ -314,7 +314,52 @@ def test_retrain_removes_the_earlier_models_checkpoints(tmp_path, corpus_dir, ca
     stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
     assert [Path(p).name for p in stages["train"]["outputs"]] == \
         ["epoch_001.ckpt", "history.csv"]
-    assert str(checkpoint) in stages["score"]["inputs"]
+    assert "checkpoints/epoch_001.ckpt" in stages["score"]["inputs"]
+
+
+def test_manifest_paths_resolve_against_the_run_directory(tmp_path, corpus_dir,
+                                                          monkeypatch):
+    # Stages run from one directory with a relative run directory and input
+    # glob; the manifest is then read from another directory.
+    (tmp_path / "here").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    relative_glob = os.path.relpath(corpus_dir / "*.csv")
+    for command in ("ingest", "preprocess", "split", "train", "score", "export-geojson"):
+        assert main(run_args(corpus_dir, "run", command)
+                    + ["--input-glob", relative_glob]) == 0
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    run_dir = tmp_path / "here" / "run"
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    for name, entry in stages.items():
+        for path, digest in {**entry["inputs"], **entry["outputs"]}.items():
+            assert file_sha256(run_dir / path) == digest, (name, path)
+            assert Path(path).is_absolute() == (name == "ingest" and path.endswith(".csv"))
+    assert sorted(Path(p).parent for p in stages["ingest"]["inputs"]) == [corpus_dir] * 3
+    assert "checkpoints/epoch_001.ckpt" in stages["train"]["outputs"]
+
+
+def test_rerun_drops_the_entries_of_later_stages(tmp_path, corpus_dir, capsys):
+    run_dir = tmp_path / "run"
+    stages = ("ingest", "preprocess", "split", "train", "score", "export-geojson")
+    for command in stages:
+        assert main(run_args(corpus_dir, run_dir, command) + ["--epochs", "5"]) == 0
+    assert main(run_args(corpus_dir, run_dir, "train")) == 0  # one epoch now
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    listed = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ") and " -> " in line]
+    assert sorted(listed) == sorted(stages[:4])
+    recorded = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    named = [path for entry in recorded.values()
+             for path in (*entry["inputs"], *entry["outputs"])]
+    assert "checkpoints/epoch_001.ckpt" in named
+    assert all((run_dir / path).exists() for path in named)
+
+    for command in ("score", "export-geojson", "score"):
+        assert main(run_args(corpus_dir, run_dir, command)) == 0
+    recorded = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert sorted(recorded) == sorted(stages[:5])
 
 
 def _strict_json(text: str):
@@ -340,11 +385,11 @@ def test_undefined_loss_is_null_in_the_manifest(tmp_path):
 def test_bare_nan_left_in_a_manifest_is_rewritten_as_null(tmp_path):
     (tmp_path / "manifest.json").write_text(
         '{"stages": {"train": {"extra": {"final_val_loss": NaN}}}}')
-    RunManifest(tmp_path).record_stage("split", "", "0", [], [], 0.0,
+    RunManifest(tmp_path).record_stage("score", "", "0", [], [], 0.0,
                                        extra={"loss": float("inf")})
     stages = _strict_json((tmp_path / "manifest.json").read_text())["stages"]
     assert stages["train"]["extra"]["final_val_loss"] is None
-    assert stages["split"]["extra"]["loss"] is None
+    assert stages["score"]["extra"]["loss"] is None
 
 
 @pytest.mark.parametrize("size", [0, 1, 4095, 1 << 16, 3 << 16, (3 << 16) + 7])
@@ -396,7 +441,8 @@ def test_geojson_single_selection_unknown_day(tmp_path, corpus_dir, capsys):
 
 @pytest.mark.parametrize("selection", [["--mmsi", "123456789", "--day", "2019-13-01"],
                                        ["--mmsi", "123456789", "--day", "tomorrow"],
-                                       ["--mmsi", "123456789"]])
+                                       ["--mmsi", "123456789"],
+                                       ["--mmsi", "12345", "--day", "2019-03-06"]])
 def test_bad_geojson_selection_is_one_line_config_error(tmp_path, capsys, selection):
     code = main(["export-geojson", "--run-dir", str(tmp_path / "run")] + selection)
     assert code == 1
@@ -493,6 +539,8 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("report", "outliers_not_utf8"),
     ("score", "index_row_not_utf8"),
     ("export-geojson", "scores_row_not_utf8"),
+    ("score", "index_mmsi_not_nine_digits"),
+    ("export-geojson", "scores_mmsi_not_nine_digits"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
@@ -500,7 +548,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     stats = run_dir / "stats.txt"
     NormalizationStats(np.zeros(4), np.ones(4)).save(stats)
     index, tensor = run_dir / "test_index.csv", run_dir / "test.f64"
-    save_corpus(np.full((2, 48, 4), 0.5), [(f"36700000{i}", date(2019, 3, 6)) for i in range(2)],
+    save_corpus(np.full((2, 48, 4), 0.5),
+                np.array([(367000000 + i, date(2019, 3, 6)) for i in range(2)], IDS_DTYPE),
                 tensor, index)
     checkpoint = run_dir / "checkpoints" / "epoch_001.ckpt"
     save_checkpoint(checkpoint, RecurrentAutoencoder.initialize(ModelConfig(hidden=4), 0))
@@ -575,6 +624,10 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "outliers_not_utf8": lambda: outliers.write_bytes(outliers.read_bytes() + b"\xff\n"),
         "index_row_not_utf8": lambda: index.write_bytes(index.read_bytes() + b"2,\xff\n"),
         "scores_row_not_utf8": lambda: scores.write_bytes(scores.read_bytes() + b"\xff\n"),
+        "index_mmsi_not_nine_digits": lambda: index.write_text(
+            "\n".join(index_rows[:2] + ["1,36700001,2019-03-06"]) + "\n"),
+        "scores_mmsi_not_nine_digits": lambda: scores.write_text(  # a digit, not ASCII
+            "mmsi,day,rmse\n３67000000,2019-03-06,0.5\n", encoding="utf-8"),
     }
     # The files (and stage) the message must name.
     named = {"tensor_cut_by_one_day": ("test.f64", "test_index.csv"),
@@ -583,6 +636,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "outliers_not_utf8": ("outliers.csv",),
              "index_row_not_utf8": ("test_index.csv",),
              "scores_row_not_utf8": ("scores.csv",),
+             "index_mmsi_not_nine_digits": ("test_index.csv", "line 3"),
+             "scores_mmsi_not_nine_digits": ("scores.csv", "line 2"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:

@@ -17,7 +17,7 @@ from ais_outliers.detect import (
 )
 from ais_outliers.errors import DataError
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
-from ais_outliers.preprocess import N_SLOTS
+from ais_outliers.preprocess import IDS_DTYPE, N_SLOTS
 from ais_outliers.sequence import SequenceSet
 
 from oracles import reference_score_csvs, rmse_loop
@@ -25,8 +25,8 @@ from oracles import reference_score_csvs, rmse_loop
 DAY = date(2019, 3, 6)
 
 
-def ids_for(n, mmsi="367000001"):
-    return tuple((mmsi, DAY + timedelta(days=i)) for i in range(n))
+def ids_for(n, mmsi=367000001):
+    return np.array([(mmsi, DAY + timedelta(days=i)) for i in range(n)], IDS_DTYPE)
 
 
 class FixedModel:
@@ -99,8 +99,7 @@ def small_model():
 
 def small_set(rng, n):
     tensor = rng.uniform(0, 1, (n, N_SLOTS, 4))
-    ids = tuple((f"3670000{i:02d}", DAY) for i in range(n))
-    return SequenceSet(tensor, ids)
+    return SequenceSet(tensor, np.array([(367000000 + i, DAY) for i in range(n)], IDS_DTYPE))
 
 
 def test_empty_set_scores_empty(rng):
@@ -159,7 +158,7 @@ def test_empty_scores_rejected():
 
 def flag(values, k, ids=None):
     rmse = np.array(values, dtype=np.float64)
-    ids = ids or ids_for(len(rmse))
+    ids = ids_for(len(rmse)) if ids is None else ids
     return rmse, ids, flag_outliers(rmse, ids, fit_distribution(rmse), k=k)
 
 
@@ -184,24 +183,24 @@ def test_degenerate_distribution_flags_nothing():
 @pytest.mark.parametrize("case", ["distinct", "ties"])
 def test_flagged_sorted_descending(rng, case):
     values = rng.uniform(0, 1, 50).tolist()
-    ids = list(ids_for(50, mmsi="367000099"))
+    ids = ids_for(50, mmsi=367000099).tolist()
     if case == "distinct":
         values += [5.0, 9.0, 7.0]
-        ids += [("367000009", DAY), ("367000007", DAY), ("367000008", DAY)]
-        expected = [("367000007", DAY), ("367000008", DAY), ("367000009", DAY)]
+        ids += [(367000009, DAY), (367000007, DAY), (367000008, DAY)]
+        expected = [(367000007, DAY), (367000008, DAY), (367000009, DAY)]
     else:  # equal RMSEs go by MMSI, then by day, whatever their row order
         later = DAY + timedelta(days=1)
         values += [7.0, 9.0, 7.0, 7.0, 9.0, 7.0]
-        ids += [("367000003", later), ("367000002", DAY), ("367000001", later),
-                ("367000003", DAY), ("367000001", DAY), ("367000001", DAY - timedelta(1))]
-        expected = [("367000001", DAY), ("367000002", DAY),
-                    ("367000001", DAY - timedelta(1)), ("367000001", later),
-                    ("367000003", DAY), ("367000003", later)]
-    rmse, ids, report = flag(values, k=2.0, ids=tuple(ids))
+        ids += [(367000003, later), (367000002, DAY), (367000001, later),
+                (367000003, DAY), (367000001, DAY), (367000001, DAY - timedelta(1))]
+        expected = [(367000001, DAY), (367000002, DAY),
+                    (367000001, DAY - timedelta(1)), (367000001, later),
+                    (367000003, DAY), (367000003, later)]
+    rmse, ids, report = flag(values, k=2.0, ids=np.array(ids, IDS_DTYPE))
     flagged = rmse[report.flagged].tolist()
     assert flagged == sorted(flagged, reverse=True)
     assert flagged[0] == 9.0
-    assert [ids[i] for i in report.flagged] == expected
+    assert ids[report.flagged].tolist() == expected
 
 
 def test_monotonicity_in_k(rng):
@@ -239,7 +238,7 @@ def test_bounded_scores_never_flag(rng):
 
 def flagged_report(mmsis):
     """Every row flagged, one day per row: (report, ids)."""
-    ids = tuple((m, DAY + timedelta(days=i)) for i, m in enumerate(mmsis))
+    ids = np.array([(m, DAY + timedelta(days=i)) for i, m in enumerate(mmsis)], IDS_DTYPE)
     flagged = np.arange(len(ids))[::-1]  # descending RMSE 10 + i
     return OutlierReport(threshold=1.0, k=6.0, flagged=flagged), ids
 
@@ -253,22 +252,22 @@ def persistent(offenders):
 
 
 def test_six_appearances_is_persistent():
-    offenders = offender_frequency(*flagged_report(["367000001"] * 6), min_appearances=5)
-    assert persistent(offenders) == [("367000001", 6)]
+    offenders = offender_frequency(*flagged_report([367000001] * 6), min_appearances=5)
+    assert persistent(offenders) == [(367000001, 6)]
 
 
 def test_four_appearances_counted_but_not_persistent():
-    offenders = offender_frequency(*flagged_report(["367000002"] * 4), min_appearances=5)
-    assert tally(offenders) == [("367000002", 4)]
+    offenders = offender_frequency(*flagged_report([367000002] * 4), min_appearances=5)
+    assert tally(offenders) == [(367000002, 4)]
     assert persistent(offenders) == []
 
 
 @pytest.mark.parametrize("mmsis, expected", [
-    (["A"] * 7 + ["B"] * 5 + ["C"] * 2 + ["D"] * 1,
-     [("A", 7), ("B", 5), ("C", 2), ("D", 1)]),
+    ([1] * 7 + [2] * 5 + [3] * 2 + [4] * 1,
+     [(1, 7), (2, 5), (3, 2), (4, 1)]),
     # Equal counts go by MMSI, whatever order the flags come in.
-    (["D"] * 2 + ["B"] * 5 + ["C"] * 2 + ["E"] * 5 + ["A"] * 1,
-     [("B", 5), ("E", 5), ("C", 2), ("D", 2), ("A", 1)]),
+    ([4] * 2 + [2] * 5 + [3] * 2 + [5] * 5 + [1] * 1,
+     [(2, 5), (5, 5), (3, 2), (4, 2), (1, 1)]),
 ])
 def test_mixed_tally_matches_hand_count(mmsis, expected):
     offenders = offender_frequency(*flagged_report(mmsis), min_appearances=5)
@@ -334,10 +333,10 @@ def scoring_case(rng, case):
     def make(offsets, first_day):
         tensor = PREDICTION + np.asarray(offsets)[:, None, None] * pattern
         tensor[:, :4] = -1.0
-        ids = [(f"36700000{i % 5}", first_day + timedelta(days=i // 5))
-               for i in range(len(offsets))]
+        ids = np.array([(367000000 + i % 5, first_day + timedelta(days=i // 5))
+                        for i in range(len(offsets))], IDS_DTYPE)
         order = rng.permutation(len(offsets))
-        return SequenceSet(tensor[order], tuple(ids[i] for i in order))
+        return SequenceSet(tensor[order], ids[order])
 
     if case == "ties":  # several MMSIs flagged at one RMSE, some twice
         offsets = rng.integers(1, 4, N_ROWS) * 0.1

@@ -601,7 +601,7 @@ def test_interleaved_vessels_grouped_and_sorted():
         for mmsi in ("367000003", "367000001", "367000002"):
             records.append(make_record(mmsi=mmsi, ts=utc(2019, 3, 6, hour)))
     tracks = group_and_sort(make_table(records))
-    assert [t.mmsi for t in tracks] == ["367000001", "367000002", "367000003"]
+    assert [t.mmsi for t in tracks] == [367000001, 367000002, 367000003]
     for track in tracks:
         assert track.records["t"].tolist() == [utc(2019, 3, 6, h).timestamp() for h in (2, 4, 6)]
 
@@ -620,7 +620,7 @@ def test_regrouping_preserves_accepted_multiset(rng):
     # each (mmsi, t) in input order, and compare keys and kept latitudes.
     first = {}
     for r in records:
-        first.setdefault((f"{r['mmsi']:09d}", int(r["t"])), float(r["lat"]))
+        first.setdefault((int(r["mmsi"]), int(r["t"])), float(r["lat"]))
     assert regrouped == sorted(first)
     assert [float(r["lat"]) for t in tracks for r in t.records] == \
         [first[key] for key in sorted(first)]

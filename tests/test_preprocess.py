@@ -14,6 +14,7 @@ from ais_outliers.errors import ConfigError, DataError
 from ais_outliers.ingest import TrackReader, ingest_files
 from ais_outliers.preprocess import (
     FEATURES,
+    IDS_DTYPE,
     N_SLOTS,
     SENTINEL,
     DayGrids,
@@ -47,8 +48,8 @@ def grid_from_mask(mask, base=10.0):
 
 def day_grids(days, mmsis=None):
     """A DayGrids block of one-day (values, mask) pairs, one day apart."""
-    mmsis = mmsis or ["367000001"] * len(days)
-    ids = [(mmsi, DAY + timedelta(days=i)) for i, mmsi in enumerate(mmsis)]
+    mmsis = mmsis or [367000001] * len(days)
+    ids = np.array([(mmsi, DAY + timedelta(days=i)) for i, mmsi in enumerate(mmsis)], IDS_DTYPE)
     return DayGrids(ids, np.array([v for v, _ in days]).reshape(-1, N_SLOTS, 4),
                     np.array([m for _, m in days], dtype=bool).reshape(-1, N_SLOTS))
 
@@ -57,7 +58,7 @@ def resample_day(track, day, tolerance_s=60.0):
     """The (values, mask) that resample_daily gives `day`; all missing when
     the track does not touch the day."""
     grids = resample_daily(track, tolerance_s)
-    for row, (mmsi, grid_day) in enumerate(grids.ids):
+    for row, (mmsi, grid_day) in enumerate(grids.ids.tolist()):
         assert mmsi == track.mmsi
         if grid_day == day:
             return grids.values[row], grids.mask[row]
@@ -102,7 +103,7 @@ def test_empty_track_gives_no_days():
 def test_record_outside_tolerance_leaves_slot_missing():
     track = make_track("367000001", [make_record(ts=utc(2019, 3, 6, 0, 31, 31))])
     grids = resample_daily(track, tolerance_s=60.0)
-    assert grids.ids == [("367000001", DAY)]  # the day is touched, but empty
+    assert grids.ids.tolist() == [(367000001, DAY)]  # the day is touched, but empty
     assert grids.mask.sum() == 0
 
 
@@ -167,7 +168,7 @@ def test_resample_matches_whole_track_scan(rng):
     days = [DAY - timedelta(days=1) + timedelta(days=i) for i in range(5)]
     for tolerance in (0.0, 60.0, 900.0):
         grids = resample_daily(track, tolerance)
-        assert grids.ids == [(track.mmsi, day) for day in days]
+        assert grids.ids.tolist() == [(track.mmsi, day) for day in days]
         for row, day in enumerate(days):
             expected = _resample_by_scan(track, day, tolerance)
             npt.assert_array_equal(grids.values[row], expected)
@@ -191,7 +192,7 @@ def test_resample_grids_every_touched_day():
         make_record(ts=utc(2019, 3, 6, 12, 0, 0)),
         make_record(ts=utc(2019, 3, 8, 1, 0, 0)),
     ])
-    assert [day for _, day in resample_daily(track).ids] == \
+    assert [day for _, day in resample_daily(track).ids.tolist()] == \
         [date(2019, 3, 6), date(2019, 3, 7), date(2019, 3, 8)]
 
 
@@ -404,9 +405,9 @@ def test_day_over_missing_budget_rejected():
     mask[:34] = True  # 14 missing = 29.2% passes
     within = grid_from_mask(mask)
     summary = PreprocessSummary()
-    _, ids, _ = normalize_corpus(day_grids([over, within], ["367000001", "367000002"]),
+    _, ids, _ = normalize_corpus(day_grids([over, within], [367000001, 367000002]),
                                  summary=summary)
-    assert ids == [("367000002", DAY + timedelta(days=1))]
+    assert ids.tolist() == [(367000002, DAY + timedelta(days=1))]
     assert (summary.days_missing_dropped, summary.days_kept) == (1, 1)
 
 
@@ -433,9 +434,9 @@ def test_normalize_corpus_matches_day_by_day_reference(rng):
         values, mask = grid_from_mask(rng.random(N_SLOTS) < rng.uniform(0.55, 1.0))
         values[mask] = rng.uniform(-500, 500, size=(mask.sum(), 4)) * rng.uniform(0.01, 3)
         days.append((values, mask))
-    grids = day_grids(days, [f"3670000{i % 7:02d}" for i in range(40)])
+    grids = day_grids(days, [367000000 + i % 7 for i in range(40)])
     reference = [ReferenceDay(mmsi, day, values, mask)
-                 for (mmsi, day), (values, mask) in zip(grids.ids, days)]
+                 for (mmsi, day), (values, mask) in zip(grids.ids.tolist(), days)]
     survivors = sum(g.missing_fraction <= 0.30 for g in reference)
     assert 0 < survivors < len(reference)
 
@@ -443,7 +444,7 @@ def test_normalize_corpus_matches_day_by_day_reference(rng):
     matrices, ref_ids, minimum, maximum = reference_normalize_corpus(reference, 0.30)
     assert tensor.shape == (survivors, N_SLOTS, 4)
     assert tensor.tobytes() == np.stack(matrices).tobytes()
-    assert ids == ref_ids
+    assert ids.tolist() == ref_ids
     assert stats.minimum.tobytes() == minimum.tobytes()
     assert stats.maximum.tobytes() == maximum.tobytes()
 
@@ -457,8 +458,8 @@ def _run_both(tracks, tolerance_s, min_entries, max_fill, max_missing_fraction=0
     def program():
         grids, summary = build_daily_grids(tracks, tolerance_s, min_entries, max_fill)
         tensor, ids, stats = normalize_corpus(grids, max_missing_fraction, summary)
-        return (tensor.tobytes(), ids, stats.minimum.tobytes(), stats.maximum.tobytes(),
-                summary.to_text())
+        return (tensor.tobytes(), ids.tolist(), stats.minimum.tobytes(),
+                stats.maximum.tobytes(), summary.to_text())
 
     def reference():
         grids, counts = reference_build_daily_grids(tracks, tolerance_s, min_entries, max_fill)
@@ -574,7 +575,7 @@ def test_missing_stats_file_is_data_error(tmp_path):
 def test_corpus_roundtrip_and_layout(tmp_path, rng):
     days = rng.uniform(0, 1, size=(3, N_SLOTS, 4))
     days[:, 4] = SENTINEL
-    day_ids = [(f"36700000{i}", DAY + timedelta(days=i)) for i in range(3)]
+    day_ids = np.array([(367000000 + i, DAY + timedelta(days=i)) for i in range(3)], IDS_DTYPE)
     tensor_path = tmp_path / "corpus.f64"
     index_path = tmp_path / "corpus_index.csv"
     save_corpus(days, day_ids, tensor_path, index_path)
@@ -582,7 +583,9 @@ def test_corpus_roundtrip_and_layout(tmp_path, rng):
     tensor, ids = load_corpus(tensor_path, index_path)
     assert tensor.shape == (3, N_SLOTS, 4)
     npt.assert_array_equal(tensor[0], days[0])
-    assert ids[1] == ("367000001", DAY + timedelta(days=1))
+    assert ids.dtype == IDS_DTYPE
+    assert ids.tolist()[1] == (367000001, DAY + timedelta(days=1))
+    assert index_path.read_text().splitlines()[2] == "1,367000001,2019-03-07"
 
     # Byte layout: first four cells are row 0's lat, lon, sog, cog as <f8.
     raw = tensor_path.read_bytes()
@@ -596,7 +599,7 @@ def test_corpus_roundtrip_and_layout(tmp_path, rng):
 def test_malformed_sidecar_row_is_data_error(tmp_path, rng, bad_row):
     tensor_path = tmp_path / "corpus.f64"
     index_path = tmp_path / "corpus_index.csv"
-    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), [(f"36700000{i}", DAY) for i in range(2)],
+    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), np.array([(367000000 + i, DAY) for i in range(2)], IDS_DTYPE),
                 tensor_path, index_path)
     lines = index_path.read_text().splitlines()
     index_path.write_text("\n".join(lines[:-1] + [bad_row]) + "\n")
@@ -614,14 +617,15 @@ def _traced_peak(run) -> int:
 
 
 def test_corpus_io_holds_the_tensor_once(tmp_path):
-    # Per vessel-day, loading peaks at the tensor plus its ids (about 1.7 KB,
-    # 1.5 KB of it cells), and saving writes the tensor's own buffer: the
+    # Per vessel-day, loading peaks at the tensor plus its ids (1536 B of
+    # cells and a 16 B id), and saving writes the tensor's own buffer: the
     # sidecar writer's buffers are the same at any size.
     tensor_path, index_path = tmp_path / "corpus.f64", tmp_path / "corpus_index.csv"
     save_peaks, load_peaks = {}, {}
     for n in (250, 1000):
         days = np.random.default_rng(n).uniform(0, 1, (n, N_SLOTS, 4))
-        ids = [(f"{367000000 + i % 50:09d}", DAY + timedelta(days=i // 50)) for i in range(n)]
+        ids = np.array([(367000000 + i % 50, DAY + timedelta(days=i // 50)) for i in range(n)],
+                       IDS_DTYPE)
         save_corpus(days, ids, tensor_path, index_path)  # first-call allocations
         save_peaks[n] = _traced_peak(lambda: save_corpus(days, ids, tensor_path, index_path))
         assert tensor_path.read_bytes() == days.astype("<f8").tobytes()
@@ -629,12 +633,12 @@ def test_corpus_io_holds_the_tensor_once(tmp_path):
     per_day = {name: (peaks[1000] - peaks[250]) / 750
                for name, peaks in (("save", save_peaks), ("load", load_peaks))}
     assert per_day["save"] < 100, per_day
-    assert per_day["load"] < 1.8 * 1024, per_day
+    assert per_day["load"] < 1.6 * 1024, per_day
 
 
 def test_corpus_file_of_part_of_a_day_is_data_error(tmp_path, rng):
     tensor_path, index_path = tmp_path / "corpus.f64", tmp_path / "corpus_index.csv"
-    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), [(f"36700000{i}", DAY) for i in range(2)],
+    save_corpus(rng.uniform(0, 1, (2, N_SLOTS, 4)), np.array([(367000000 + i, DAY) for i in range(2)], IDS_DTYPE),
                 tensor_path, index_path)
     for cut in (8, 3):  # a whole cell short, and part of a cell
         tensor_path.write_bytes(tensor_path.read_bytes()[:-cut])

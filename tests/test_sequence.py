@@ -5,8 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ConfigError, DataError
-from ais_outliers.preprocess import N_SLOTS
+from ais_outliers.preprocess import IDS_DTYPE, N_SLOTS
 from ais_outliers.sequence import SequenceSet, SplitSpec, load_set, save_set, split
+
+from oracles import reference_split_by_vessel
 
 DAY = date(2019, 3, 6)
 
@@ -14,10 +16,10 @@ DAY = date(2019, 3, 6)
 def make_set(n, vessels=1):
     """Day i is constant-i, of vessel i % vessels; rows in (MMSI, day)
     order, as the corpus stores them."""
-    ids = [(f"3670000{i % vessels:02d}", DAY + timedelta(days=i // vessels)) for i in range(n)]
-    order = sorted(range(n), key=ids.__getitem__)
-    return SequenceSet(np.array([np.full((N_SLOTS, 4), float(i)) for i in order]),
-                       [ids[i] for i in order])
+    ids = np.array([(367000000 + i % vessels, DAY + timedelta(days=i // vessels))
+                    for i in range(n)], IDS_DTYPE)
+    order = np.argsort(ids, kind="stable")
+    return SequenceSet(np.array([np.full((N_SLOTS, 4), float(i)) for i in order]), ids[order])
 
 
 def test_single_day_shape():
@@ -27,7 +29,7 @@ def test_single_day_shape():
 
 
 def test_assemble_empty_is_valid(tmp_path):
-    sset = SequenceSet(np.zeros((0, N_SLOTS, 4)), ())
+    sset = SequenceSet(np.zeros((0, N_SLOTS, 4)), np.empty(0, IDS_DTYPE))
     assert sset.tensor.shape == (0, N_SLOTS, 4)
     assert len(sset) == 0
     save_set(sset, tmp_path / "t.f64", tmp_path / "t_index.csv")
@@ -50,7 +52,7 @@ def test_split_is_deterministic_per_seed():
     b = split(sset, SplitSpec(seed=7))
     for x, y in zip(a, b):
         npt.assert_array_equal(x.tensor, y.tensor)
-        assert x.ids == y.ids
+        npt.assert_array_equal(x.ids, y.ids)
 
 
 def test_different_seeds_shuffle_differently():
@@ -58,24 +60,23 @@ def test_different_seeds_shuffle_differently():
     a = split(sset, SplitSpec(seed=1))
     b = split(sset, SplitSpec(seed=2))
     assert [len(s) for s in a] == [len(s) for s in b]
-    assert a[2].ids != b[2].ids
+    assert a[2].ids.tolist() != b[2].ids.tolist()
 
 
 def test_split_partition_is_exact(rng):
     sset = make_set(37, vessels=5)
     train, val, test = split(sset, SplitSpec(seed=3))
-    all_ids = sorted(train.ids + val.ids + test.ids)
-    assert all_ids == sorted(sset.ids)
-    assert len(set(train.ids) & set(val.ids)) == 0
-    assert len(set(train.ids) & set(test.ids)) == 0
+    train, val, test = (set(s.ids.tolist()) for s in (train, val, test))
+    assert sorted(train | val | test) == sset.ids.tolist()
+    assert len(train) + len(val) + len(test) == len(sset)
 
 
 def test_rows_travel_with_their_ids():
     # Row i is constant-i, so any id/tensor divorce is visible.
     sset = make_set(30)
-    lookup = {ids: float(sset.tensor[i, 0, 0]) for i, ids in enumerate(sset.ids)}
+    lookup = {ids: float(sset.tensor[i, 0, 0]) for i, ids in enumerate(sset.ids.tolist())}
     for subset in split(sset, SplitSpec(seed=11)):
-        for i, ids in enumerate(subset.ids):
+        for i, ids in enumerate(subset.ids.tolist()):
             assert subset.tensor[i, 0, 0] == lookup[ids]
 
 
@@ -93,7 +94,7 @@ def test_fractions_must_be_interior(bad):
 def test_vessel_level_split_keeps_vessels_whole():
     sset = make_set(60, vessels=12)
     train, val, test = split(sset, SplitSpec(seed=5), by_vessel=True)
-    groups = [{m for m, _ in s.ids} for s in (train, val, test)]
+    groups = [set(s.ids["mmsi"].tolist()) for s in (train, val, test)]
     assert not (groups[0] & groups[1])
     assert not (groups[0] & groups[2])
     assert not (groups[1] & groups[2])
@@ -102,9 +103,30 @@ def test_vessel_level_split_keeps_vessels_whole():
 
 def test_set_persistence_roundtrip(tmp_path, rng):
     tensor = rng.uniform(0, 1, size=(6, N_SLOTS, 4))
-    ids = tuple((f"36700000{i}", DAY) for i in range(6))
+    ids = np.array([(367000000 + i, DAY) for i in range(6)], IDS_DTYPE)
     sset = SequenceSet(tensor, ids)
     save_set(sset, tmp_path / "t.f64", tmp_path / "t_index.csv")
     loaded = load_set(tmp_path / "t.f64", tmp_path / "t_index.csv")
     npt.assert_array_equal(loaded.tensor, tensor)
-    assert loaded.ids == ids
+    assert loaded.ids.dtype == IDS_DTYPE
+    npt.assert_array_equal(loaded.ids, ids)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_vessel_level_split_matches_vessel_by_vessel_reference(seed):
+    # Vessels of 1 to 15 days, some larger than the whole test subset, in
+    # (MMSI, day) order; the row order of each subset is compared too.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 16, int(rng.integers(2, 30)))
+    ids = np.array([(367000000 + 7 * v, DAY + timedelta(days=d))
+                    for v, size in enumerate(sizes.tolist()) for d in range(size)], IDS_DTYPE)
+    if len(ids) < 5:
+        ids = np.concatenate([ids, np.array([(1, DAY + timedelta(days=d)) for d in range(5)],
+                                            IDS_DTYPE)])
+        ids.sort()
+    sset = SequenceSet(np.zeros((len(ids), N_SLOTS, 4)), ids)
+    spec = SplitSpec(test_fraction=float(rng.uniform(0.05, 0.6)),
+                     val_fraction=float(rng.uniform(0.05, 0.6)), seed=seed)
+    got = [s.ids.tolist() for s in split(sset, spec, by_vessel=True)]
+    want = [ids[rows].tolist() for rows in reference_split_by_vessel(ids["mmsi"].tolist(), spec)]
+    assert got == want

@@ -77,7 +77,7 @@ def test_vessel_in_every_file_and_larger_than_a_merge_batch(tmp_path):
     # The big vessel has 4 * 48 rows, more than any one file (57 rows).
     assert counts["merge_batches"] >= 3
     assert counts["rows_kept"] == 4 * (48 + 9) and report.vessels_kept == 4
-    big = [t for t in TrackReader(tmp_path / "tracks.npy") if t.mmsi == "367000005"]
+    big = [t for t in TrackReader(tmp_path / "tracks.npy") if t.mmsi == 367000005]
     assert len(big[0]) == 4 * 48
 
 
