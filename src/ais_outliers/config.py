@@ -136,14 +136,27 @@ class RunConfig:
         self.model_config()  # delegates model-field validation
 
     def model_config(self) -> ModelConfig:
-        """The model fields this config shares with ModelConfig by name."""
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                              if f.name in _FIELD_TYPES})
+        return ModelConfig(
+            cell_kind=self.cell_kind,
+            bidirectional=self.bidirectional,
+            layers=self.layers,
+            hidden=self.hidden,
+            dropout_rate=self.dropout_rate,
+            recurrent_dropout_rate=self.recurrent_dropout_rate,
+            input_dropout_rate=self.input_dropout_rate,
+            dense_dropout_rate=self.dense_dropout_rate,
+        )
 
     def schema(self) -> dict[str, str]:
-        """Logical field -> column header, from the `col_*` keys."""
-        return {f.name[4:]: getattr(self, f.name) for f in fields(self)
-                if f.name.startswith("col_")}
+        return {
+            "mmsi": self.col_mmsi,
+            "timestamp": self.col_timestamp,
+            "lat": self.col_lat,
+            "lon": self.col_lon,
+            "sog": self.col_sog,
+            "cog": self.col_cog,
+            "length": self.col_length,
+        }
 
     def to_text(self) -> str:
         lines = []

@@ -16,16 +16,20 @@ from .atomic import atomic_write
 from .errors import DataError
 from .preprocess import FEATURES, SENTINEL, NormalizationStats, id_text
 
-_LON_LAT = [FEATURES.index("lon"), FEATURES.index("lat")]  # the RFC 7946 order
+_LAT = FEATURES.index("lat")
+_LON = FEATURES.index("lon")
 
 
 def day_feature(mmsi: str, day: str, matrix: np.ndarray,
                 stats: NormalizationStats, rmse: float | None = None) -> dict:
     """One vessel-day, its id spelt as `id_text` spells it, as a GeoJSON
     LineString feature."""
-    present = matrix[:, _LON_LAT[1]] != SENTINEL
-    span = stats.maximum[_LON_LAT] - stats.minimum[_LON_LAT]
-    coordinates = (stats.minimum[_LON_LAT] + matrix[present][:, _LON_LAT] * span).tolist()
+    present = matrix[:, _LAT] != SENTINEL
+    span_lat = stats.maximum[_LAT] - stats.minimum[_LAT]
+    span_lon = stats.maximum[_LON] - stats.minimum[_LON]
+    lat = stats.minimum[_LAT] + matrix[present, _LAT] * span_lat
+    lon = stats.minimum[_LON] + matrix[present, _LON] * span_lon
+    coordinates = [[float(x), float(y)] for x, y in zip(lon, lat)]
     properties = {"mmsi": mmsi, "day": day}
     if rmse is not None:
         properties["rmse"] = float(rmse)
@@ -36,6 +40,15 @@ def day_feature(mmsi: str, day: str, matrix: np.ndarray,
     }
 
 
+def feature_collection(features: list[dict]) -> dict:
+    return {"type": "FeatureCollection", "features": features}
+
+
+def write_geojson(path, collection: dict) -> None:
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _rows_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Each IDS_DTYPE key's row in `ids`, or a row past its end where absent."""
     _, first, inverse = np.unique(np.concatenate((ids, keys)), return_index=True,
@@ -43,12 +56,17 @@ def _rows_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return first[inverse[len(ids):]]
 
 
-def export_days(path, selection: np.ndarray, tensor: np.ndarray, ids: np.ndarray,
-                stats: NormalizationStats,
-                scores: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
-    """Write the selected vessel-days of a corpus to `path`; `selection` and
-    `ids` are IDS_DTYPE arrays. `scores`, ids and their RMSEs, adds the RMSE
-    of each selected day it holds.
+def export_days(
+    path,
+    selection: np.ndarray,
+    tensor: np.ndarray,
+    ids: np.ndarray,
+    stats: NormalizationStats,
+    scores: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict:
+    """Write the selected vessel-days from a corpus to `path`; `selection`
+    and `ids` are IDS_DTYPE arrays. `scores`, ids and their RMSEs, adds the
+    RMSE of each selected day it holds.
 
     Raises DataError when a selected id is not in the corpus.
     """
@@ -60,7 +78,6 @@ def export_days(path, selection: np.ndarray, tensor: np.ndarray, ids: np.ndarray
             raise DataError(f"vessel-day {mmsi} {day} is not in the scored corpus")
         features.append(day_feature(mmsi, day, tensor[row], stats,
                                     rmse[at] if at < len(rmse) else None))
-    collection = {"type": "FeatureCollection", "features": features}
-    with atomic_write(path, "w") as fh:
-        fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")
+    collection = feature_collection(features)
+    write_geojson(path, collection)
     return collection

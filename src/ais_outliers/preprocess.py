@@ -62,9 +62,12 @@ def parse_id(mmsi: str, day: str) -> tuple[int, int]:
     if not (len(mmsi) == 9 and mmsi.isascii() and mmsi.isdigit()):
         raise ValueError(f"mmsi must be nine ASCII digits, got {mmsi!r}")
     try:
-        return int(mmsi), (date.fromisoformat(day) - _EPOCH).days
+        parsed = date.fromisoformat(day)
+        if parsed.isoformat() != day:  # Python 3.11 also reads 20190306 and 2019-W10-3
+            raise ValueError
     except ValueError:
         raise ValueError(f"day must be a date as YYYY-MM-DD, got {day!r}") from None
+    return int(mmsi), (parsed - _EPOCH).days
 
 
 @dataclass(frozen=True)

@@ -442,7 +442,8 @@ def test_geojson_single_selection_unknown_day(tmp_path, corpus_dir, capsys):
 @pytest.mark.parametrize("selection", [["--mmsi", "123456789", "--day", "2019-13-01"],
                                        ["--mmsi", "123456789", "--day", "tomorrow"],
                                        ["--mmsi", "123456789"],
-                                       ["--mmsi", "12345", "--day", "2019-03-06"]])
+                                       ["--mmsi", "12345", "--day", "2019-03-06"],
+                                       ["--mmsi", "123456789", "--day", "20190306"]])
 def test_bad_geojson_selection_is_one_line_config_error(tmp_path, capsys, selection):
     code = main(["export-geojson", "--run-dir", str(tmp_path / "run")] + selection)
     assert code == 1
@@ -541,6 +542,8 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("export-geojson", "scores_row_not_utf8"),
     ("score", "index_mmsi_not_nine_digits"),
     ("export-geojson", "scores_mmsi_not_nine_digits"),
+    ("score", "index_day_not_iso"),
+    ("export-geojson", "outliers_day_not_iso"),
 ])
 def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, damage):
     run_dir = tmp_path / "run"
@@ -628,6 +631,10 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
             "\n".join(index_rows[:2] + ["1,36700001,2019-03-06"]) + "\n"),
         "scores_mmsi_not_nine_digits": lambda: scores.write_text(  # a digit, not ASCII
             "mmsi,day,rmse\n３67000000,2019-03-06,0.5\n", encoding="utf-8"),
+        "index_day_not_iso": lambda: index.write_text(  # a basic-format ISO 8601 date
+            "\n".join(index_rows[:2] + ["1,367000001,20190306"]) + "\n"),
+        "outliers_day_not_iso": lambda: outliers.write_text(  # an ISO 8601 week date
+            "rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-W10-3,0.5,0.4,6.0\n"),
     }
     # The files (and stage) the message must name.
     named = {"tensor_cut_by_one_day": ("test.f64", "test_index.csv"),
@@ -638,6 +645,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "scores_row_not_utf8": ("scores.csv",),
              "index_mmsi_not_nine_digits": ("test_index.csv", "line 3"),
              "scores_mmsi_not_nine_digits": ("scores.csv", "line 2"),
+             "index_day_not_iso": ("test_index.csv", "line 3"),
+             "outliers_day_not_iso": ("outliers.csv", "line 2"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:

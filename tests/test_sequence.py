@@ -66,9 +66,10 @@ def test_different_seeds_shuffle_differently():
 def test_split_partition_is_exact(rng):
     sset = make_set(37, vessels=5)
     train, val, test = split(sset, SplitSpec(seed=3))
-    train, val, test = (set(s.ids.tolist()) for s in (train, val, test))
-    assert sorted(train | val | test) == sset.ids.tolist()
-    assert len(train) + len(val) + len(test) == len(sset)
+    all_ids = sorted(train.ids.tolist() + val.ids.tolist() + test.ids.tolist())
+    assert all_ids == sorted(sset.ids.tolist())
+    assert len(set(train.ids.tolist()) & set(val.ids.tolist())) == 0
+    assert len(set(train.ids.tolist()) & set(test.ids.tolist())) == 0
 
 
 def test_rows_travel_with_their_ids():
