@@ -134,8 +134,8 @@ def cmd_ingest(config: RunConfig):
 
 @_stage("preprocess")
 def cmd_preprocess(config: RunConfig):
-    from .ingest import TrackReader
     from .preprocess import build_daily_grids, normalize_corpus, save_corpus
+    from .tracks import TrackReader
 
     run_dir = _run_dir(config)
     tracks = TrackReader(run_dir / TRACKS_FILE)
@@ -335,14 +335,17 @@ def _read_text(path: Path) -> str:
 
 
 def cmd_report(config: RunConfig) -> int:
-    from .manifest import RunManifest
+    from .manifest import STAGES, RunManifest
 
     run_dir = Path(config.run_dir)
     manifest = RunManifest(run_dir)
-    if not manifest.data["stages"]:
+    stages = manifest.data["stages"]
+    if not stages:
         raise DataError(f"no recorded stages under {run_dir}")
     print(f"run directory: {run_dir}")
-    for name, entry in manifest.data["stages"].items():
+    # Pipeline order, then the stages this version does not know.
+    for name in [s for s in STAGES if s in stages] + [s for s in stages if s not in STAGES]:
+        entry = stages[name]
         try:
             outputs = ", ".join(Path(p).name for p in entry["outputs"])
             print(f"  {name}: {entry['wall_seconds']}s -> {outputs}")

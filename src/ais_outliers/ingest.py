@@ -3,8 +3,7 @@
 Parses MarineCadastre-style AIS exports into a table of validated records,
 filters vessels by length, and groups the table into time-sorted per-vessel
 tracks. Malformed rows are tallied per reason, never silently dropped.
-The tracks go to one track store, `tracks.npy`, of 40-byte rows (time,
-lat, lon, sog, cog) followed by a per-vessel (MMSI, rows) index.
+The tracks go to the track store, `tracks.npy` (see `tracks`).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import shutil
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
@@ -20,13 +18,12 @@ from datetime import datetime, timedelta
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from tokenize import TokenError
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_write
 from .errors import ConfigError, DataError
+from .tracks import PACKED_DTYPE, STORE_DTYPE, VesselTrack, pack, save_tracks
 
 # Logical field -> column header as shipped by MarineCadastre.gov exports.
 # Extra columns and arbitrary column order are tolerated.
@@ -81,36 +78,13 @@ _PAD = bytes(_FLOAT_WIDTH)
 # One accepted AIS row as parsed, filtered and merged: MMSI as an integer
 # (artifacts spell it as nine digits), time as UTC epoch seconds, and
 # `length` NaN when not reported. Spill runs hold these rows too, since the
-# merge needs MMSI and length to classify duplicates.
-TRACK_DTYPE = np.dtype([
-    ("mmsi", "<i8"), ("t", "<i8"), ("lat", "<f8"), ("lon", "<f8"),
-    ("sog", "<f8"), ("cog", "<f8"), ("length", "<f8"),
-])
-# One row of the `tracks.npy` store: the fields preprocessing reads. The
-# MMSI is kept once per vessel in the store's index, and the length is
-# dropped once the length filter has run.
-STORE_DTYPE = np.dtype([(name, TRACK_DTYPE[name]) for name in ("t", "lat", "lon", "sog", "cog")])
-# One entry of the store's index: a vessel's MMSI and its number of rows.
-INDEX_DTYPE = np.dtype([("mmsi", "<i8"), ("rows", "<i8")])
-# The bytes of a TRACK_DTYPE row that make its STORE_DTYPE row.
-_STORE_BYTES = slice(TRACK_DTYPE.fields["t"][1], TRACK_DTYPE.fields["length"][1])
+# merge needs MMSI and length to classify duplicates. The fields between
+# are a STORE_DTYPE row, so save_tracks copies them as they lie.
+TRACK_DTYPE = np.dtype([("mmsi", "<i8"), *STORE_DTYPE.descr, ("length", "<f8")])
+# Rows read per chunk when reading a vessel's times from the runs.
+_CHUNK_ROWS = 1 << 12
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
-
-
-@dataclass(frozen=True)
-class VesselTrack:
-    """All accepted records of one MMSI, ascending in time, deduplicated.
-
-    `records` is a view into the table the track came from: TRACK_DTYPE
-    rows in ingest, STORE_DTYPE rows when read back by TrackReader.
-    """
-
-    mmsi: int
-    records: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass
@@ -593,47 +567,6 @@ def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
             for chunk in np.split(table, cuts)]
 
 
-def save_tracks(path, tracks: Iterable[VesselTrack]) -> int:
-    """Write TRACK_DTYPE tracks, ascending by MMSI, as the track store: the
-    rows as one STORE_DTYPE `.npy` array (so `np.load` reads them), then
-    the index as one INDEX_DTYPE `.npy` array of (MMSI, rows) per vessel.
-
-    Consecutive tracks of one MMSI (the time slabs of a merge) make one
-    index entry. The rows are written as they arrive, so only the track in
-    hand is held, plus the index. numpy pads the header so that its length
-    does not depend on the row count: a placeholder header goes first and
-    the real one over it once the count is known. Returns the number of
-    rows written.
-    """
-    mmsis, counts = [], []
-    with atomic_write(path) as fh:
-        fh.write(_npy_header(STORE_DTYPE, 0))
-        for track in tracks:
-            fh.write(np.ascontiguousarray(
-                track.records[:, None].view(np.uint8)[:, _STORE_BYTES]).data)
-            if mmsis and mmsis[-1] == track.mmsi:
-                counts[-1] += len(track)
-            else:
-                mmsis.append(track.mmsi)
-                counts.append(len(track))
-            del track  # before the next one is made
-        index = np.empty(len(mmsis), INDEX_DTYPE)
-        index["mmsi"], index["rows"] = mmsis, counts
-        np.lib.format.write_array(fh, index)
-        rows = sum(counts)
-        fh.seek(0)
-        fh.write(_npy_header(STORE_DTYPE, rows))
-    return rows
-
-
-def _npy_header(dtype: np.dtype, rows: int) -> bytes:
-    out = io.BytesIO()
-    np.lib.format.write_array_header_1_0(out, {
-        "descr": np.lib.format.dtype_to_descr(dtype),
-        "fortran_order": False, "shape": (rows,)})
-    return out.getvalue()
-
-
 def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = None,
                  min_length: float = DEFAULT_MIN_LENGTH_M) -> tuple[IngestReport, dict]:
     """Parse, length-filter and group AIS CSVs into the track store at
@@ -648,39 +581,44 @@ def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = 
     sharing (MMSI, time) always fall in one batch, so among them the first
     in input order wins, as if every file had been grouped at once.
     `spill_dir` is replaced on entry and removed on exit, on error too.
+    The store is packed when every file's length-filtered values `pack`.
 
-    Returns the report and the rows, vessels and merge batches written.
+    Returns the report and the rows, vessels and merge batches written,
+    with the store's bytes per row.
     """
     spill_dir = Path(spill_dir)
     shutil.rmtree(spill_dir, ignore_errors=True)
     spill_dir.mkdir(parents=True)
     try:
         report = IngestReport()
-        runs, kept = _spill_runs(paths, spill_dir, schema, min_length, report)
+        runs, kept, packed = _spill_runs(paths, spill_dir, schema, min_length, report)
         report.vessels_kept = len(kept)  # grouping keeps one row of every vessel at least
         takes = _plan_batches(runs, kept)
         with closing(_merge_runs(runs, takes, report)) as tracks:  # closes the runs
-            rows = save_tracks(tracks_path, tracks)
+            rows = save_tracks(tracks_path, tracks, packed)
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
     return report, {"rows_kept": rows, "vessels_kept": report.vessels_kept,
-                    "merge_batches": takes.shape[1]}
+                    "merge_batches": takes.shape[1],
+                    "store_row_bytes": (PACKED_DTYPE if packed else STORE_DTYPE).itemsize}
 
 
 def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: IngestReport):
     """Parse, filter and sort each file into a run file in `spill_dir`.
 
     Returns, per run with rows, (file, its MMSIs, their row offsets plus
-    the end), and every kept MMSI in ascending order. Tallies the files'
-    rows and the vessels dropped by length into `report`.
+    the end), every kept MMSI in ascending order, and whether every run's
+    rows `pack`. Tallies the files' rows and the vessels dropped by length
+    into `report`.
     """
-    runs = []
+    runs, packed = [], True
     seen = kept = np.empty(0, np.int64)
     for i, path in enumerate(paths):
         table, file_report = parse_ais_csv(path, schema)
         report.merge(file_report)
         seen = _union(seen, table["mmsi"])
         table = filter_by_length(table, min_length)
+        packed = packed and pack(table) is not None
         if len(table):
             table = _take_rows(table, np.lexsort((table["t"], table["mmsi"])))
             run = spill_dir / f"{i:06d}.run"
@@ -690,7 +628,7 @@ def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: Inges
             kept = _union(kept, mmsi)
         del table  # before the next file is parsed
     report.vessels_dropped_by_length = len(seen) - len(kept)
-    return runs, kept
+    return runs, kept, packed
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -804,88 +742,3 @@ def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[Vesse
             del batch, raw
             yield from tracks
             del tracks  # before the next batch is read
-
-
-# Rows read per chunk when streaming a track store back (the reader's
-# memory is set by this plus the largest vessel's track and the index, not
-# by the store), and when reading a vessel's times from the runs.
-_CHUNK_ROWS = 1 << 12
-
-
-class TrackReader:
-    """Streams a store written by save_tracks as VesselTracks of STORE_DTYPE
-    records.
-
-    The index is read and checked first; then the rows, in chunks of whole
-    vessels of at most _CHUNK_ROWS rows (a larger vessel is a chunk of its
-    own). Damage is a one-line DataError naming `ingest`: a missing file, a
-    foreign header or dtype, a size other than the headers give, MMSIs not
-    strictly ascending, a vessel count below 1 or counts not adding up to
-    the rows (raised before any track), and times not strictly ascending
-    within a vessel (raised when the reader reaches them). `rows`,
-    `vessels` and `chunks` count what has been read.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.rows = self.vessels = self.chunks = 0
-
-    def __iter__(self) -> Iterator[VesselTrack]:
-        if not self.path.exists():
-            raise DataError(f"track store not found: {self.path} (run `ingest` first)")
-        with open(self.path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            n = self._read_header(fh, STORE_DTYPE)
-            rows_at = fh.tell()
-            if rows_at + n * STORE_DTYPE.itemsize > size:
-                raise self._damaged(f"its header gives {n} rows, more than it holds")
-            fh.seek(rows_at + n * STORE_DTYPE.itemsize)
-            vessels = self._read_header(fh, INDEX_DTYPE)
-            if size != fh.tell() + vessels * INDEX_DTYPE.itemsize:
-                raise self._damaged(f"its index header gives {vessels} vessels, but "
-                                    f"{size - fh.tell()} bytes follow it")
-            index = np.empty(vessels, INDEX_DTYPE)
-            fh.readinto(index.view(np.uint8))  # the size was checked
-            mmsi, counts = index["mmsi"], index["rows"]
-            if (np.diff(mmsi) <= 0).any():
-                raise self._damaged("its index is not sorted by MMSI")
-            # Counts of at most n cannot overflow their sum.
-            if ((counts < 1) | (counts > n)).any() or counts.sum() != n:
-                raise self._damaged(f"its index does not count its {n} rows")
-            ends = np.cumsum(counts)
-            fh.seek(rows_at)
-            first = start = 0
-            while first < len(ends):
-                stop = max(int(np.searchsorted(ends, start + _CHUNK_ROWS, side="right")),
-                           first + 1)
-                table = np.empty(int(ends[stop - 1]) - start, STORE_DTYPE)
-                fh.readinto(table.view(np.uint8))
-                cuts = ends[first:stop - 1] - start
-                ascending = np.diff(table["t"]) > 0
-                ascending[cuts - 1] = True  # each vessel's times start afresh
-                if not ascending.all():
-                    raise self._damaged("its times do not ascend within a vessel")
-                self.chunks += 1
-                self.rows += len(table)
-                self.vessels += stop - first
-                yield from map(VesselTrack, mmsi[first:stop].tolist(), np.split(table, cuts))
-                first, start = stop, int(ends[stop - 1])
-
-    def _read_header(self, fh, dtype: np.dtype) -> int:
-        """The length of the 1-D `dtype` array whose `.npy` header comes
-        next in `fh`, after checking the header."""
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version not in ((1, 0), (2, 0)):
-                raise ValueError(f"unsupported .npy version {version}")
-            read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                    else np.lib.format.read_array_header_2_0)
-            shape, _, found = read(fh)
-        except (ValueError, EOFError, TokenError) as exc:  # numpy tokenizes a bad header
-            raise self._damaged(str(exc)) from None
-        if found != dtype or len(shape) != 1 or shape[0] < 0:
-            raise self._damaged(f"it holds {found} {shape} where a table of {dtype} belongs")
-        return shape[0]
-
-    def _damaged(self, what: str) -> DataError:
-        return DataError(f"track store {self.path} is damaged: {what} (run `ingest` again)")

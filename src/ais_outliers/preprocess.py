@@ -25,8 +25,8 @@ from .atomic import atomic_write
 from .config import N_SLOTS
 from .errors import ConfigError, DataError, utf8_text
 
-if TYPE_CHECKING:  # for annotations only: split, train and score never load ingest
-    from .ingest import VesselTrack
+if TYPE_CHECKING:  # for annotations only: split, train and score never load the store
+    from .tracks import VesselTrack
 
 # Canonical feature order of every matrix artifact in this package.
 FEATURES = ("lat", "lon", "sog", "cog")

@@ -4,7 +4,8 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from ais_outliers.ingest import TRACK_DTYPE, VesselTrack
+from ais_outliers.ingest import TRACK_DTYPE
+from ais_outliers.tracks import VesselTrack
 
 
 def utc(y, mo, d, h=0, mi=0, s=0):

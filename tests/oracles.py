@@ -558,7 +558,7 @@ def reference_group_and_sort(records, report=None):
     structured copy of the table, each row's group head by a running
     maximum, every value field gathered through it, and `table[first]`.
     Returns the same VesselTracks and tallies the same duplicates."""
-    from ais_outliers.ingest import VesselTrack
+    from ais_outliers.tracks import VesselTrack
 
     # lexsort is stable, so input order survives among equal (mmsi, t).
     table = records[np.lexsort((records["t"], records["mmsi"]))]
@@ -586,12 +586,36 @@ def reference_group_and_sort(records, report=None):
             for chunk in np.split(table, cuts)]
 
 
+def _reference_counts(values, decimals):
+    """Each float as an int32 count of 10**-decimals units, or None if one
+    is not exactly such a count: `i = round(v * 10**decimals)` must divide
+    back to `v`, sign of zero included, and fit in int32."""
+    counts = []
+    for v in values.tolist():
+        try:
+            i = round(v * 10**decimals)
+        except OverflowError:  # v * 10**decimals is infinite
+            return None
+        back = i / 10**decimals
+        if not (-2**31 <= i < 2**31 and back == v
+                and math.copysign(1.0, back) == math.copysign(1.0, v)):
+            return None
+        counts.append(i)
+    return counts
+
+
+# Decimals of each stored value column that a packed store keeps.
+_REFERENCE_DECIMALS = {"lat": 7, "lon": 7, "sog": 3, "cog": 3}
+
+
 def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     """The whole-corpus ingest: every file's table concatenated, then one
     length filter, one `reference_group_and_sort`, and the store written
     with two `np.save` calls: the rows' (t, lat, lon, sog, cog), then one
-    (mmsi, rows) entry per track. Returns the IngestReport like
-    `ingest_files`."""
+    (mmsi, rows) entry per track. The rows are packed (int32 counts, by
+    `_reference_counts`) when every length-filtered row's values are exact
+    counts, and float64 otherwise. Returns the IngestReport like
+    `ingest_files`, and the tracks."""
     from ais_outliers.ingest import TRACK_DTYPE, IngestReport, parse_ais_csv
 
     tables, report = [], IngestReport()
@@ -603,15 +627,24 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     kept = records[records["length"] > min_length]
     report.vessels_dropped_by_length = (len(np.unique(records["mmsi"]))
                                         - len(np.unique(kept["mmsi"])))
+    packed = all(_reference_counts(kept[name], e) is not None
+                 for name, e in _REFERENCE_DECIMALS.items())
     tracks = reference_group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
     records = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
     stored = ["t", "lat", "lon", "sog", "cog"]
+    if packed:
+        rows = np.empty(len(records), [("t", "<i8")] + [(name, "<i4") for name in stored[1:]])
+        rows["t"] = records["t"]
+        for name, e in _REFERENCE_DECIMALS.items():
+            rows[name] = _reference_counts(records[name], e)
+    else:
+        rows = records[stored].astype([(name, records.dtype[name]) for name in stored])
     with open(tracks_path, "wb") as fh:
-        np.save(fh, records[stored].astype([(name, records.dtype[name]) for name in stored]))
+        np.save(fh, rows)
         np.save(fh, np.array([(t.mmsi, len(t)) for t in tracks],
                              dtype=[("mmsi", "<i8"), ("rows", "<i8")]))
-    return report
+    return report, tracks
 
 
 @dataclass(frozen=True)

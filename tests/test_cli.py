@@ -12,12 +12,12 @@ import pytest
 from ais_outliers.cli import SPILL_DIR, main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
-from ais_outliers.ingest import (INDEX_DTYPE, STORE_DTYPE, TRACK_DTYPE, TrackReader,
-                                 group_and_sort, save_tracks)
+from ais_outliers.ingest import TRACK_DTYPE, group_and_sort
 from ais_outliers.manifest import RunManifest, file_sha256
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import IDS_DTYPE, NormalizationStats, save_corpus
+from ais_outliers.tracks import INDEX_DTYPE, STORE_DTYPE, TrackReader, save_tracks
 
 from conftest import make_record, make_table, utc
 from synthetic import generate_days, write_ais_csv
@@ -176,6 +176,7 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
     assert ingest["rows_read"] >= rows and ingest["merge_batches"] >= 1
+    assert ingest["store_row_bytes"] == 24  # the synthetic corpus's values pack
     assert preprocess["rows"] == rows and preprocess["chunks"] >= 1
     assert preprocess["days_kept"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
@@ -239,6 +240,16 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
     assert split["n_train"] + split["n_val"] + split["n_test"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
     assert split["n_test"] == len((run_dir / "test_index.csv").read_text().splitlines()) - 1
+
+    # `report` lists the stages in pipeline order, then any it does not know.
+    manifest["stages"]["audit"] = manifest["stages"]["ingest"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    listed = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ") and "s -> " in line]
+    assert listed == ["ingest", "preprocess", "split", "train", "score", "export-geojson",
+                      "audit"]
 
 
 class _ClosedPipe:
@@ -523,6 +534,8 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("preprocess", "tracks_index_cut"),
     ("preprocess", "tracks_without_index"),
     ("preprocess", "tracks_row_cut"),
+    ("preprocess", "tracks_float_row_cut"),
+    ("preprocess", "tracks_int_columns_of_another_width"),
     ("preprocess", "tracks_header_cut"),
     ("preprocess", "tracks_trailing_bytes"),
     ("preprocess", "tracks_parent_format"),
@@ -561,7 +574,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     outliers.write_text("rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-03-06,0.5,0.4,6.0\n")
     tracks = run_dir / "tracks.npy"
     track_table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
-    save_tracks(tracks, group_and_sort(track_table))
+    save_tracks(tracks, group_and_sort(track_table), packed=True)
     manifest = run_dir / "manifest.json"
     RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
     index_rows = index.read_text().splitlines()
@@ -572,6 +585,18 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         checkpoint.write_bytes(bytes(data))
 
     index_bytes = 128 + INDEX_DTYPE.itemsize  # the store's index: its header and one entry
+
+    def cut_tracks_row():  # the last row, before the index, of the layout written
+        data = tracks.read_bytes()
+        row_bytes = np.load(tracks).dtype.itemsize
+        tracks.write_bytes(data[:-(index_bytes + row_bytes)] + data[-index_bytes:])
+
+    def set_tracks_rows(dtype):  # the rows' values kept, their dtype replaced
+        with open(tracks, "rb") as fh:
+            rows, index = np.load(fh), np.load(fh)
+        with open(tracks, "wb") as fh:
+            np.save(fh, rows.astype(dtype))
+            np.save(fh, index)
 
     def set_tracks_index(entries):  # the rows kept, the index replaced
         with open(tracks, "rb") as fh:
@@ -601,9 +626,11 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "tracks_index_cut": lambda: tracks.write_bytes(
             tracks.read_bytes()[:-INDEX_DTYPE.itemsize]),
         "tracks_without_index": lambda: tracks.write_bytes(tracks.read_bytes()[:-index_bytes]),
-        "tracks_row_cut": lambda: tracks.write_bytes(  # the last row, before the index
-            tracks.read_bytes()[:-(index_bytes + STORE_DTYPE.itemsize)]
-            + tracks.read_bytes()[-index_bytes:]),
+        "tracks_row_cut": cut_tracks_row,
+        "tracks_float_row_cut": lambda: (
+            save_tracks(tracks, group_and_sort(track_table)), cut_tracks_row()),
+        "tracks_int_columns_of_another_width": lambda: set_tracks_rows(
+            [("t", "<i8")] + [(name, "<i8") for name in STORE_DTYPE.names[1:]]),
         "tracks_header_cut": lambda: tracks.write_bytes(
             tracks.read_bytes()[:100] + tracks.read_bytes()[140:]),
         "tracks_trailing_bytes": lambda: tracks.write_bytes(

@@ -85,3 +85,9 @@ def test_split_loads_no_ingest_code(stage_modules):
     modules = stage_modules["split"]
     assert {"ais_outliers.preprocess", "ais_outliers.sequence"} <= modules
     assert "ais_outliers.ingest" not in modules
+
+
+def test_preprocess_loads_the_track_store_but_no_ingest_code(stage_modules):
+    modules = stage_modules["preprocess"]
+    assert {"ais_outliers.preprocess", "ais_outliers.tracks"} <= modules
+    assert "ais_outliers.ingest" not in modules

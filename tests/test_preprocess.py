@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from ais_outliers.errors import ConfigError, DataError
-from ais_outliers.ingest import TrackReader, ingest_files
+from ais_outliers.ingest import ingest_files
 from ais_outliers.preprocess import (
     FEATURES,
     IDS_DTYPE,
@@ -27,6 +27,7 @@ from ais_outliers.preprocess import (
     resample_daily,
     save_corpus,
 )
+from ais_outliers.tracks import TrackReader
 
 from conftest import make_record, make_track, utc
 from oracles import (ReferenceDay, denormalize, reference_build_daily_grids,

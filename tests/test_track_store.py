@@ -2,10 +2,11 @@
 
 `ingest_files` spills one sorted run per input file and merges the runs in
 batches of whole vessels, or time slabs of a vessel larger than a batch;
-`save_tracks` stores 40-byte rows and a per-vessel index after them, and
-`TrackReader` reads the store back in chunks cut at vessel boundaries. Both
-are checked against the whole-corpus path (`oracles.reference_ingest`) and
-against `np.load` of the store.
+`save_tracks` stores the rows, packed as int32 counts when every value is
+an exact one and as float64 otherwise, and a per-vessel index after them;
+`TrackReader` reads either layout back in chunks cut at vessel boundaries,
+as the parsed values' bits. Both are checked against the whole-corpus path
+(`oracles.reference_ingest`) and against `np.load` of the store.
 """
 
 import subprocess
@@ -16,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ais_outliers import ingest
+from ais_outliers import tracks as track_store
 from ais_outliers.errors import DataError
-from ais_outliers.ingest import (INDEX_DTYPE, STORE_DTYPE, TRACK_DTYPE, IngestReport,
-                                 TrackReader, group_and_sort, ingest_files, save_tracks)
+from ais_outliers.ingest import TRACK_DTYPE, IngestReport, group_and_sort, ingest_files
+from ais_outliers.tracks import (INDEX_DTYPE, PACKED_DTYPE, STORE_DTYPE, TrackReader, pack,
+                                 save_tracks)
 
 from conftest import make_record, make_table, make_track, utc
 from oracles import reference_group_and_sort, reference_ingest
@@ -39,13 +41,16 @@ def write(path, rows, header=HEADER):
 
 def assert_same_ingest(tmp_path, paths, **kwargs):
     """The streamed ingest writes the reference's store byte for byte, with
-    an equal report; returns the report and the counts."""
+    an equal report, and the store reads back as the reference's tracks
+    with the same bits; returns the report and the counts."""
     report, counts = ingest_files(paths, tmp_path / "tracks.npy", tmp_path / "spill",
                                   **kwargs)
-    expected = reference_ingest(paths, tmp_path / "expected.npy", **kwargs)
+    expected, tracks = reference_ingest(paths, tmp_path / "expected.npy", **kwargs)
     assert (tmp_path / "tracks.npy").read_bytes() == (tmp_path / "expected.npy").read_bytes()
     assert report == expected
     assert not (tmp_path / "spill").exists()
+    _assert_reads_back(tmp_path / "tracks.npy", tracks)
+    assert np.load(tmp_path / "tracks.npy").dtype.itemsize == counts["store_row_bytes"]
     return report, counts
 
 
@@ -60,11 +65,12 @@ def test_duplicates_across_files_keep_the_earlier_file(tmp_path):
                                    csv_row(367000001, 1, lat=32.0)])
     report, counts = assert_same_ingest(tmp_path, [a, b, c])
     assert report.reject_reasons == {"duplicate_row": 2, "duplicate_timestamp": 2}
-    table = np.load(tmp_path / "tracks.npy")
+    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.npy")])
     assert table["lat"].tolist() == [30.0, 30.0, 30.0]  # hours 1, 2, 3: a, b, a
     # 7 rows against a cap of 3 (file b): slabs of hours 1-2 and of hour 3,
     # whose four rows stay together although they exceed the cap.
-    assert counts == {"rows_kept": 3, "vessels_kept": 1, "merge_batches": 2}
+    assert counts == {"rows_kept": 3, "vessels_kept": 1, "merge_batches": 2,
+                      "store_row_bytes": 24}
 
 
 def test_vessel_in_every_file_and_larger_than_a_merge_batch(tmp_path):
@@ -92,7 +98,8 @@ def test_empty_header_only_and_all_rejected_files(tmp_path):
     assert report.vessels_dropped_by_length == 1 and report.vessels_kept == 1
     # Nothing left at all: an empty store, like the reference's.
     report, counts = assert_same_ingest(tmp_path, [empty, header_only, rejected, short])
-    assert counts == {"rows_kept": 0, "vessels_kept": 0, "merge_batches": 0}
+    assert counts == {"rows_kept": 0, "vessels_kept": 0, "merge_batches": 0,
+                      "store_row_bytes": 24}
     assert list(TrackReader(tmp_path / "tracks.npy")) == []
 
 
@@ -108,9 +115,10 @@ def test_vessel_larger_than_a_batch_merges_in_time_slabs(tmp_path):
     # against a cap of 8 (file a). A cut at 8 rows would split minute 2,
     # and one at 14 minute 4, so the slabs are minutes 0-1, 2-3, 4-5 and 6;
     # the small vessel is the fifth batch.
-    assert counts == {"rows_kept": 8, "vessels_kept": 2, "merge_batches": 5}
+    assert counts == {"rows_kept": 8, "vessels_kept": 2, "merge_batches": 5,
+                      "store_row_bytes": 24}
     assert report.reject_reasons == {"duplicate_row": 13, "duplicate_timestamp": 2}
-    table = np.load(tmp_path / "tracks.npy")
+    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.npy")])
     assert table["lat"].tolist() == [30.0] * 8
 
 
@@ -121,7 +129,8 @@ def test_one_time_with_more_rows_than_a_batch_is_one_slab(tmp_path):
     report, counts = assert_same_ingest(tmp_path, paths)
     # Minute 0 has 9 rows against a cap of 4: it is a slab on its own. Its
     # first row (file 0) wins; the other files' 6 rows conflict with it.
-    assert counts == {"rows_kept": 2, "vessels_kept": 1, "merge_batches": 2}
+    assert counts == {"rows_kept": 2, "vessels_kept": 1, "merge_batches": 2,
+                      "store_row_bytes": 24}
     assert report.reject_reasons == {"duplicate_row": 4, "duplicate_timestamp": 6}
 
 
@@ -137,6 +146,27 @@ def test_benchmark_generator_corpora_ingest_like_reference(tmp_path, kind, param
     assert len(paths) > 1
     report, counts = assert_same_ingest(tmp_path, paths)
     assert report.rows_rejected > 0 and counts["merge_batches"] > 1
+    # MarineCadastre's decimals (dense) and finer ones (lanes) both pack.
+    assert counts["store_row_bytes"] == 24
+    assert np.load(tmp_path / "tracks.npy").dtype == PACKED_DTYPE
+
+
+@pytest.mark.parametrize("row, row_bytes", [
+    ("367000002,2019-03-07T01:00:00,30.12345678,-80.0,10.0,90.0,100.0", 40),
+    ("367000002,2019-03-07T01:00:00,30.0,-0.0,10.0,90.0,100.0", 40),
+    ("367000002,2019-03-07T01:00:00,30.0,-80.0,2147483.648,90.0,100.0", 40),
+    ("367000002,2019-03-07T01:00:00,30.0,-80.0,2147483.647,90.0,100.0", 24),
+    # A vessel the length filter drops is not stored, so it cannot unpack.
+    ("367000002,2019-03-07T01:00:00,30.12345678,-80.0,10.0,90.0,5.0", 24),
+], ids=["8-decimal-lat", "negative-zero-lon", "sog-beyond-int32", "sog-at-int32",
+        "short-vessel-8-decimal-lat"])
+def test_one_value_that_does_not_pack_makes_the_whole_store_float(tmp_path, row, row_bytes):
+    a = write(tmp_path / "a.csv", [csv_row(367000001, h, lat=30.12345) for h in range(3)])
+    b = write(tmp_path / "b.csv", [csv_row(367000003, 1), row + "\n"])
+    _, counts = assert_same_ingest(tmp_path, [a, b])
+    assert counts["store_row_bytes"] == row_bytes
+    assert np.load(tmp_path / "tracks.npy").dtype == (PACKED_DTYPE if row_bytes == 24
+                                                      else STORE_DTYPE)
 
 
 # -- memory ----------------------------------------------------------------
@@ -230,14 +260,14 @@ def test_group_and_sort_adds_at_most_1_7_times_its_input():
 
 # -- TrackReader -----------------------------------------------------------
 
-def _store(tmp_path, lengths):
+def _store(tmp_path, lengths, packed=True):
     """A store of vessels with the given row counts, and its tracks."""
     tracks = [make_track(f"36700000{i}", [make_record(mmsi=f"36700000{i}",
                                                       ts=utc(2019, 3, 6, h))
                                           for h in range(n)])
               for i, n in enumerate(lengths)]
     path = tmp_path / "tracks.npy"
-    save_tracks(path, tracks)
+    save_tracks(path, tracks, packed)
     return path, tracks
 
 
@@ -272,22 +302,52 @@ def test_store_is_the_rows_then_one_index_entry_per_vessel(tmp_path):
     assert STORE_DTYPE.itemsize == 40 and INDEX_DTYPE.itemsize == 16
 
 
-def test_reader_cuts_chunks_at_vessel_boundaries(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 5)
+def test_packed_store_holds_int32_counts_of_each_unit(tmp_path):
+    table = make_table([make_record(lat=-89.9999999, lon=179.1234567, sog=2147483.647,
+                                    cog=359.999),
+                        make_record(ts=utc(2019, 3, 6, 1), lat=0.0, lon=-0.5, sog=0.001,
+                                    cog=0.0)])
+    path = tmp_path / "tracks.npy"
+    assert save_tracks(path, [make_track("367000001", table)], packed=True) == 2
+    rows = np.load(path)
+    assert rows.dtype == PACKED_DTYPE and PACKED_DTYPE.itemsize == 24
+    assert rows[["lat", "lon", "sog", "cog"]].tolist() == [
+        (-899999999, 1791234567, 2147483647, 359999), (0, -5000000, 1, 0)]
+    assert rows["t"].tolist() == table["t"].tolist()
+    _assert_reads_back(path, [make_track("367000001", table)])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lat", 30.12345678), ("lon", -0.0), ("sog", 2147483.648), ("cog", 1e300),
+    ("sog", 0.1 + 0.2)])
+def test_a_value_that_is_not_an_exact_count_does_not_pack(tmp_path, field, value):
+    table = make_table([make_record(), make_record(ts=utc(2019, 3, 6, 1), **{field: value})])
+    assert pack(table[:1]) is not None and pack(table) is None
+    path = tmp_path / "tracks.npy"
+    with pytest.raises(ValueError, match="not exact int32 counts"):
+        save_tracks(path, [make_track("367000001", table)], packed=True)
+    assert list(tmp_path.iterdir()) == []  # nothing half written
+    save_tracks(path, [make_track("367000001", table)])
+    _assert_reads_back(path, [make_track("367000001", table)])
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_reader_cuts_chunks_at_vessel_boundaries(tmp_path, monkeypatch, packed):
+    monkeypatch.setattr(track_store, "_CHUNK_ROWS", 5)
     # Vessels 0-2 fill a chunk exactly; vessel 4 would not fit beside vessel 3.
-    path, tracks = _store(tmp_path, [2, 2, 1, 4, 3])
+    path, tracks = _store(tmp_path, [2, 2, 1, 4, 3], packed)
     assert _assert_reads_back(path, tracks).chunks == 3
 
 
 def test_reader_holds_a_vessel_larger_than_a_chunk(tmp_path, monkeypatch):
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(track_store, "_CHUNK_ROWS", 4)
     path, tracks = _store(tmp_path, [2, 11, 1])
     assert _assert_reads_back(path, tracks).chunks == 3
 
 
 @pytest.mark.parametrize("hours", [(0, 1, 2, 5, 4, 6, 7, 8), (0, 1, 2, 3, 3, 4, 5, 6)])
 def test_reader_rejects_times_not_ascending_within_a_vessel(tmp_path, monkeypatch, hours):
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(track_store, "_CHUNK_ROWS", 4)
     table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in hours)
     path = tmp_path / "tracks.npy"
     with open(path, "wb") as fh:  # two `np.save` calls, as the oracle writes a store
