@@ -30,7 +30,7 @@ from .atomic import atomic_write
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError, utf8_text
 
-TRACKS_FILE = "tracks.npy"
+TRACKS_FILE = "tracks.bin"
 # Sorted per-file runs that ingest merges into TRACKS_FILE; only ingest
 # reads it, and it is removed when ingest ends.
 SPILL_DIR = ".ingest_spill"
@@ -352,6 +352,9 @@ def cmd_report(config: RunConfig) -> int:
         except (KeyError, TypeError):
             raise DataError(f"{manifest.path}: stage {name!r} needs 'wall_seconds' "
                             f"and an 'outputs' object of files") from None
+        extra = entry.get("extra")
+        if isinstance(extra, dict) and extra.get("store_bytes_per_row") is not None:
+            print(f"    track store: {extra['store_bytes_per_row']} bytes per row")
     for report_file in ("ingest_report.txt", "preprocess_report.txt"):
         path = run_dir / report_file
         if path.exists():

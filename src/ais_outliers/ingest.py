@@ -3,7 +3,8 @@
 Parses MarineCadastre-style AIS exports into a table of validated records,
 filters vessels by length, and groups the table into time-sorted per-vessel
 tracks. Malformed rows are tallied per reason, never silently dropped.
-The tracks go to the track store, `tracks.npy` (see `tracks`).
+The tracks go to the track store, `tracks.bin`: delta-coded and deflated
+rows, packed as int32 counts when every value is one (see `tracks`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tracks import PACKED_DTYPE, STORE_DTYPE, VesselTrack, pack, save_tracks
+from .tracks import STORE_DTYPE, VesselTrack, pack, save_tracks
 
 # Logical field -> column header as shipped by MarineCadastre.gov exports.
 # Extra columns and arbitrary column order are tolerated.
@@ -584,7 +585,7 @@ def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = 
     The store is packed when every file's length-filtered values `pack`.
 
     Returns the report and the rows, vessels and merge batches written,
-    with the store's bytes per row.
+    with the store's size over its rows (None for no rows).
     """
     spill_dir = Path(spill_dir)
     shutil.rmtree(spill_dir, ignore_errors=True)
@@ -600,7 +601,8 @@ def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = 
         shutil.rmtree(spill_dir, ignore_errors=True)
     return report, {"rows_kept": rows, "vessels_kept": report.vessels_kept,
                     "merge_batches": takes.shape[1],
-                    "store_row_bytes": (PACKED_DTYPE if packed else STORE_DTYPE).itemsize}
+                    "store_bytes_per_row": (round(Path(tracks_path).stat().st_size / rows, 2)
+                                            if rows else None)}
 
 
 def _spill_runs(paths, spill_dir: Path, schema, min_length: float, report: IngestReport):

@@ -1,24 +1,37 @@
-"""The track store, `tracks.npy`: the length-filtered AIS records that
+"""The track store, `tracks.bin`: the length-filtered AIS records that
 preprocessing reads, one row per (MMSI, time) sorted by MMSI then time,
-followed by a per-vessel (MMSI, rows) index.
+and a per-vessel (MMSI, rows) index.
 
-The rows come in one of two layouts, and their `.npy` header names which.
-The packed layout (PACKED_DTYPE, 24 bytes a row) holds each value as an
-int32 count of its column's unit: 1e-7 for LAT and LON, 1e-3 for SOG and
-COG. It is written when every value is exactly such a count, as the 5 and
-1 decimals of MarineCadastre exports are. Otherwise the float layout
-(STORE_DTYPE, 40 bytes a row) holds the float64 values as parsed. Either
-reads back as STORE_DTYPE rows with the parsed values' bits: a count
-divided by its scale is correctly rounded, as the parse was.
+The file is a fixed header, one zlib deflate stream of the rows, then the
+index:
+
+- the header (_HEADER, little-endian): _MAGIC, the layout (the bytes of
+  one row: 24 packed, 40 float), the rows, the vessels, the rows per block
+  and the bytes of the stream;
+- the stream: the rows in blocks of that many rows (the last one may be
+  shorter), each block column by column. A column is integers, each stored
+  as its wrapping difference from the previous row of the block, the
+  first from 0. Consecutive rows of a vessel differ by little (a time step,
+  small moves), so the differences deflate to a few bytes a row;
+- the index: one INDEX_DTYPE entry per vessel, in ascending MMSI order.
+
+The packed layout (PACKED_DTYPE) holds each value as an int32 count of its
+column's unit: 1e-7 for LAT and LON, 1e-3 for SOG and COG. It is written
+when every value is exactly such a count, as the 5 and 1 decimals of
+MarineCadastre exports are. Otherwise the float layout (STORE_DTYPE) holds
+the float64 values as parsed, each column coded as the int64 bit patterns
+of its values. Either reads back as STORE_DTYPE rows with the parsed
+values' bits: a count divided by its scale is correctly rounded, as the
+parse was.
 """
 
 from __future__ import annotations
 
-import io
 import os
+import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from tokenize import TokenError
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,12 +46,35 @@ STORE_DTYPE = np.dtype([("t", "<i8"), ("lat", "<f8"), ("lon", "<f8"), ("sog", "<
 # Per value column, the scale whose multiple a packed row holds.
 _SCALES = {"lat": 1e7, "lon": 1e7, "sog": 1e3, "cog": 1e3}
 PACKED_DTYPE = np.dtype([("t", "<i8"), *((name, "<i4") for name in _SCALES)])
+# The float layout's columns as the integers their values' bits spell.
+_FLOAT_BITS = np.dtype([(name, "<i8") for name in STORE_DTYPE.names])
+# The integer rows each layout codes, by the layout's header value.
+_LAYOUTS = {PACKED_DTYPE.itemsize: PACKED_DTYPE, _FLOAT_BITS.itemsize: _FLOAT_BITS}
 # One entry of the store's index: a vessel's MMSI and its number of rows.
 INDEX_DTYPE = np.dtype([("mmsi", "<i8"), ("rows", "<i8")])
 _INT32 = np.iinfo(np.int32)
-# Rows read per chunk when streaming a store back: the reader's memory is
-# set by this plus the largest vessel's track and the index, not by the store.
+# The values ingest keeps, as closed ranges (its COG of 360 is stored as 0),
+# with their spelling in a message. A NaN or an infinity is outside each.
+_RANGES = {"lat": (-90.0, 90.0, "[-90, 90]"), "lon": (-180.0, 180.0, "[-180, 180]"),
+           "sog": (0.0, float(np.finfo(np.float64).max), "[0, inf)"),
+           "cog": (0.0, float(np.nextafter(360.0, 0.0)), "[0, 360)")}
+
+# Magic (its last byte is the format's version), layout, rows, vessels,
+# rows per block, stream bytes.
+_MAGIC = b"AISTRK\x00\x01"
+_HEADER = struct.Struct("<8s5q")
+# Rows per block of the stream, and per chunk when streaming a store back:
+# the reader's memory is set by one block and one chunk (or the largest
+# vessel's track) plus the index, not by the store.
 _CHUNK_ROWS = 1 << 12
+# Deflate level. Level 6 stores a per-minute feed in 1.75 bytes a row
+# instead of 2.40, and 30-minute lanes in 10.35 instead of 10.50, but the
+# write takes about twice as long.
+_LEVEL = 1
+# Deflate gives at most 1032 bytes per byte of its stream.
+_MAX_INFLATE = 1032
+# Stream bytes read at a time.
+_READ_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,45 +120,54 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
 
 
 def save_tracks(path, tracks: Iterable[VesselTrack], packed: bool = False) -> int:
-    """Write tracks, ascending by MMSI, as the track store: the rows as one
-    `.npy` array (so `np.load` reads them), PACKED_DTYPE if `packed` and
-    STORE_DTYPE if not, then the index as one INDEX_DTYPE `.npy` array of
-    (MMSI, rows) per vessel. A track that does not `pack` exactly is a
-    ValueError when `packed` is set.
+    """Write tracks, ascending by MMSI, as the track store: the packed
+    layout if `packed` and the float layout if not (see the module's
+    docstring). A track that does not `pack` exactly is a ValueError when
+    `packed` is set.
 
     The records may be of any dtype that holds STORE_DTYPE's fields as
     STORE_DTYPE lays them out (TRACK_DTYPE rows of ingest, say).
     Consecutive tracks of one MMSI (the time slabs of a merge) make one
-    index entry. The rows are written as they arrive, so only the track in
-    hand is held, plus the index. numpy pads the header so that its length
-    does not depend on the row count: a placeholder header goes first and
-    the real one over it once the count is known. Returns the number of
-    rows written.
+    index entry. The rows are deflated as they arrive, so only the track
+    in hand and one block are held, plus the index. A placeholder header
+    goes first and the real one over it once the counts are known.
+    Returns the number of rows written.
     """
-    dtype = PACKED_DTYPE if packed else STORE_DTYPE
-    mmsis, counts = [], []
+    dtype = PACKED_DTYPE if packed else _FLOAT_BITS
+    block, filled = np.empty(_CHUNK_ROWS, dtype), 0
+    deflate = zlib.compressobj(_LEVEL)
+    mmsis, counts, stream = [], [], 0
     with atomic_write(path) as fh:
-        fh.write(_npy_header(dtype, 0))
+        fh.write(bytes(_HEADER.size))
         for track in tracks:
-            fh.write(_rows(track.records, packed).data)
+            rows = _rows(track.records, packed)
+            while len(rows):
+                take = min(len(rows), len(block) - filled)
+                block[filled:filled + take] = rows[:take]
+                filled, rows = filled + take, rows[take:]
+                if filled == len(block):
+                    stream += fh.write(_deflate(block, deflate))
+                    filled = 0
             if mmsis and mmsis[-1] == track.mmsi:
                 counts[-1] += len(track)
             else:
                 mmsis.append(track.mmsi)
                 counts.append(len(track))
-            del track  # before the next one is made
+            del track, rows  # before the next one is made
+        stream += fh.write(_deflate(block[:filled], deflate) + deflate.flush())
         index = np.empty(len(mmsis), INDEX_DTYPE)
         index["mmsi"], index["rows"] = mmsis, counts
-        np.lib.format.write_array(fh, index)
-        rows = sum(counts)
+        fh.write(index.data)
+        total = sum(counts)
         fh.seek(0)
-        fh.write(_npy_header(dtype, rows))
-    return rows
+        fh.write(_HEADER.pack(_MAGIC, dtype.itemsize, total, len(mmsis), _CHUNK_ROWS, stream))
+    return total
 
 
 def _rows(records: np.ndarray, packed: bool) -> np.ndarray:
-    """The store rows of `records`. Float rows are copied as the uint8
-    bytes of their fields: structured-row copies run several times slower."""
+    """The integer rows of `records` in the layout `packed` names. Float
+    rows are copied as the bytes of their fields: structured-row copies
+    run several times slower."""
     if packed:
         rows = pack(records)
         if rows is None:
@@ -130,29 +175,51 @@ def _rows(records: np.ndarray, packed: bool) -> np.ndarray:
         return rows
     start = records.dtype.fields["t"][1]
     return np.ascontiguousarray(
-        records[:, None].view(np.uint8)[:, start:start + STORE_DTYPE.itemsize])
+        records[:, None].view(np.uint8)[:, start:start + STORE_DTYPE.itemsize]
+    ).view(_FLOAT_BITS)[:, 0]
 
 
-def _npy_header(dtype: np.dtype, rows: int) -> bytes:
-    out = io.BytesIO()
-    np.lib.format.write_array_header_1_0(out, {
-        "descr": np.lib.format.dtype_to_descr(dtype),
-        "fortran_order": False, "shape": (rows,)})
-    return out.getvalue()
+def _deflate(block: np.ndarray, deflate) -> bytes:
+    """A block's columns, each as the wrapping differences of its values
+    (the first from 0), through `deflate`."""
+    out = []
+    for name in block.dtype.names:
+        column = block[name]
+        delta = np.empty(len(column), column.dtype)
+        delta[:1] = column[:1]
+        np.subtract(column[1:], column[:-1], out=delta[1:])
+        out.append(deflate.compress(delta))
+    return b"".join(out)
+
+
+def _undelta(data: bytes, dtype: np.dtype, rows: int) -> np.ndarray:
+    """The block of `rows` integer rows of `dtype` whose column-by-column
+    differences `data` holds. A cumulative sum in the column's own dtype
+    wraps back exactly where the differences wrapped."""
+    block = np.empty(rows, dtype)
+    offset = 0
+    for name in dtype.names:
+        delta = np.frombuffer(data, dtype[name], rows, offset)
+        np.cumsum(delta, dtype=delta.dtype, out=block[name])
+        offset += delta.nbytes
+    return block
 
 
 class TrackReader:
     """Streams a store written by save_tracks, of either layout, as
     VesselTracks of STORE_DTYPE records.
 
-    The index is read and checked first; then the rows, in chunks of whole
-    vessels of at most _CHUNK_ROWS rows (a larger vessel is a chunk of its
-    own). Damage is a one-line DataError naming `ingest`: a missing file, a
-    foreign header or dtype, a size other than the headers give, MMSIs not
-    strictly ascending, a vessel count below 1 or counts not adding up to
-    the rows (raised before any track), and times not strictly ascending
-    within a vessel (raised when the reader reaches them). `rows`,
-    `vessels` and `chunks` count what has been read.
+    The header and the index are read and checked first; then the rows,
+    inflated block by block, in chunks of whole vessels of at most
+    _CHUNK_ROWS rows (a larger vessel is a chunk of its own). Damage is a
+    one-line DataError naming `ingest`: a missing file, a store of an older
+    format, a foreign header or layout, a size other than the header gives,
+    MMSIs not strictly ascending, a vessel count below 1 or counts not
+    adding up to the rows (raised before any track); a stream that does not
+    inflate to exactly the header's rows, times not strictly ascending
+    within a vessel and values outside ingest's ranges (raised when the
+    reader reaches them). `rows`, `vessels` and `chunks` count what has
+    been read.
     """
 
     def __init__(self, path):
@@ -163,16 +230,8 @@ class TrackReader:
         if not self.path.exists():
             raise DataError(f"track store not found: {self.path} (run `ingest` first)")
         with open(self.path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            dtype, n = self._read_header(fh, PACKED_DTYPE, STORE_DTYPE)
-            rows_at = fh.tell()
-            if rows_at + n * dtype.itemsize > size:
-                raise self._damaged(f"its header gives {n} rows, more than it holds")
-            fh.seek(rows_at + n * dtype.itemsize)
-            _, vessels = self._read_header(fh, INDEX_DTYPE)
-            if size != fh.tell() + vessels * INDEX_DTYPE.itemsize:
-                raise self._damaged(f"its index header gives {vessels} vessels, but "
-                                    f"{size - fh.tell()} bytes follow it")
+            dtype, n, vessels, block_rows, stream = self._read_header(fh)
+            fh.seek(_HEADER.size + stream)
             index = np.empty(vessels, INDEX_DTYPE)
             fh.readinto(index.view(np.uint8))  # the size was checked
             mmsi, counts = index["mmsi"], index["rows"]
@@ -182,42 +241,113 @@ class TrackReader:
             if ((counts < 1) | (counts > n)).any() or counts.sum() != n:
                 raise self._damaged(f"its index does not count its {n} rows")
             ends = np.cumsum(counts)
-            fh.seek(rows_at)
+            fh.seek(_HEADER.size)
+            inflate = _Inflate(fh, stream, self._damaged)
+            block, done = np.empty(0, dtype), 0  # rows decoded, not yet taken
             first = start = 0
             while first < len(ends):
                 stop = max(int(np.searchsorted(ends, start + _CHUNK_ROWS, side="right")),
                            first + 1)
                 table = np.empty(int(ends[stop - 1]) - start, dtype)
-                fh.readinto(table.view(np.uint8))
+                filled = 0
+                while filled < len(table):
+                    if not len(block):
+                        rows = min(block_rows, n - done)
+                        block = _undelta(inflate.read(rows * dtype.itemsize), dtype, rows)
+                        done += rows
+                        if done == n:
+                            inflate.finish()
+                    take = min(len(table) - filled, len(block))
+                    table[filled:filled + take], block = block[:take], block[take:]
+                    filled += take
                 cuts = ends[first:stop - 1] - start
                 ascending = np.diff(table["t"]) > 0
                 ascending[cuts - 1] = True  # each vessel's times start afresh
                 if not ascending.all():
                     raise self._damaged("its times do not ascend within a vessel")
-                if dtype == PACKED_DTYPE:
-                    table = _unpack(table)
+                table = _unpack(table) if dtype == PACKED_DTYPE else table.view(STORE_DTYPE)
+                self._check_values(table)
                 self.chunks += 1
                 self.rows += len(table)
                 self.vessels += stop - first
                 yield from map(VesselTrack, mmsi[first:stop].tolist(), np.split(table, cuts))
                 first, start = stop, int(ends[stop - 1])
+            if not n:  # no block was read: the empty stream is checked all the same
+                inflate.finish()
 
-    def _read_header(self, fh, *dtypes: np.dtype) -> tuple[np.dtype, int]:
-        """The dtype, one of `dtypes`, and the length of the 1-D array whose
-        `.npy` header comes next in `fh`, after checking the header."""
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version not in ((1, 0), (2, 0)):
-                raise ValueError(f"unsupported .npy version {version}")
-            read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                    else np.lib.format.read_array_header_2_0)
-            shape, _, found = read(fh)
-        except (ValueError, EOFError, TokenError) as exc:  # numpy tokenizes a bad header
-            raise self._damaged(str(exc)) from None
-        if found not in dtypes or len(shape) != 1 or shape[0] < 0:
-            raise self._damaged(f"it holds {found} {shape} where a table of "
-                                f"{' or '.join(map(str, dtypes))} belongs")
-        return found, shape[0]
+    def _read_header(self, fh) -> tuple[np.dtype, int, int, int, int]:
+        """The integer row dtype, rows, vessels, rows per block and stream
+        bytes of the header at the start of `fh`, after checking them
+        against each other and against the file's size."""
+        head = fh.read(_HEADER.size)
+        if head.startswith(b"\x93NUMPY"):
+            raise DataError(f"track store {self.path} is in an older format "
+                            f"(run `ingest` again)")
+        if len(head) < _HEADER.size or head[:len(_MAGIC)] != _MAGIC:
+            raise self._damaged("it does not start with a track store header")
+        _, layout, rows, vessels, block_rows, stream = _HEADER.unpack(head)
+        if layout not in _LAYOUTS:
+            raise self._damaged(f"its header gives a layout of {layout} bytes a row, "
+                                f"not one of {sorted(_LAYOUTS)}")
+        if min(rows, vessels, stream) < 0 or block_rows < 1:
+            raise self._damaged("its header gives a count below 0, or blocks of no rows")
+        body = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if body != stream + vessels * INDEX_DTYPE.itemsize:
+            raise self._damaged(f"its header gives {stream} stream bytes and {vessels} "
+                                f"vessels, but {body} bytes follow it")
+        if rows * layout > _MAX_INFLATE * stream:
+            raise self._damaged(f"its header gives {rows} rows, more than its "
+                                f"{stream} stream bytes can hold")
+        return _LAYOUTS[layout], rows, vessels, block_rows, stream
+
+    def _check_values(self, table: np.ndarray) -> None:
+        for name, (low, high, text) in _RANGES.items():
+            values = table[name]
+            outside = ~((values >= low) & (values <= high))
+            if outside.any():
+                value = float(values[outside.argmax()])
+                raise self._damaged(f"a {name.upper()} of {value!r} lies outside ingest's {text}")
 
     def _damaged(self, what: str) -> DataError:
         return DataError(f"track store {self.path} is damaged: {what} (run `ingest` again)")
+
+
+class _Inflate:
+    """The bytes that `stream` bytes of one deflate stream from `fh` give,
+    read on demand. Damage is `damaged(reason)`, raised."""
+
+    def __init__(self, fh, stream: int, damaged):
+        self.fh, self.left, self.damaged = fh, stream, damaged
+        self.inflate = zlib.decompressobj()
+        self.tail = b""  # input read but not yet inflated
+
+    def read(self, size: int) -> bytes:
+        """The next `size` bytes of the rows."""
+        data = self._inflate(size)
+        if len(data) < size:
+            raise self.damaged("its stream ends before the rows its header gives")
+        return data
+
+    def finish(self) -> None:
+        """Check that the stream ends, with its checksum, after the rows read."""
+        if self._inflate(1):
+            raise self.damaged("its stream holds more rows than its header gives")
+        if self.left or self.inflate.unused_data:
+            raise self.damaged("bytes follow the end of its stream")
+
+    def _inflate(self, size: int) -> bytes:
+        """Up to `size` more bytes: fewer only where the stream ends."""
+        pieces, got = [], 0
+        try:
+            while got < size and not self.inflate.eof:
+                if not self.tail:
+                    if not self.left:
+                        raise self.damaged("its stream is cut short")
+                    self.tail = self.fh.read(min(self.left, _READ_BYTES))
+                    self.left = self.left - len(self.tail) if self.tail else 0  # a file cut since
+                pieces.append(self.inflate.decompress(self.tail, size - got))
+                self.tail = self.inflate.unconsumed_tail
+                got += len(pieces[-1])
+        except zlib.error as exc:
+            raise self.damaged(f"its stream does not inflate ({exc})") from None
+        return b"".join(pieces)

@@ -6,8 +6,11 @@ timesteps, deliberately avoiding the vectorized code paths under test.
 
 import csv
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -608,14 +611,13 @@ def _reference_counts(values, decimals):
 _REFERENCE_DECIMALS = {"lat": 7, "lon": 7, "sog": 3, "cog": 3}
 
 
-def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
+def reference_ingest(paths, schema=None, min_length=20.0):
     """The whole-corpus ingest: every file's table concatenated, then one
-    length filter, one `reference_group_and_sort`, and the store written
-    with two `np.save` calls: the rows' (t, lat, lon, sog, cog), then one
-    (mmsi, rows) entry per track. The rows are packed (int32 counts, by
-    `_reference_counts`) when every length-filtered row's values are exact
-    counts, and float64 otherwise. Returns the IngestReport like
-    `ingest_files`, and the tracks."""
+    length filter and one `reference_group_and_sort`. The stored rows are
+    (t, lat, lon, sog, cog), packed (int32 counts, by `_reference_counts`)
+    when every length-filtered row's values are exact counts, and float64
+    otherwise. Returns the IngestReport like `ingest_files`, the tracks
+    and the stored rows, in the layout `read_track_store` gives."""
     from ais_outliers.ingest import TRACK_DTYPE, IngestReport, parse_ais_csv
 
     tables, report = [], IngestReport()
@@ -632,19 +634,63 @@ def reference_ingest(paths, tracks_path, schema=None, min_length=20.0):
     tracks = reference_group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
     records = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
-    stored = ["t", "lat", "lon", "sog", "cog"]
-    if packed:
-        rows = np.empty(len(records), [("t", "<i8")] + [(name, "<i4") for name in stored[1:]])
-        rows["t"] = records["t"]
-        for name, e in _REFERENCE_DECIMALS.items():
-            rows[name] = _reference_counts(records[name], e)
-    else:
-        rows = records[stored].astype([(name, records.dtype[name]) for name in stored])
-    with open(tracks_path, "wb") as fh:
-        np.save(fh, rows)
-        np.save(fh, np.array([(t.mmsi, len(t)) for t in tracks],
-                             dtype=[("mmsi", "<i8"), ("rows", "<i8")]))
-    return report, tracks
+    rows = np.empty(len(records), _STORE_LAYOUTS[24 if packed else 40][1])
+    for name in _STORE_COLUMNS:
+        rows[name] = (_reference_counts(records[name], _REFERENCE_DECIMALS[name])
+                      if packed and name != "t" else records[name])
+    return report, tracks, rows
+
+
+# The track store's columns and, by the header's layout value, the integer
+# dtype each block codes and the rows they spell.
+_STORE_COLUMNS = ["t", "lat", "lon", "sog", "cog"]
+_STORE_LAYOUTS = {
+    24: ([("t", "<i8")] + [(name, "<i4") for name in _STORE_COLUMNS[1:]],) * 2,
+    40: ([(name, "<i8") for name in _STORE_COLUMNS],
+         [("t", "<i8")] + [(name, "<f8") for name in _STORE_COLUMNS[1:]]),
+}
+STORE_HEADER = struct.Struct("<8s5q")
+
+
+def read_track_store(path):
+    """Decode a track store without `TrackReader`: the header's magic,
+    layout, rows, vessels, block rows and stream bytes; one
+    `zlib.decompress` of the whole stream, cut into blocks of the header's
+    rows, each column by column undone by `np.cumsum` in the column's own
+    dtype; then the index. Returns the rows (int32 counts for the packed
+    layout, float64 values for the float one) and the index as a list of
+    (mmsi, rows)."""
+    data = Path(path).read_bytes()
+    magic, layout, rows, vessels, block_rows, stream = STORE_HEADER.unpack_from(data)
+    assert magic == b"AISTRK\x00\x01", magic
+    ints, values = _STORE_LAYOUTS[layout]
+    raw = zlib.decompress(data[STORE_HEADER.size:STORE_HEADER.size + stream])
+    assert len(raw) == rows * layout
+    table, at = np.empty(rows, ints), 0
+    for start in range(0, rows, block_rows):
+        n = min(block_rows, rows - start)
+        for name, dtype in ints:
+            deltas = np.frombuffer(raw, dtype, n, at)
+            table[name][start:start + n] = np.cumsum(deltas, dtype=dtype)
+            at += deltas.nbytes
+    index = np.frombuffer(data, [("mmsi", "<i8"), ("rows", "<i8")],
+                          offset=STORE_HEADER.size + stream)
+    assert len(index) == vessels
+    return table.view(values), index.tolist()
+
+
+def rewrite_track_store(path, edit_stream=lambda stream: stream, entries=None, **fields):
+    """Rewrite a track store with its stream edited, its index replaced by
+    `entries` of (mmsi, rows) and header fields set; the header's vessels
+    and stream bytes follow what is written unless set."""
+    data = Path(path).read_bytes()
+    magic, layout, rows, _, block_rows, size = STORE_HEADER.unpack_from(data)
+    stream = edit_stream(data[STORE_HEADER.size:STORE_HEADER.size + size])
+    index = (data[STORE_HEADER.size + size:] if entries is None
+             else np.array(entries, [("mmsi", "<i8"), ("rows", "<i8")]).tobytes())
+    header = {"magic": magic, "layout": layout, "rows": rows, "vessels": len(index) // 16,
+              "block_rows": block_rows, "stream": len(stream), **fields}
+    Path(path).write_bytes(STORE_HEADER.pack(*header.values()) + stream + index)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from ais_outliers.manifest import RunManifest, file_sha256
 from ais_outliers.nn.checkpoint import MAGIC, save_checkpoint
 from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import IDS_DTYPE, NormalizationStats, save_corpus
-from ais_outliers.tracks import INDEX_DTYPE, STORE_DTYPE, TrackReader, save_tracks
+from ais_outliers.tracks import INDEX_DTYPE, STORE_DTYPE, TrackReader, pack, save_tracks
 
 from conftest import make_record, make_table, utc
+from oracles import STORE_HEADER, rewrite_track_store
 from synthetic import generate_days, write_ais_csv
 
 
@@ -121,7 +123,7 @@ def test_score_without_stats_refused(tmp_path, capsys):
 def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
-    tracks = list(TrackReader(run_dir / "tracks.npy"))
+    tracks = list(TrackReader(run_dir / "tracks.bin"))
     assert all(t.records.dtype == STORE_DTYPE for t in tracks)
     # One store, ordered by MMSI then time.
     assert [t.mmsi for t in tracks] == sorted({t.mmsi for t in tracks})
@@ -133,7 +135,7 @@ def test_ingest_leaves_only_its_artifacts(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
     assert sorted(p.name for p in run_dir.iterdir()) == \
-        ["ingest_report.txt", "manifest.json", "tracks.npy"]
+        ["ingest_report.txt", "manifest.json", "tracks.bin"]
 
 
 def test_ingest_failing_partway_removes_its_spill(tmp_path, corpus_dir, capsys):
@@ -157,13 +159,13 @@ def test_spill_left_by_a_killed_ingest_is_ignored_then_removed(tmp_path, corpus_
     stale.mkdir()
     # A killed ingest leaves runs behind; these would change the corpus if read.
     (stale / "000000.run").write_bytes(np.zeros(5, TRACK_DTYPE).tobytes())
-    (stale / "tracks.npy").write_bytes((run_dir / "tracks.npy").read_bytes()[:-56])
+    (stale / "tracks.bin").write_bytes((run_dir / "tracks.bin").read_bytes()[:-56])
     assert main(run_args(corpus_dir, run_dir, "preprocess")) == 0
     for artifact in ("corpus.f64", "corpus_index.csv", "stats.txt", "preprocess_report.txt"):
         assert (run_dir / artifact).read_bytes() == (clean / artifact).read_bytes(), artifact
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
     assert not stale.exists()
-    assert (run_dir / "tracks.npy").read_bytes() == (clean / "tracks.npy").read_bytes()
+    assert (run_dir / "tracks.bin").read_bytes() == (clean / "tracks.bin").read_bytes()
 
 
 def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
@@ -171,12 +173,16 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     for command in ("ingest", "preprocess"):
         assert main(run_args(corpus_dir, run_dir, command)) == 0
     stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
-    rows = sum(map(len, TrackReader(run_dir / "tracks.npy")))
+    rows = sum(map(len, TrackReader(run_dir / "tracks.bin")))
     ingest, preprocess = stages["ingest"]["extra"], stages["preprocess"]["extra"]
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
     assert ingest["rows_read"] >= rows and ingest["merge_batches"] >= 1
-    assert ingest["store_row_bytes"] == 24  # the synthetic corpus's values pack
+    # The synthetic corpus's values pack, and their deltas deflate to 10.59
+    # bytes a row of 24.
+    assert ingest["store_bytes_per_row"] < 12
+    assert ingest["store_bytes_per_row"] == \
+        round((run_dir / "tracks.bin").stat().st_size / rows, 2)
     assert preprocess["rows"] == rows and preprocess["chunks"] >= 1
     assert preprocess["days_kept"] == \
         len((run_dir / "corpus_index.csv").read_text().splitlines()) - 1
@@ -220,7 +226,7 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
         code = main(run_args(corpus_dir, run_dir, command))
         assert code == 0, f"{command} failed"
 
-    for artifact in ("tracks.npy", "ingest_report.txt", "corpus.f64",
+    for artifact in ("tracks.bin", "ingest_report.txt", "corpus.f64",
                      "corpus_index.csv", "stats.txt", "train.f64", "val.f64",
                      "test.f64", "history.csv",
                      "scores.csv", "histogram.csv", "outliers.csv",
@@ -246,10 +252,13 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
     (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
     capsys.readouterr()
     assert main(["report", "--run-dir", str(run_dir)]) == 0
-    listed = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    listed = [line.split(":")[0].strip() for line in out.splitlines()
               if line.startswith("  ") and "s -> " in line]
     assert listed == ["ingest", "preprocess", "split", "train", "score", "export-geojson",
                       "audit"]
+    bytes_per_row = manifest["stages"]["ingest"]["extra"]["store_bytes_per_row"]
+    assert f"    track store: {bytes_per_row} bytes per row\n" in out
 
 
 class _ClosedPipe:
@@ -300,7 +309,7 @@ def test_manifest_inputs_name_every_file_a_stage_reads(tmp_path, corpus_dir):
               for name, entry in stages.items()}
     assert inputs == {
         "ingest": ["ais_2019_day0.csv", "ais_2019_day1.csv", "ais_2019_day2.csv"],
-        "preprocess": ["tracks.npy"],
+        "preprocess": ["tracks.bin"],
         "split": ["corpus.f64", "corpus_index.csv"],
         "train": ["train.f64", "train_index.csv", "val.f64", "val_index.csv"],
         "score": ["epoch_001.ckpt", "stats.txt", "test.f64", "test_index.csv",
@@ -415,7 +424,7 @@ def test_ingest_rerun_is_deterministic(tmp_path, corpus_dir):
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     assert main(run_args(corpus_dir, run_a, "ingest")) == 0
     assert main(run_args(corpus_dir, run_b, "ingest")) == 0
-    assert (run_a / "tracks.npy").read_bytes() == (run_b / "tracks.npy").read_bytes()
+    assert (run_a / "tracks.bin").read_bytes() == (run_b / "tracks.bin").read_bytes()
     assert (run_a / "ingest_report.txt").read_bytes() == \
         (run_b / "ingest_report.txt").read_bytes()
 
@@ -526,19 +535,26 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("export-geojson", "short_scores_row"),
     ("export-geojson", "short_outliers_row"),
     ("preprocess", "truncated_tracks"),
-    ("preprocess", "tracks_not_npy"),
+    ("preprocess", "tracks_not_a_store"),
     ("preprocess", "tracks_other_dtype"),
     ("preprocess", "tracks_counts_short_of_rows"),
     ("preprocess", "tracks_mmsi_out_of_order"),
     ("preprocess", "tracks_zero_count"),
     ("preprocess", "tracks_index_cut"),
     ("preprocess", "tracks_without_index"),
-    ("preprocess", "tracks_row_cut"),
-    ("preprocess", "tracks_float_row_cut"),
+    ("preprocess", "tracks_cut_inside_stream"),
+    ("preprocess", "tracks_stream_end_cut"),
+    ("preprocess", "tracks_float_stream_end_cut"),
+    ("preprocess", "tracks_stream_byte_flipped"),
+    ("preprocess", "tracks_rows_beyond_stream"),
     ("preprocess", "tracks_int_columns_of_another_width"),
+    ("preprocess", "tracks_unknown_layout"),
+    ("preprocess", "tracks_blocks_of_no_rows"),
+    ("preprocess", "tracks_more_rows_than_deflate_gives"),
     ("preprocess", "tracks_header_cut"),
     ("preprocess", "tracks_trailing_bytes"),
     ("preprocess", "tracks_parent_format"),
+    ("preprocess", "tracks_packed_npy_format"),
     ("export-geojson", "truncated_manifest"),
     ("report", "manifest_not_object"),
     ("score", "reordered_index_row"),
@@ -572,7 +588,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     scores, outliers = run_dir / "scores.csv", run_dir / "outliers.csv"
     scores.write_text("mmsi,day,rmse\n367000000,2019-03-06,0.5\n")
     outliers.write_text("rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-03-06,0.5,0.4,6.0\n")
-    tracks = run_dir / "tracks.npy"
+    tracks = run_dir / "tracks.bin"
     track_table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
     save_tracks(tracks, group_and_sort(track_table), packed=True)
     manifest = run_dir / "manifest.json"
@@ -584,26 +600,17 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         data[offset] ^= 0xFF
         checkpoint.write_bytes(bytes(data))
 
-    index_bytes = 128 + INDEX_DTYPE.itemsize  # the store's index: its header and one entry
-
-    def cut_tracks_row():  # the last row, before the index, of the layout written
-        data = tracks.read_bytes()
-        row_bytes = np.load(tracks).dtype.itemsize
-        tracks.write_bytes(data[:-(index_bytes + row_bytes)] + data[-index_bytes:])
-
-    def set_tracks_rows(dtype):  # the rows' values kept, their dtype replaced
-        with open(tracks, "rb") as fh:
-            rows, index = np.load(fh), np.load(fh)
+    def save_npy(*arrays):  # a store of the `.npy` format of earlier versions
         with open(tracks, "wb") as fh:
-            np.save(fh, rows.astype(dtype))
-            np.save(fh, index)
+            for array in arrays:
+                np.save(fh, array)
 
-    def set_tracks_index(entries):  # the rows kept, the index replaced
-        with open(tracks, "rb") as fh:
-            rows = np.load(fh)
-        with open(tracks, "wb") as fh:
-            np.save(fh, rows)
-            np.save(fh, np.array(entries, INDEX_DTYPE))
+    def rewrite_store(*args, **kwargs):
+        rewrite_track_store(tracks, *args, **kwargs)
+
+    def flip_middle_byte(stream):
+        middle = len(stream) // 2
+        return stream[:middle] + bytes([stream[middle] ^ 0xFF]) + stream[middle + 1:]
 
     def set_stage(name, entry):
         data = json.loads(manifest.read_text())
@@ -617,25 +624,39 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "short_scores_row": lambda: scores.write_text(scores.read_text() + "367000001\n"),
         "short_outliers_row": lambda: outliers.write_text(outliers.read_text() + "2\n"),
         "truncated_tracks": lambda: tracks.write_bytes(tracks.read_bytes()[:-10]),
-        "tracks_not_npy": lambda: tracks.write_text("mmsi,timestamp,lat\n"),
-        "tracks_other_dtype": lambda: np.save(tracks, np.zeros((3, 7))),
-        "tracks_counts_short_of_rows": lambda: set_tracks_index([(367000001, 2)]),
-        "tracks_mmsi_out_of_order": lambda: set_tracks_index([(367000002, 1),
-                                                             (367000001, 2)]),
-        "tracks_zero_count": lambda: set_tracks_index([(367000001, 3), (367000002, 0)]),
+        "tracks_not_a_store": lambda: tracks.write_text("mmsi,timestamp,lat\n"),
+        "tracks_other_dtype": lambda: save_npy(np.zeros((3, 7))),
+        "tracks_counts_short_of_rows": lambda: rewrite_store(entries=[(367000001, 2)]),
+        "tracks_mmsi_out_of_order": lambda: rewrite_store(entries=[(367000002, 1),
+                                                                   (367000001, 2)]),
+        "tracks_zero_count": lambda: rewrite_store(entries=[(367000001, 3), (367000002, 0)]),
         "tracks_index_cut": lambda: tracks.write_bytes(
+            tracks.read_bytes()[:-INDEX_DTYPE.itemsize // 2]),
+        "tracks_without_index": lambda: tracks.write_bytes(
             tracks.read_bytes()[:-INDEX_DTYPE.itemsize]),
-        "tracks_without_index": lambda: tracks.write_bytes(tracks.read_bytes()[:-index_bytes]),
-        "tracks_row_cut": cut_tracks_row,
-        "tracks_float_row_cut": lambda: (
-            save_tracks(tracks, group_and_sort(track_table)), cut_tracks_row()),
-        "tracks_int_columns_of_another_width": lambda: set_tracks_rows(
-            [("t", "<i8")] + [(name, "<i8") for name in STORE_DTYPE.names[1:]]),
+        "tracks_cut_inside_stream": lambda: tracks.write_bytes(
+            tracks.read_bytes()[:STORE_HEADER.size + 10]),
+        # The stream's last 4 bytes, its checksum, with a header to match.
+        "tracks_stream_end_cut": lambda: rewrite_store(lambda stream: stream[:-4]),
+        "tracks_float_stream_end_cut": lambda: (
+            save_tracks(tracks, group_and_sort(track_table)),
+            rewrite_store(lambda stream: stream[:-4])),
+        "tracks_stream_byte_flipped": lambda: rewrite_store(flip_middle_byte),
+        "tracks_rows_beyond_stream": lambda: rewrite_store(entries=[(367000001, 4)], rows=4),
+        "tracks_int_columns_of_another_width": lambda: rewrite_store(layout=40),
+        "tracks_unknown_layout": lambda: rewrite_store(layout=32),
+        "tracks_blocks_of_no_rows": lambda: rewrite_store(block_rows=0),
+        # Deflate gives at most 1032 bytes a byte: such a header is refused
+        # before any row is allocated.
+        "tracks_more_rows_than_deflate_gives": lambda: rewrite_store(
+            entries=[(367000001, 10**12)], rows=10**12),
         "tracks_header_cut": lambda: tracks.write_bytes(
-            tracks.read_bytes()[:100] + tracks.read_bytes()[140:]),
+            tracks.read_bytes()[:20] + tracks.read_bytes()[30:]),
         "tracks_trailing_bytes": lambda: tracks.write_bytes(
             tracks.read_bytes() + bytes(INDEX_DTYPE.itemsize)),
-        "tracks_parent_format": lambda: np.save(tracks, track_table),
+        "tracks_parent_format": lambda: save_npy(track_table),
+        "tracks_packed_npy_format": lambda: save_npy(
+            pack(track_table), np.array([(367000001, 3)], INDEX_DTYPE)),
         "truncated_manifest": lambda: manifest.write_bytes(manifest.read_bytes()[:100]),
         "manifest_not_object": lambda: manifest.write_text('["stages"]\n'),
         "reordered_index_row": lambda: index.write_text(
@@ -677,7 +698,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:
-        named[damage] = ("tracks.npy", "`ingest`")
+        named[damage] = ("tracks.bin", "`ingest`")
     damages[damage]()
 
     assert main([command, "--run-dir", str(run_dir)]) == 2
@@ -687,8 +708,29 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         assert name in err[0], err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lat", 250.0), ("lat", math.nan), ("lon", -180.5), ("sog", -0.1), ("sog", math.inf),
+    ("cog", 360.0)])
+def test_store_value_outside_ingest_ranges_is_one_line_data_error(tmp_path, capsys, field,
+                                                                 value):
+    # A float-layout store of 288 rows, one value of which ingest refuses
+    # (or, for a COG of 360, stores as 0).
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    table = make_table(make_record(ts=utc(2019, 3, 6 + i // 48, i % 48 // 2, 30 * (i % 2)))
+                       for i in range(288))
+    table[field][100] = value
+    save_tracks(run_dir / "tracks.bin", group_and_sort(table))
+    assert main(["preprocess", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    for name in ("tracks.bin", "`ingest`", f"a {field.upper()} of {value!r}"):
+        assert name in err[0], err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["tracks.bin"]
+
+
 def test_failed_tracks_write_keeps_previous_store(tmp_path):
-    tracks = tmp_path / "tracks.npy"
+    tracks = tmp_path / "tracks.bin"
     table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
     save_tracks(tracks, group_and_sort(table))
     before = tracks.read_bytes()
@@ -700,4 +742,4 @@ def test_failed_tracks_write_keeps_previous_store(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         save_tracks(tracks, fail_after_one_track())
     assert tracks.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["tracks.npy"]
+    assert [p.name for p in tmp_path.iterdir()] == ["tracks.bin"]

@@ -507,8 +507,8 @@ def bench_tracks(tmp_path_factory):
         subprocess.run([sys.executable, str(BENCH / "gen.py"), kind, "--seed", "11",
                         "--out", str(root / "in"),
                         *(arg for p in params for arg in ("--param", p))], check=True)
-        ingest_files(sorted((root / "in").glob("*.csv")), root / "tracks.npy", root / "spill")
-        tracks[kind] = list(TrackReader(root / "tracks.npy"))
+        ingest_files(sorted((root / "in").glob("*.csv")), root / "tracks.bin", root / "spill")
+        tracks[kind] = list(TrackReader(root / "tracks.bin"))
     return tracks
 
 

@@ -3,10 +3,11 @@
 `ingest_files` spills one sorted run per input file and merges the runs in
 batches of whole vessels, or time slabs of a vessel larger than a batch;
 `save_tracks` stores the rows, packed as int32 counts when every value is
-an exact one and as float64 otherwise, and a per-vessel index after them;
-`TrackReader` reads either layout back in chunks cut at vessel boundaries,
-as the parsed values' bits. Both are checked against the whole-corpus path
-(`oracles.reference_ingest`) and against `np.load` of the store.
+an exact one and as float64 otherwise, delta-coded and deflated in blocks,
+and a per-vessel index after them; `TrackReader` reads either layout back
+in chunks cut at vessel boundaries, as the parsed values' bits. Both are
+checked against the whole-corpus path (`oracles.reference_ingest`) and
+against a decoder of the tests' own (`oracles.read_track_store`).
 """
 
 import subprocess
@@ -20,11 +21,12 @@ import pytest
 from ais_outliers import tracks as track_store
 from ais_outliers.errors import DataError
 from ais_outliers.ingest import TRACK_DTYPE, IngestReport, group_and_sort, ingest_files
-from ais_outliers.tracks import (INDEX_DTYPE, PACKED_DTYPE, STORE_DTYPE, TrackReader, pack,
-                                 save_tracks)
+from ais_outliers.tracks import (INDEX_DTYPE, PACKED_DTYPE, STORE_DTYPE, TrackReader,
+                                 VesselTrack, pack, save_tracks)
 
 from conftest import make_record, make_table, make_track, utc
-from oracles import reference_group_and_sort, reference_ingest
+from oracles import (STORE_HEADER, read_track_store, reference_group_and_sort, reference_ingest,
+                     rewrite_track_store)
 
 HEADER = "MMSI,BaseDateTime,LAT,LON,SOG,COG,Length\n"
 
@@ -40,17 +42,22 @@ def write(path, rows, header=HEADER):
 
 
 def assert_same_ingest(tmp_path, paths, **kwargs):
-    """The streamed ingest writes the reference's store byte for byte, with
-    an equal report, and the store reads back as the reference's tracks
-    with the same bits; returns the report and the counts."""
-    report, counts = ingest_files(paths, tmp_path / "tracks.npy", tmp_path / "spill",
-                                  **kwargs)
-    expected, tracks = reference_ingest(paths, tmp_path / "expected.npy", **kwargs)
-    assert (tmp_path / "tracks.npy").read_bytes() == (tmp_path / "expected.npy").read_bytes()
+    """The streamed ingest stores the reference's rows, in its layout, and
+    index, with an equal report, and the store reads back as the
+    reference's tracks with the same bits; returns the report and the
+    counts but the store's bytes per row, checked as its size over its
+    rows."""
+    store = tmp_path / "tracks.bin"
+    report, counts = ingest_files(paths, store, tmp_path / "spill", **kwargs)
+    expected, tracks, rows = reference_ingest(paths, **kwargs)
+    stored, index = read_track_store(store)
+    assert stored.dtype == rows.dtype and stored.tobytes() == rows.tobytes()
+    assert index == [(t.mmsi, len(t)) for t in tracks]
     assert report == expected
     assert not (tmp_path / "spill").exists()
-    _assert_reads_back(tmp_path / "tracks.npy", tracks)
-    assert np.load(tmp_path / "tracks.npy").dtype.itemsize == counts["store_row_bytes"]
+    _assert_reads_back(store, tracks)
+    assert counts.pop("store_bytes_per_row") == (
+        round(store.stat().st_size / len(rows), 2) if len(rows) else None)
     return report, counts
 
 
@@ -65,12 +72,11 @@ def test_duplicates_across_files_keep_the_earlier_file(tmp_path):
                                    csv_row(367000001, 1, lat=32.0)])
     report, counts = assert_same_ingest(tmp_path, [a, b, c])
     assert report.reject_reasons == {"duplicate_row": 2, "duplicate_timestamp": 2}
-    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.npy")])
+    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.bin")])
     assert table["lat"].tolist() == [30.0, 30.0, 30.0]  # hours 1, 2, 3: a, b, a
     # 7 rows against a cap of 3 (file b): slabs of hours 1-2 and of hour 3,
     # whose four rows stay together although they exceed the cap.
-    assert counts == {"rows_kept": 3, "vessels_kept": 1, "merge_batches": 2,
-                      "store_row_bytes": 24}
+    assert counts == {"rows_kept": 3, "vessels_kept": 1, "merge_batches": 2}
 
 
 def test_vessel_in_every_file_and_larger_than_a_merge_batch(tmp_path):
@@ -83,7 +89,7 @@ def test_vessel_in_every_file_and_larger_than_a_merge_batch(tmp_path):
     # The big vessel has 4 * 48 rows, more than any one file (57 rows).
     assert counts["merge_batches"] >= 3
     assert counts["rows_kept"] == 4 * (48 + 9) and report.vessels_kept == 4
-    big = [t for t in TrackReader(tmp_path / "tracks.npy") if t.mmsi == 367000005]
+    big = [t for t in TrackReader(tmp_path / "tracks.bin") if t.mmsi == 367000005]
     assert len(big[0]) == 4 * 48
 
 
@@ -98,9 +104,8 @@ def test_empty_header_only_and_all_rejected_files(tmp_path):
     assert report.vessels_dropped_by_length == 1 and report.vessels_kept == 1
     # Nothing left at all: an empty store, like the reference's.
     report, counts = assert_same_ingest(tmp_path, [empty, header_only, rejected, short])
-    assert counts == {"rows_kept": 0, "vessels_kept": 0, "merge_batches": 0,
-                      "store_row_bytes": 24}
-    assert list(TrackReader(tmp_path / "tracks.npy")) == []
+    assert counts == {"rows_kept": 0, "vessels_kept": 0, "merge_batches": 0}
+    assert list(TrackReader(tmp_path / "tracks.bin")) == []
 
 
 def test_vessel_larger_than_a_batch_merges_in_time_slabs(tmp_path):
@@ -115,10 +120,9 @@ def test_vessel_larger_than_a_batch_merges_in_time_slabs(tmp_path):
     # against a cap of 8 (file a). A cut at 8 rows would split minute 2,
     # and one at 14 minute 4, so the slabs are minutes 0-1, 2-3, 4-5 and 6;
     # the small vessel is the fifth batch.
-    assert counts == {"rows_kept": 8, "vessels_kept": 2, "merge_batches": 5,
-                      "store_row_bytes": 24}
+    assert counts == {"rows_kept": 8, "vessels_kept": 2, "merge_batches": 5}
     assert report.reject_reasons == {"duplicate_row": 13, "duplicate_timestamp": 2}
-    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.npy")])
+    table = np.concatenate([t.records for t in TrackReader(tmp_path / "tracks.bin")])
     assert table["lat"].tolist() == [30.0] * 8
 
 
@@ -129,8 +133,7 @@ def test_one_time_with_more_rows_than_a_batch_is_one_slab(tmp_path):
     report, counts = assert_same_ingest(tmp_path, paths)
     # Minute 0 has 9 rows against a cap of 4: it is a slab on its own. Its
     # first row (file 0) wins; the other files' 6 rows conflict with it.
-    assert counts == {"rows_kept": 2, "vessels_kept": 1, "merge_batches": 2,
-                      "store_row_bytes": 24}
+    assert counts == {"rows_kept": 2, "vessels_kept": 1, "merge_batches": 2}
     assert report.reject_reasons == {"duplicate_row": 4, "duplicate_timestamp": 6}
 
 
@@ -146,9 +149,12 @@ def test_benchmark_generator_corpora_ingest_like_reference(tmp_path, kind, param
     assert len(paths) > 1
     report, counts = assert_same_ingest(tmp_path, paths)
     assert report.rows_rejected > 0 and counts["merge_batches"] > 1
-    # MarineCadastre's decimals (dense) and finer ones (lanes) both pack.
-    assert counts["store_row_bytes"] == 24
-    assert np.load(tmp_path / "tracks.npy").dtype == PACKED_DTYPE
+    # MarineCadastre's decimals (dense) and finer ones (lanes) both pack,
+    # and the deltas of a per-minute feed deflate to under 3 bytes a row
+    # (2.39 at seed 3), of 30-minute lanes to under 12 (10.64), of 24.
+    assert read_track_store(tmp_path / "tracks.bin")[0].dtype == PACKED_DTYPE
+    bytes_per_row = (tmp_path / "tracks.bin").stat().st_size / counts["rows_kept"]
+    assert bytes_per_row < {"dense": 3, "lanes": 12}[kind], bytes_per_row
 
 
 @pytest.mark.parametrize("row, row_bytes", [
@@ -163,10 +169,9 @@ def test_benchmark_generator_corpora_ingest_like_reference(tmp_path, kind, param
 def test_one_value_that_does_not_pack_makes_the_whole_store_float(tmp_path, row, row_bytes):
     a = write(tmp_path / "a.csv", [csv_row(367000001, h, lat=30.12345) for h in range(3)])
     b = write(tmp_path / "b.csv", [csv_row(367000003, 1), row + "\n"])
-    _, counts = assert_same_ingest(tmp_path, [a, b])
-    assert counts["store_row_bytes"] == row_bytes
-    assert np.load(tmp_path / "tracks.npy").dtype == (PACKED_DTYPE if row_bytes == 24
-                                                      else STORE_DTYPE)
+    assert_same_ingest(tmp_path, [a, b])
+    assert read_track_store(tmp_path / "tracks.bin")[0].dtype == (
+        PACKED_DTYPE if row_bytes == 24 else STORE_DTYPE)
 
 
 # -- memory ----------------------------------------------------------------
@@ -196,10 +201,10 @@ def test_ingest_memory_does_not_grow_with_the_number_of_files(tmp_path):
     corpora = {n: _daily_files(tmp_path / f"n{n}", n) for n in (2, 8)}
     out = tmp_path / "out"
     out.mkdir()
-    ingest_files(corpora[2], out / "tracks.npy", out / "spill")  # first-call allocations
-    peaks = {n: _traced_peak(lambda: ingest_files(paths, out / "tracks.npy", out / "spill"))
+    ingest_files(corpora[2], out / "tracks.bin", out / "spill")  # first-call allocations
+    peaks = {n: _traced_peak(lambda: ingest_files(paths, out / "tracks.bin", out / "spill"))
              for n, paths in corpora.items()}
-    reference_peaks = {n: _traced_peak(lambda: reference_ingest(paths, out / "ref.npy"))
+    reference_peaks = {n: _traced_peak(lambda: reference_ingest(paths))
                        for n, paths in corpora.items()}
     # Slack: a quarter of one file's rows, for the per-run vessel indexes
     # and the longer vessel tracks of the longer corpus.
@@ -228,10 +233,10 @@ def test_ingest_memory_does_not_grow_with_one_vessel_over_more_files(tmp_path):
     corpora = {n: _one_vessel_files(tmp_path / f"n{n}", n, rows) for n in (2, 8)}
     out = tmp_path / "out"
     out.mkdir()
-    ingest_files(corpora[2], out / "tracks.npy", out / "spill")  # first-call allocations
-    peaks = {n: _traced_peak(lambda: ingest_files(paths, out / "tracks.npy", out / "spill"))
+    ingest_files(corpora[2], out / "tracks.bin", out / "spill")  # first-call allocations
+    peaks = {n: _traced_peak(lambda: ingest_files(paths, out / "tracks.bin", out / "spill"))
              for n, paths in corpora.items()}
-    reference_peaks = {n: _traced_peak(lambda: reference_ingest(paths, out / "ref.npy"))
+    reference_peaks = {n: _traced_peak(lambda: reference_ingest(paths))
                        for n, paths in corpora.items()}
     # The vessel is merged in slabs of one file's rows; what grows is its
     # time index, one int64 a row, read to cut the slabs. Slack: a quarter
@@ -266,7 +271,7 @@ def _store(tmp_path, lengths, packed=True):
                                                       ts=utc(2019, 3, 6, h))
                                           for h in range(n)])
               for i, n in enumerate(lengths)]
-    path = tmp_path / "tracks.npy"
+    path = tmp_path / "tracks.bin"
     save_tracks(path, tracks, packed)
     return path, tracks
 
@@ -289,16 +294,13 @@ def _assert_reads_back(path, tracks):
 def test_store_is_the_rows_then_one_index_entry_per_vessel(tmp_path):
     a = make_table(make_record(mmsi="367000001", ts=utc(2019, 3, 6, h)) for h in range(5))
     b = make_table([make_record(mmsi="367000002", length=None)])
-    path = tmp_path / "tracks.npy"
+    path = tmp_path / "tracks.bin"
     # Consecutive tracks of one vessel, as time slabs of a merge, make one entry.
     assert save_tracks(path, [make_track("367000001", a[:2]), make_track("367000001", a[2:]),
                               make_track("367000002", b)]) == 6
-    with open(path, "rb") as fh:
-        rows, index = np.load(fh), np.load(fh)
-        assert fh.read() == b""
+    rows, index = read_track_store(path)
     assert rows.tobytes() == _stored(np.concatenate([a, b])).tobytes()
-    assert index.dtype == INDEX_DTYPE
-    assert index.tolist() == [(367000001, 5), (367000002, 1)]
+    assert index == [(367000001, 5), (367000002, 1)]
     assert STORE_DTYPE.itemsize == 40 and INDEX_DTYPE.itemsize == 16
 
 
@@ -307,9 +309,9 @@ def test_packed_store_holds_int32_counts_of_each_unit(tmp_path):
                                     cog=359.999),
                         make_record(ts=utc(2019, 3, 6, 1), lat=0.0, lon=-0.5, sog=0.001,
                                     cog=0.0)])
-    path = tmp_path / "tracks.npy"
+    path = tmp_path / "tracks.bin"
     assert save_tracks(path, [make_track("367000001", table)], packed=True) == 2
-    rows = np.load(path)
+    rows, _ = read_track_store(path)
     assert rows.dtype == PACKED_DTYPE and PACKED_DTYPE.itemsize == 24
     assert rows[["lat", "lon", "sog", "cog"]].tolist() == [
         (-899999999, 1791234567, 2147483647, 359999), (0, -5000000, 1, 0)]
@@ -318,17 +320,77 @@ def test_packed_store_holds_int32_counts_of_each_unit(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lat", 30.12345678), ("lon", -0.0), ("sog", 2147483.648), ("cog", 1e300),
+    ("lat", 30.12345678), ("lon", -0.0), ("sog", 2147483.648), ("sog", 1e300),
     ("sog", 0.1 + 0.2)])
 def test_a_value_that_is_not_an_exact_count_does_not_pack(tmp_path, field, value):
     table = make_table([make_record(), make_record(ts=utc(2019, 3, 6, 1), **{field: value})])
     assert pack(table[:1]) is not None and pack(table) is None
-    path = tmp_path / "tracks.npy"
+    path = tmp_path / "tracks.bin"
     with pytest.raises(ValueError, match="not exact int32 counts"):
         save_tracks(path, [make_track("367000001", table)], packed=True)
     assert list(tmp_path.iterdir()) == []  # nothing half written
     save_tracks(path, [make_track("367000001", table)])
     _assert_reads_back(path, [make_track("367000001", table)])
+
+
+# Per seeded store: rows per block (0: the module's own), the vessels' row
+# counts and whether the store is packed.
+_ROUND_TRIPS = {
+    "vessels-span-block-boundaries": (8, [5, 7, 13, 2], True),
+    "vessels-of-exactly-one-block": (8, [8, 3, 5, 8, 1], True),
+    "lon-counts-wrap-int32": (8, [11], True),
+    "t-falls-across-vessels": (8, [4, 6, 3], True),
+    "float-layout": (8, [5, 7, 13, 2], False),
+    "module-block-rows": (0, [3000, 5000, 1, 200], True),
+}
+# The unit each packed count is a multiple of.
+_UNITS = {"lat": 1e-7, "lon": 1e-7, "sog": 1e-3, "cog": 1e-3}
+
+
+def _seeded_counts(rng, rows, t0):
+    """One vessel's `rows` rows as int32 counts within ingest's ranges, each
+    at least one unit below its upper bound, at times ascending from `t0`."""
+    counts = np.empty(rows, PACKED_DTYPE)
+    counts["t"] = t0 + np.cumsum(rng.integers(1, 120, rows))
+    counts["lat"] = rng.integers(-900_000_000, 900_000_000, rows)
+    counts["lon"] = rng.integers(-1_800_000_000, 1_800_000_000, rows)
+    counts["sog"] = rng.integers(0, 50_000, rows)
+    counts["cog"] = rng.integers(0, 360_000, rows)
+    return counts
+
+
+@pytest.mark.parametrize("case", list(_ROUND_TRIPS))
+def test_seeded_store_decodes_bit_for_bit_by_both_decoders(tmp_path, monkeypatch, case):
+    block_rows, lengths, packed = _ROUND_TRIPS[case]
+    if block_rows:
+        monkeypatch.setattr(track_store, "_CHUNK_ROWS", block_rows)
+    rng = np.random.default_rng(list(_ROUND_TRIPS).index(case))
+    # Vessels a week apart, each after the one before it; or each starting
+    # a day earlier than the one before it, so that `t` falls between them.
+    step = -86_400 if case == "t-falls-across-vessels" else 7 * 86_400
+    counts = [_seeded_counts(rng, n, 1_600_000_000 + step * i) for i, n in enumerate(lengths)]
+    if case == "lon-counts-wrap-int32":  # -180e7 beside +180e7: each difference wraps
+        counts[0]["lon"] = np.where(np.arange(lengths[0]) % 2, 1_800_000_000, -1_800_000_000)
+    records = [np.zeros(n, STORE_DTYPE) for n in lengths]
+    for table, vessel in zip(records, counts):
+        table["t"] = vessel["t"]
+        for name, unit in _UNITS.items():
+            # Packed: the counts' values, as ingest parses them. Float: any
+            # float64 in range, between one count and the next.
+            table[name] = (vessel[name] / round(1 / unit) if packed
+                           else (vessel[name] + rng.random(len(table))) * unit)
+    expected = np.concatenate(counts if packed else records)
+    tracks = [VesselTrack(367000001 + i, table) for i, table in enumerate(records)]
+    path = tmp_path / "tracks.bin"
+    assert save_tracks(path, tracks, packed) == sum(lengths)
+
+    stored, index = read_track_store(path)
+    assert STORE_HEADER.unpack_from(path.read_bytes())[4] == track_store._CHUNK_ROWS
+    assert stored.dtype == expected.dtype and stored.tobytes() == expected.tobytes()
+    assert index == [(t.mmsi, len(t)) for t in tracks]
+    read = list(TrackReader(path))
+    assert [t.mmsi for t in read] == [t.mmsi for t in tracks]
+    assert [t.records.tobytes() for t in read] == [table.tobytes() for table in records]
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -345,14 +407,38 @@ def test_reader_holds_a_vessel_larger_than_a_chunk(tmp_path, monkeypatch):
     assert _assert_reads_back(path, tracks).chunks == 3
 
 
+def test_reader_memory_does_not_grow_with_the_number_of_vessels(tmp_path):
+    n, rows = 50, 300
+    table = np.zeros(rows, STORE_DTYPE)
+    table["t"] = 1_600_000_000 + 60 * np.arange(rows)
+    table["lat"], table["lon"] = 30.0 + 1e-5 * np.arange(rows), -80.0
+    stores = {}
+    for vessels in (n, 4 * n):
+        stores[vessels] = tmp_path / f"{vessels}.bin"
+        save_tracks(stores[vessels], (VesselTrack(367000000 + v, table)
+                                      for v in range(vessels)), packed=True)
+
+    def drain(path):
+        for _ in TrackReader(path):
+            pass
+
+    drain(stores[n])  # first-call allocations
+    peaks = {k: _traced_peak(lambda: drain(path)) for k, path in stores.items()}
+    held = {k: _traced_peak(lambda: list(TrackReader(path))) for k, path in stores.items()}
+    # Slack: one block of rows plus the largest vessel, against 3n more
+    # vessels' rows.
+    slack = (track_store._CHUNK_ROWS + rows) * STORE_DTYPE.itemsize
+    assert peaks[4 * n] < peaks[n] + slack, (peaks, slack)
+    # The measure sees growth where there is some: holding every track.
+    assert held[4 * n] > held[n] + 2 * n * rows * STORE_DTYPE.itemsize, held
+
+
 @pytest.mark.parametrize("hours", [(0, 1, 2, 5, 4, 6, 7, 8), (0, 1, 2, 3, 3, 4, 5, 6)])
 def test_reader_rejects_times_not_ascending_within_a_vessel(tmp_path, monkeypatch, hours):
     monkeypatch.setattr(track_store, "_CHUNK_ROWS", 4)
     table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in hours)
-    path = tmp_path / "tracks.npy"
-    with open(path, "wb") as fh:  # two `np.save` calls, as the oracle writes a store
-        np.save(fh, _stored(table))
-        np.save(fh, np.array([(367000001, len(table))], INDEX_DTYPE))
+    path = tmp_path / "tracks.bin"
+    save_tracks(path, [make_track("367000001", table)])  # which does not check the order
     with pytest.raises(DataError, match="times do not ascend within a vessel"):
         list(TrackReader(path))
 
@@ -360,5 +446,16 @@ def test_reader_rejects_times_not_ascending_within_a_vessel(tmp_path, monkeypatc
 def test_reader_rejects_trailing_bytes(tmp_path):
     path, _ = _store(tmp_path, [3])
     path.write_bytes(path.read_bytes() + b"\0" * INDEX_DTYPE.itemsize)
-    with pytest.raises(DataError, match="gives 1 vessels, but 32 bytes follow it"):
+    with pytest.raises(DataError, match=r"and 1 vessels, but \d+ bytes follow it"):
+        list(TrackReader(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"entries": [(367000000, 2)], "rows": 2}, "its stream holds more rows than its header"),
+    ({"edit_stream": lambda stream: stream + b"\0\0"}, "bytes follow the end of its stream"),
+], ids=["a-row-beyond-the-header", "bytes-after-the-stream-end"])
+def test_reader_checks_that_the_stream_ends_after_its_rows(tmp_path, edit, message):
+    path, _ = _store(tmp_path, [3])
+    rewrite_track_store(path, **edit)
+    with pytest.raises(DataError, match=message):
         list(TrackReader(path))
