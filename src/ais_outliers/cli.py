@@ -348,12 +348,16 @@ def cmd_report(config: RunConfig) -> int:
         entry = stages[name]
         try:
             outputs = ", ".join(Path(p).name for p in entry["outputs"])
-            print(f"  {name}: {entry['wall_seconds']}s -> {outputs}")
+            line = f"  {name}: {entry['wall_seconds']}s -> {outputs}"
         except (KeyError, TypeError):
             raise DataError(f"{manifest.path}: stage {name!r} needs 'wall_seconds' "
                             f"and an 'outputs' object of files") from None
         extra = entry.get("extra")
-        if isinstance(extra, dict) and extra.get("store_bytes_per_row") is not None:
+        extra = extra if isinstance(extra, dict) else {}
+        if extra.get("peak_rss_mb") is not None:
+            line += f" (peak RSS {extra['peak_rss_mb']} MB)"
+        print(line)
+        if extra.get("store_bytes_per_row") is not None:
             print(f"    track store: {extra['store_bytes_per_row']} bytes per row")
     for report_file in ("ingest_report.txt", "preprocess_report.txt"):
         path = run_dir / report_file

@@ -60,9 +60,25 @@ def score_set(model, sset: SequenceSet,
     Sentinel (-1) truth cells count by default, mirroring the training
     loss; `mask_sentinel` restricts the RMSE to observed cells. The
     per-feature RMSE is a diagnostic and always counts every cell.
+
+    The set is reconstructed and scored in the model's `row_chunks`, each
+    chunk's columns filled before the next is reconstructed, so the pass
+    never holds the whole set's prediction.
     """
     truth = sset.tensor
-    diff2 = (model.reconstruct(truth) - truth) ** 2
+    rmse = np.empty(len(truth))
+    feature_rmse = np.empty((len(truth), truth.shape[-1]))
+    for rows in model.row_chunks(len(truth)):
+        rmse[rows], feature_rmse[rows] = _chunk_scores(
+            model.reconstruct(truth[rows]), truth[rows], mask_sentinel)
+    return rmse, feature_rmse
+
+
+def _chunk_scores(pred: np.ndarray, truth: np.ndarray,
+                  mask_sentinel: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`score_set`'s columns for one chunk of rows. Its temporaries die
+    with the call, before the next chunk is reconstructed."""
+    diff2 = (pred - truth) ** 2
     feature_rmse = np.sqrt(diff2.mean(axis=1))
     if not mask_sentinel:
         return np.sqrt(diff2.mean(axis=(1, 2))), feature_rmse

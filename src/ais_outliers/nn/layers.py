@@ -16,11 +16,16 @@ gradient GEMMs.
 The scan's buffers are step-major, (T, K, B, H), and in *scan order*:
 step i of direction 1 is time T-1-i. Its inputs go in time-reversed and
 its outputs come back time-aligned. Gate activations are gate-major,
-(T, G, K, B, H), so every per-step operand is one contiguous block. The
-cache keeps scan order; the weight- and input-gradient GEMMs take each
-direction's rows in time order, as (K, T·B, .) copies with the gates side
-by side, so every sum over the T·B rows runs in the same order as a scan
-of that direction alone would.
+(T, G, K, B, H), so every per-step operand is one contiguous block. A scan
+without a cache keeps one step of them and a ring of two (K, B, H) states,
+and each step copies its new states into the time-aligned (B, T, K, H)
+output: direction 0 at time i, direction 1 at time T-1-i. An eval scan
+thus holds its output, one time chunk of the input projection and a few
+(K, B, H) rows; only the output grows with T. The cache keeps scan order;
+the weight- and input-gradient GEMMs take each direction's rows in time
+order, as (K, T·B, .) copies with the gates side by side, so every sum
+over the T·B rows runs in the same order as a scan of that direction
+alone would.
 
 The scan follows Appleyard, Kočiský and Blunsom (arXiv:1604.01946): the
 input projection is one GEMM over many timesteps before the steps that use
@@ -139,9 +144,12 @@ def _scan(seq: np.ndarray, cell: CellParams, input_mask: np.ndarray | None,
     rows = timesteps if want_cache else 1  # steps kept: all for the cache, else one
     chunk = max(1, _CHUNK_BYTES // (k * batch * gates * h * 8))
     xm = _scan_inputs(x, directions, input_mask, 0, timesteps) if want_cache else None
-    hs = np.zeros((timesteps + 1, k, batch, h))
+    # All T+1 states for the cache; else a ring of two, step i reading row
+    # i % 2 and writing the other.
+    hs = np.zeros((rows + 1, k, batch, h))
     acts = np.empty((rows, gates, k, batch, h))
     hm = hs[:-1] if recurrent_mask is None else np.empty((rows, k, batch, h))
+    h_seq = np.empty((batch, timesteps, k, h))
 
     for i in range(timesteps):
         if i % chunk == 0:
@@ -152,15 +160,18 @@ def _scan(seq: np.ndarray, cell: CellParams, input_mask: np.ndarray | None,
             # (K, n·B, G·H) → gate-major steps (n, G, K, B, H)
             xw = np.ascontiguousarray(xw.reshape(k, -1, batch, gates, h).transpose(1, 3, 0, 2, 4))
         row = i % rows
-        hm_i = (hs[i] if recurrent_mask is None
-                else np.multiply(hs[i], recurrent_mask, out=hm[row]))
-        step(xw[i % chunk], hs[i], hm_i, cell, acts[row], hs[i + 1])
+        h_prev, h_next = hs[i % len(hs)], hs[(i + 1) % len(hs)]
+        hm_i = (h_prev if recurrent_mask is None
+                else np.multiply(h_prev, recurrent_mask, out=hm[row]))
+        step(xw[i % chunk], h_prev, hm_i, cell, acts[row], h_next)
+        if not want_cache:  # the ring reuses this row two steps on
+            for j, d in enumerate(directions):
+                h_seq[:, timesteps - 1 - i if d else i, j] = h_next[j]
 
-    h_seq = np.empty((batch, timesteps, k, h))
-    for j, d in enumerate(directions):
-        h_seq[:, :, j] = _in_time_order(hs[1:, j], d).transpose(1, 0, 2)
     cache = None
     if want_cache:
+        for j, d in enumerate(directions):
+            h_seq[:, :, j] = _in_time_order(hs[1:, j], d).transpose(1, 0, 2)
         cache = {"xm": xm, "hs": hs, "hm": hm, "acts": acts, "input_mask": input_mask,
                  "recurrent_mask": recurrent_mask, "directions": directions}
     return h_seq.reshape(batch, timesteps, k * h), cache

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
+
 import numpy as np
 
 from ..config import CELL_KINDS, ModelConfig  # noqa: F401 (CELL_KINDS: still importable here)
@@ -18,6 +20,9 @@ from .dropout import DropoutMasks, sample_masks
 from .layers import dense_backward, dense_per_timestep, unroll, unroll_backward
 
 CELLS = {"simple_rnn": SimpleRnnCellParams, "gru": GruCellParams}
+# One eval chunk's (B, T, K·H) state sequence: 256 rows at H 16 and 128 at
+# H 32 for a bidirectional layer, the fastest chunks measured at either.
+_EVAL_CHUNK_BYTES = 3 << 20
 
 
 @dataclass
@@ -224,12 +229,30 @@ class RecurrentAutoencoder:
                 masks: DropoutMasks | None = None) -> np.ndarray:
         return forward(self.params, self.config, batch, mode, rng, masks)
 
+    def row_chunks(self, n: int) -> Iterator[slice]:
+        """Consecutive slices covering n rows, `_EVAL_CHUNK_BYTES` of states
+        each. A one-row tail joins the chunk before it: BLAS runs a one-row
+        batch as matrix-vector products, which round differently, while
+        every larger chunk reconstructs each row bit for bit as one batch
+        of the whole set would."""
+        cfg = self.config
+        size = max(2, _EVAL_CHUNK_BYTES // (cfg.timesteps * cfg.directions * cfg.hidden * 8))
+        starts = list(range(0, n, size))
+        if n > 1 and n - starts[-1] == 1:
+            starts.pop()
+        yield from map(slice, starts, [*starts[1:], n])
+
     def reconstruct(self, batch: np.ndarray) -> np.ndarray:
-        """Deterministic eval-mode reconstruction, row-aligned with input."""
+        """Deterministic eval-mode reconstruction, row-aligned with input.
+
+        The rows run in `row_chunks` into one output array, so the pass
+        holds the input, the output and one chunk's states, however many
+        rows there are; the result is bitwise that of one batch."""
         batch = np.asarray(batch, dtype=np.float64)
-        if batch.shape[0] == 0:
-            return np.zeros_like(batch)
-        return forward(self.params, self.config, batch, mode="eval")
+        out = np.empty_like(batch)
+        for rows in self.row_chunks(len(batch)):
+            out[rows] = forward(self.params, self.config, batch[rows], mode="eval")
+        return out
 
     def loss_and_gradients(self, batch: np.ndarray, masks: DropoutMasks | None,
                            mask_sentinel: bool = False) -> tuple[float, ModelParams]:

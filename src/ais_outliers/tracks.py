@@ -55,7 +55,10 @@ INDEX_DTYPE = np.dtype([("mmsi", "<i8"), ("rows", "<i8")])
 _INT32 = np.iinfo(np.int32)
 # The values ingest keeps, as closed ranges (its COG of 360 is stored as 0),
 # with their spelling in a message. A NaN or an infinity is outside each.
-_RANGES = {"lat": (-90.0, 90.0, "[-90, 90]"), "lon": (-180.0, 180.0, "[-180, 180]"),
+# Times are the seconds of the stamps ingest parses, years 0001-9999.
+_RANGES = {"t": (-62135596800, 253402300799,
+                 "[-62135596800, 253402300799] seconds (years 0001-9999)"),
+           "lat": (-90.0, 90.0, "[-90, 90]"), "lon": (-180.0, 180.0, "[-180, 180]"),
            "sog": (0.0, float(np.finfo(np.float64).max), "[0, inf)"),
            "cog": (0.0, float(np.nextafter(360.0, 0.0)), "[0, 360)")}
 
@@ -217,9 +220,9 @@ class TrackReader:
     MMSIs not strictly ascending, a vessel count below 1 or counts not
     adding up to the rows (raised before any track); a stream that does not
     inflate to exactly the header's rows, times not strictly ascending
-    within a vessel and values outside ingest's ranges (raised when the
-    reader reaches them). `rows`, `vessels` and `chunks` count what has
-    been read.
+    within a vessel and times or values outside ingest's ranges (raised
+    when the reader reaches them). `rows`, `vessels` and `chunks` count
+    what has been read.
     """
 
     def __init__(self, path):
@@ -305,7 +308,7 @@ class TrackReader:
             values = table[name]
             outside = ~((values >= low) & (values <= high))
             if outside.any():
-                value = float(values[outside.argmax()])
+                value = values[outside.argmax()].item()
                 raise self._damaged(f"a {name.upper()} of {value!r} lies outside ingest's {text}")
 
     def _damaged(self, what: str) -> DataError:

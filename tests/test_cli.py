@@ -259,6 +259,10 @@ def test_full_pipeline(tmp_path, corpus_dir, capsys):
                       "audit"]
     bytes_per_row = manifest["stages"]["ingest"]["extra"]["store_bytes_per_row"]
     assert f"    track store: {bytes_per_row} bytes per row\n" in out
+    # Each stage line ends with the stage's recorded peak RSS.
+    for name, entry in manifest["stages"].items():
+        assert [line for line in out.splitlines() if line.startswith(f"  {name}: ")
+                and line.endswith(f" (peak RSS {entry['extra']['peak_rss_mb']} MB)")], name
 
 
 class _ClosedPipe:
@@ -710,7 +714,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
 
 @pytest.mark.parametrize("field, value", [
     ("lat", 250.0), ("lat", math.nan), ("lon", -180.5), ("sog", -0.1), ("sog", math.inf),
-    ("cog", 360.0)])
+    ("cog", 360.0), ("t", 2**62), ("t", -2**62)])
 def test_store_value_outside_ingest_ranges_is_one_line_data_error(tmp_path, capsys, field,
                                                                  value):
     # A float-layout store of 288 rows, one value of which ingest refuses

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ais_outliers.detect import (
+    SENTINEL,
     OutlierReport,
     fit_distribution,
     flag_outliers,
@@ -21,6 +22,7 @@ from ais_outliers.preprocess import IDS_DTYPE, N_SLOTS
 from ais_outliers.sequence import SequenceSet
 
 from oracles import reference_score_csvs, rmse_loop
+from test_model import EVAL_PEAK_SLACK, chunk_rows, traced_peak
 
 DAY = date(2019, 3, 6)
 
@@ -34,6 +36,9 @@ class FixedModel:
 
     def __init__(self, prediction):
         self.prediction = np.asarray(prediction, dtype=np.float64)
+
+    def row_chunks(self, n):
+        yield slice(0, n)
 
     def reconstruct(self, batch):
         return np.broadcast_to(self.prediction, batch.shape)
@@ -119,6 +124,57 @@ def test_scores_compose_reconstruct_and_rmse(rng):
     pred = model.reconstruct(sset.tensor)
     for i in range(5):
         assert rmse[i] == pytest.approx(rmse_of(pred[i], sset.tensor[i]), abs=0)
+
+
+def chunked_model():
+    """The acceptance model, whose eval chunks are 256 rows."""
+    cfg = ModelConfig(cell_kind="gru", bidirectional=True, hidden=16, timesteps=N_SLOTS,
+                      features=4)
+    model = RecurrentAutoencoder.initialize(cfg, 1)
+    return model, chunk_rows(model)
+
+
+def sentinel_set(rng, n):
+    sset = small_set(rng, n)
+    sset.tensor[sset.tensor < 0.2] = SENTINEL
+    return sset
+
+
+@pytest.mark.parametrize("mask_sentinel", [False, True])
+def test_chunked_scores_are_bitwise_one_batch(rng, mask_sentinel):
+    # Two chunks, the second with the one-row tail; the reference is the
+    # whole set reconstructed as one batch and scored at once.
+    model, chunk = chunked_model()
+    for n in (chunk, 2 * chunk + 1):
+        sset = sentinel_set(rng, n)
+        truth = sset.tensor
+        diff2 = (model.forward(truth) - truth) ** 2
+        keep = truth != SENTINEL
+        expected = (np.sqrt(np.where(keep, diff2, 0.0).sum(axis=(1, 2)) / keep.sum(axis=(1, 2)))
+                    if mask_sentinel else np.sqrt(diff2.mean(axis=(1, 2))))
+        rmse, feature_rmse = score_set(model, sset, mask_sentinel)
+        np.testing.assert_array_equal(rmse, expected)
+        np.testing.assert_array_equal(feature_rmse, np.sqrt(diff2.mean(axis=1)))
+
+
+def test_masked_scores_refuse_a_row_without_observed_cells_in_a_later_chunk(rng):
+    model, chunk = chunked_model()
+    sset = sentinel_set(rng, 2 * chunk + 1)
+    sset.tensor[-1] = SENTINEL
+    assert score_set(model, sset)[0].shape == (2 * chunk + 1,)  # unmasked, it counts
+    with pytest.raises(DataError, match="no observed cells"):
+        score_set(model, sset, mask_sentinel=True)
+
+
+@pytest.mark.parametrize("mask_sentinel", [False, True])
+def test_score_peak_grows_by_its_columns_alone(rng, mask_sentinel):
+    # The prediction is never whole: 4N rows peak above N rows by the 3N
+    # extra rows of the RMSE and per-feature RMSE columns.
+    model, n = chunked_model()
+    sets = [sentinel_set(rng, rows) for rows in (n, 4 * n)]
+    small, large = (traced_peak(lambda: score_set(model, sset, mask_sentinel))
+                    for sset in sets)
+    assert large - small <= 3 * n * (1 + 4) * 8 + EVAL_PEAK_SLACK, (small, large)
 
 
 # -- fit_distribution -----------------------------------------------------------
