@@ -215,7 +215,9 @@ def cmd_train(config: RunConfig):
 
 
 def _latest_checkpoint(run_dir: Path) -> Path:
-    checkpoints = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"))
+    # Epoch numbers are zero-padded to three digits and grow past them.
+    checkpoints = sorted((run_dir / "checkpoints").glob("epoch_*.ckpt"),
+                         key=lambda path: (len(path.name), path.name))
     if not checkpoints:
         raise DataError(f"no checkpoints under {run_dir / 'checkpoints'} "
                         "(run `train` first)")

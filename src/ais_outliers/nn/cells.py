@@ -75,24 +75,21 @@ class SimpleRnnCellParams(CellParams):
     gates = 1
 
 
-def _gate_view(tensor: str, gate: int) -> property:
-    def view(self):
-        h = self.hidden_size
-        return getattr(self, tensor)[..., gate * h:(gate + 1) * h]
-    return property(view, doc=f"Column block {gate} of `{tensor}` (a view).")
-
-
 class GruCellParams(CellParams):
     """Gates: update z, reset r, candidate h~, fused in that column order.
 
-    The per-gate tensors (`w_xz`, `w_hz`, `b_z`, ... `b_h`) are views into
-    the fused ones.
+    With W_xz the z block of w_x, and so on:
+
+    z = sigmoid(x W_xz + h W_hz + b_z)
+    r = sigmoid(x W_xr + h W_hr + b_r)
+    h~ = tanh(x W_xh + (r * h) W_hh + b_h)
+    h_t = (1 - z) * h + z * h~
+
+    The other common form, h_t = z * h + (1 - z) * h~, is this cell with the
+    update gate's weights and bias negated: sigmoid(-a) = 1 - sigmoid(a).
     """
 
     gates = 3
-    w_xz, w_hz, b_z = (_gate_view(t, 0) for t in ("w_x", "w_h", "b"))
-    w_xr, w_hr, b_r = (_gate_view(t, 1) for t in ("w_x", "w_h", "b"))
-    w_xh, w_hh, b_h = (_gate_view(t, 2) for t in ("w_x", "w_h", "b"))
 
 
 def _gate_major(a: np.ndarray, gates: int, h: int) -> np.ndarray:
@@ -132,37 +129,3 @@ def step(xw: np.ndarray, h_prev: np.ndarray, hm: np.ndarray, cell: CellParams,
     rest = 1.0 - z
     rest *= h_prev
     h_out += rest
-
-
-def _single_step(x, h_prev, p: CellParams) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x.shape[-1] != p.input_size:
-        raise ShapeError(f"input has {x.shape[-1]} features, cell expects {p.input_size}")
-    if h_prev.shape[-1] != p.hidden_size:
-        raise ShapeError(f"state has {h_prev.shape[-1]} units, cell expects {p.hidden_size}")
-    if x.shape[:-1] != h_prev.shape[:-1]:
-        raise ShapeError(f"batch mismatch between input {x.shape} and state {h_prev.shape}")
-    xw = _gate_major(x @ p.w_x + p.b, p.gates, p.hidden_size)
-    h = np.empty_like(h_prev)
-    step(xw, h_prev, h_prev, p, np.empty((p.gates, *h_prev.shape)), h)
-    return h
-
-
-def simple_rnn_step(x: np.ndarray, h_prev: np.ndarray, p: SimpleRnnCellParams) -> np.ndarray:
-    """One SimpleRNN step: tanh(x @ w_x + h_prev @ w_h + b)."""
-    return _single_step(x, h_prev, p)
-
-
-def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruCellParams) -> np.ndarray:
-    """One GRU step.
-
-    z = sigmoid(x W_xz + h W_hz + b_z)
-    r = sigmoid(x W_xr + h W_hr + b_r)
-    h~ = tanh(x W_xh + (r * h) W_hh + b_h)
-    h_t = (1 - z) * h + z * h~
-
-    The other common form, h_t = z * h + (1 - z) * h~, is this cell with the
-    update gate's weights and bias negated: sigmoid(-a) = 1 - sigmoid(a).
-    """
-    return _single_step(x, h_prev, p)

@@ -3,13 +3,7 @@
 Layout: magic, format version, config JSON, then every parameter tensor in
 declaration order as little-endian float64.
 
-Version 2 stores each cell's fused tensors (w_x, w_h, b). Version 1 stored
-the GRU gates separately and the config carried a `dtype` key; it is still
-read, by concatenating the per-gate tensors and dropping that key.
-
-A `gru_convention` config key of either version is dropped. Its value
-"z_gates_state" (h = z * h_prev + (1 - z) * h~) loads as the same model with
-the update gate's weights and bias negated, since sigmoid(-a) = 1 - sigmoid(a).
+Version 2, the only one read, stores each cell's fused tensors (w_x, w_h, b).
 """
 
 from __future__ import annotations
@@ -26,10 +20,6 @@ from .model import ModelConfig, ModelParams, RecurrentAutoencoder
 
 MAGIC = b"AISRAE\x00\x01"
 FORMAT_VERSION = 2
-# Fused tensor -> the version-1 GRU tensors it concatenates, in gate order.
-_V1_GRU_PARTS = {"w_x": ("w_xz", "w_xr", "w_xh"),
-                 "w_h": ("w_hz", "w_hr", "w_hh"),
-                 "b": ("b_z", "b_r", "b_h")}
 
 
 def save_checkpoint(path, model: RecurrentAutoencoder) -> None:
@@ -62,7 +52,8 @@ def load_checkpoint(path) -> RecurrentAutoencoder:
     try:
         return _decode(data)
     except (struct.error, ValueError, TypeError, KeyError, ConfigError) as exc:
-        raise DataError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
+        raise DataError(f"checkpoint {path} is truncated or corrupt: {exc} "
+                        "(run `train` again)") from None
 
 
 def _decode(data: bytes) -> RecurrentAutoencoder:
@@ -76,17 +67,12 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
         return values
 
     (version,) = take("<I")
-    if version not in (1, FORMAT_VERSION):
-        raise DataError(f"unsupported checkpoint version {version}")
+    if version != FORMAT_VERSION:
+        raise DataError(f"checkpoint format {version} is not read; "
+                        f"only format {FORMAT_VERSION} is (run `train` again)")
     (config_len,) = take("<I")
-    config_dict = json.loads(data[offset:offset + config_len])
+    config = ModelConfig.from_dict(json.loads(data[offset:offset + config_len]))
     offset += config_len
-    if version == 1:
-        config_dict.pop("dtype", None)
-    convention = config_dict.pop("gru_convention", "z_gates_candidate")
-    if convention not in ("z_gates_candidate", "z_gates_state"):
-        raise ConfigError(f"unknown gru_convention {convention!r}")
-    config = ModelConfig.from_dict(config_dict)
 
     loaded: dict[str, np.ndarray] = {}
     (n_tensors,) = take("<I")
@@ -100,8 +86,6 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         loaded[name] = arr.reshape(shape)
-    if version == 1:
-        loaded = _fuse_v1_gates(loaded)
 
     # Layout from config, then fill every tensor by stored name.
     params = ModelParams.zeros(config)
@@ -115,18 +99,4 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
             raise DataError(
                 f"tensor {name} has shape {loaded[name].shape}, expected {arr.shape}")
         arr[...] = loaded[name]
-    if convention == "z_gates_state" and config.cell_kind == "gru":
-        for cell in params.layers:
-            for view in (cell.w_xz, cell.w_hz, cell.b_z):
-                np.negative(view, out=view)
     return RecurrentAutoencoder(config, params)
-
-
-def _fuse_v1_gates(loaded: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Concatenate version-1 per-gate GRU tensors into the fused ones."""
-    for fused, parts in _V1_GRU_PARTS.items():
-        for name in [n for n in loaded if n.endswith("." + parts[0])]:
-            prefix = name[: -len(parts[0])]
-            loaded[prefix + fused] = np.concatenate(
-                [loaded.pop(prefix + part) for part in parts], axis=-1)
-    return loaded

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..config import CELL_KINDS, ModelConfig  # noqa: F401 (CELL_KINDS: still importable here)
+from ..config import ModelConfig
 from ..errors import ConfigError, NumericError, ShapeError
 from .cells import CellParams, GruCellParams, SimpleRnnCellParams
 from .dropout import DropoutMasks, sample_masks

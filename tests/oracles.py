@@ -2,6 +2,8 @@
 
 Everything here is written with explicit Python loops over units and
 timesteps, deliberately avoiding the vectorized code paths under test.
+The cell parameter builders and `step_once` are the exceptions: they set
+up and drive the code under test.
 """
 
 import csv
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ais_outliers.nn.cells import GruCellParams, SimpleRnnCellParams, step
 from ais_outliers.preprocess import FEATURES, SENTINEL, NormalizationStats
 
 
@@ -22,6 +25,51 @@ def sigmoid_scalar(x):
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def _random_fused(rng, d, h, gates, scale):
+    # Per-gate draws in z, r, h~ order, concatenated into the fused layout.
+    w_x, w_h, b = [], [], []
+    for _ in range(gates):
+        w_x.append(rng.uniform(-scale, scale, (d, h)))
+        w_h.append(rng.uniform(-scale, scale, (h, h)))
+        b.append(rng.uniform(-scale, scale, h))
+    return np.concatenate(w_x, axis=1), np.concatenate(w_h, axis=1), np.concatenate(b)
+
+
+def random_rnn_params(rng, d, h, scale=0.5):
+    return SimpleRnnCellParams(*_random_fused(rng, d, h, 1, scale))
+
+
+def random_gru_params(rng, d, h, scale=0.5):
+    return GruCellParams(*_random_fused(rng, d, h, 3, scale))
+
+
+def zero_rnn_params(d, h):
+    return SimpleRnnCellParams(np.zeros((d, h)), np.zeros((h, h)), np.zeros(h))
+
+
+def zero_gru_params(d, h):
+    return GruCellParams(np.zeros((d, 3 * h)), np.zeros((h, 3 * h)), np.zeros(3 * h))
+
+
+def gate_tensors(cell, gate):
+    """Column block `gate` of an unstacked cell's w_x, w_h and b (views);
+    for GRU, blocks 0, 1 and 2 are the update, reset and candidate gates."""
+    h = cell.hidden_size
+    return tuple(arr[..., gate * h:(gate + 1) * h] for _, arr in cell.tensors())
+
+
+def step_once(x, h_prev, cell):
+    """One `cells.step` of an unstacked cell from (.., D) inputs and (.., H)
+    states, without dropout: the new (.., H) state."""
+    x = np.asarray(x, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    gates, h = cell.gates, cell.hidden_size
+    xw = np.moveaxis((x @ cell.w_x + cell.b).reshape(*x.shape[:-1], gates, h), -2, 0)
+    out = np.empty_like(h_prev)
+    step(xw, h_prev, h_prev, cell, np.empty((gates, *h_prev.shape)), out)
+    return out
 
 
 def rnn_step_loop(x, h_prev, w_x, w_h, b):
@@ -39,7 +87,7 @@ def rnn_step_loop(x, h_prev, w_x, w_h, b):
     return out
 
 
-def gru_step_loop(x, h_prev, p, convention="z_gates_candidate"):
+def gru_step_loop(x, h_prev, p):
     """GRU step, one unit at a time, from the cell's parameter dataclass."""
     d = len(x)
     hidden = len(h_prev)
@@ -55,16 +103,13 @@ def gru_step_loop(x, h_prev, p, convention="z_gates_candidate"):
             out[j] = squash(acc)
         return out
 
-    z = gate(p.w_xz, p.w_hz, p.b_z, h_prev, sigmoid_scalar)
-    r = gate(p.w_xr, p.w_hr, p.b_r, h_prev, sigmoid_scalar)
+    z = gate(*gate_tensors(p, 0), h_prev, sigmoid_scalar)
+    r = gate(*gate_tensors(p, 1), h_prev, sigmoid_scalar)
     reset_state = np.array([r[i] * h_prev[i] for i in range(hidden)])
-    h_cand = gate(p.w_xh, p.w_hh, p.b_h, reset_state, math.tanh)
+    h_cand = gate(*gate_tensors(p, 2), reset_state, math.tanh)
     out = np.zeros(hidden)
     for j in range(hidden):
-        if convention == "z_gates_candidate":
-            out[j] = (1.0 - z[j]) * h_prev[j] + z[j] * h_cand[j]
-        else:
-            out[j] = z[j] * h_prev[j] + (1.0 - z[j]) * h_cand[j]
+        out[j] = (1.0 - z[j]) * h_prev[j] + z[j] * h_cand[j]
     return out
 
 
@@ -167,7 +212,7 @@ def reference_init_params(config, rng):
     return out
 
 
-def _reference_step(xw, h_prev, hm, cell, convention):
+def _reference_step(xw, h_prev, hm, cell):
     """One step of a single-direction scan on (B, .) arrays: (h, acts)."""
     h = cell.hidden_size
     s = (cell.gates - 1) * h
@@ -179,13 +224,11 @@ def _reference_step(xw, h_prev, hm, cell, convention):
     if not s:
         return acts, acts
     z, cand = acts[..., :h], acts[..., s:]
-    if convention == "z_gates_candidate":
-        return (1.0 - z) * h_prev + z * cand, acts
-    return z * h_prev + (1.0 - z) * cand, acts
+    return (1.0 - z) * h_prev + z * cand, acts
 
 
 def reference_unroll(seq, cell, direction="forward", input_mask=None,
-                     recurrent_mask=None, gru_convention="z_gates_candidate"):
+                     recurrent_mask=None):
     """One direction of a recurrent layer over a (B, T, D) sequence, scanned
     on its own with unstacked (D, G·H) / (H, G·H) / (G·H,) cell tensors and
     (B, D) / (B, H) masks. Returns the time-aligned (B, T, H) states and the
@@ -203,11 +246,11 @@ def reference_unroll(seq, cell, direction="forward", input_mask=None,
     h_seq = np.empty((timesteps, batch, cell.hidden_size))
     cache = {"xm": xm, "h_prev": np.empty_like(h_seq), "hm": np.empty_like(h_seq),
              "acts": np.empty_like(xw), "order": order, "input_mask": input_mask,
-             "recurrent_mask": recurrent_mask, "gru_convention": gru_convention}
+             "recurrent_mask": recurrent_mask}
     for t in order:
         hm = h if recurrent_mask is None else h * recurrent_mask
         h_prev = h
-        h, acts = _reference_step(xw[t], h_prev, hm, cell, gru_convention)
+        h, acts = _reference_step(xw[t], h_prev, hm, cell)
         h_seq[t] = h
         cache["h_prev"][t], cache["hm"][t], cache["acts"][t] = h_prev, hm, acts
     return h_seq.transpose(1, 0, 2), cache
@@ -229,10 +272,7 @@ def reference_unroll_backward(d_hseq, cell, cache):
         cand = acts[t, :, s:]
         if s:
             z, r = acts[t, :, :h], acts[t, :, h:s]
-            if cache["gru_convention"] == "z_gates_candidate":
-                dz, d_cand, d_direct = dh * (cand - h_prev[t]), dh * z, dh * (1.0 - z)
-            else:
-                dz, d_cand, d_direct = dh * (h_prev[t] - cand), dh * (1.0 - z), dh * z
+            dz, d_cand, d_direct = dh * (cand - h_prev[t]), dh * z, dh * (1.0 - z)
         else:
             d_cand, d_direct = dh, 0.0
         d_pre[t, :, s:] = d_cand * (1.0 - cand ** 2)
@@ -269,14 +309,14 @@ def direction_cells(layer):
             for k in range(len(layer.w_x))]
 
 
-def reference_layer(seq, layer, input_masks, recurrent_masks, convention):
+def reference_layer(seq, layer, input_masks, recurrent_masks):
     """A model layer with each direction scanned on its own: the (B, T, K·H)
     output and the per-direction caches. Masks are per direction or None."""
     outs, caches = [], []
     for k, (direction, _, cell) in enumerate(direction_cells(layer)):
         im = None if input_masks is None else input_masks[k]
         rm = None if recurrent_masks is None else recurrent_masks[k]
-        out, cache = reference_unroll(seq, cell, direction, im, rm, convention)
+        out, cache = reference_unroll(seq, cell, direction, im, rm)
         outs.append(out)
         caches.append(cache)
     return np.concatenate(outs, axis=-1), caches
@@ -294,18 +334,15 @@ def reference_layer_backward(d_out, layer, caches):
     return d_x, grads
 
 
-def reference_loss_and_gradients(params, config, batch, masks,
-                                 convention="z_gates_candidate"):
+def reference_loss_and_gradients(params, config, batch, masks):
     """The model's forward pass and MSE gradients composed from
-    `reference_layer`: (pred, layer outputs, gradients by dotted name).
-    `convention` names the GRU update rule: "z_gates_candidate" is
-    h = (1 - z) * h_prev + z * h~, "z_gates_state" h = z * h_prev + (1 - z) * h~."""
+    `reference_layer`: (pred, layer outputs, gradients by dotted name)."""
     last = config.layers - 1
     seq, outputs, caches = batch, [], []
     for i, layer in enumerate(params.layers):
         out, layer_caches = reference_layer(
             seq, layer, masks.input_masks[i] if masks else None,
-            masks.recurrent_masks[i] if masks else None, convention)
+            masks.recurrent_masks[i] if masks else None)
         outputs.append(out)
         caches.append(layer_caches)
         if i < last and masks is not None and masks.interlayer[i] is not None:

@@ -37,10 +37,12 @@ from oracles import (
     finite_difference_gradients,
     gru_step_loop,
     max_relative_error,
+    random_gru_params,
+    random_rnn_params,
     rnn_step_loop,
+    step_once,
 )
 from synthetic import day_matrices, generate_days, normalize_raw, write_ais_csv
-from test_cells import random_gru_params, random_rnn_params
 
 
 @contextmanager
@@ -123,14 +125,13 @@ def test_gradient_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 2. Forward oracle: cell steps vs independent scalar loops.
+# 2. Forward oracle: `cells.step` vs independent scalar loops.
 # ---------------------------------------------------------------------------
 
 def test_forward_oracle():
     with criterion("forward-oracle"):
         started = time.monotonic()
         rng = np.random.default_rng(31337)
-        from ais_outliers.nn.cells import gru_step, simple_rnn_step
         worst = 0.0
         for _ in range(1000):
             d = int(rng.integers(1, 6))
@@ -139,12 +140,12 @@ def test_forward_oracle():
             h_prev = rng.uniform(-1, 1, h)
 
             p_rnn = random_rnn_params(rng, d, h, scale=1.0)
-            mine = simple_rnn_step(x, h_prev, p_rnn)
+            mine = step_once(x, h_prev, p_rnn)
             gold = rnn_step_loop(x, h_prev, p_rnn.w_x, p_rnn.w_h, p_rnn.b)
             worst = max(worst, float(np.abs(mine - gold).max()))
 
             p_gru = random_gru_params(rng, d, h, scale=1.0)
-            mine = gru_step(x, h_prev, p_gru)
+            mine = step_once(x, h_prev, p_gru)
             gold = gru_step_loop(x, h_prev, p_gru)
             worst = max(worst, float(np.abs(mine - gold).max()))
         elapsed = time.monotonic() - started

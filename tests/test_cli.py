@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from datetime import date
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ais_outliers.cli import SPILL_DIR, main
+from ais_outliers.cli import SPILL_DIR, _latest_checkpoint, main
 from ais_outliers.config import load_config
 from ais_outliers.errors import ConfigError
 from ais_outliers.ingest import TRACK_DTYPE, group_and_sort
@@ -341,6 +342,14 @@ def test_retrain_removes_the_earlier_models_checkpoints(tmp_path, corpus_dir, ca
     assert "checkpoints/epoch_001.ckpt" in stages["score"]["inputs"]
 
 
+def test_default_checkpoint_is_the_highest_epoch_past_999(tmp_path):
+    checkpoints = tmp_path / "checkpoints"
+    checkpoints.mkdir()
+    for name in ("epoch_999.ckpt", "epoch_1000.ckpt", "epoch_x.ckpt"):
+        (checkpoints / name).touch()
+    assert _latest_checkpoint(tmp_path).name == "epoch_1000.ckpt"
+
+
 def test_manifest_paths_resolve_against_the_run_directory(tmp_path, corpus_dir,
                                                           monkeypatch):
     # Stages run from one directory with a relative run directory and input
@@ -568,6 +577,11 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("report", "null_stage_outputs"),
     ("score", "checkpoint_bad_magic"),
     ("score", "checkpoint_bad_header"),
+    ("score", "checkpoint_config_not_object"),
+    ("score", "checkpoint_format_1"),
+    ("score", "checkpoint_format_3"),
+    ("score", "checkpoint_gru_convention_key"),
+    ("score", "checkpoint_dtype_key"),
     ("score", "stats_not_utf8"),
     ("report", "ingest_report_not_utf8"),
     ("report", "outliers_not_utf8"),
@@ -603,6 +617,14 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         data = bytearray(checkpoint.read_bytes())
         data[offset] ^= 0xFF
         checkpoint.write_bytes(bytes(data))
+
+    def rewrite_checkpoint_header(version=2, edit=lambda config: config):
+        data = checkpoint.read_bytes()
+        start = len(MAGIC) + 8  # after the magic, the version and the config length
+        (config_len,) = struct.unpack_from("<I", data, start - 4)
+        blob = json.dumps(edit(json.loads(data[start:start + config_len]))).encode()
+        checkpoint.write_bytes(MAGIC + struct.pack("<II", version, len(blob)) + blob
+                               + data[start + config_len:])
 
     def save_npy(*arrays):  # a store of the `.npy` format of earlier versions
         with open(tracks, "wb") as fh:
@@ -673,6 +695,15 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "checkpoint_bad_magic": lambda: flip_checkpoint_byte(0),
         # Low byte of the config length, after the magic and the version.
         "checkpoint_bad_header": lambda: flip_checkpoint_byte(len(MAGIC) + 4),
+        "checkpoint_config_not_object": lambda: rewrite_checkpoint_header(edit=lambda _: 5),
+        # Format 1 had a `dtype` key; it is refused on its header alone.
+        "checkpoint_format_1": lambda: rewrite_checkpoint_header(
+            1, lambda config: dict(config, dtype="float64")),
+        "checkpoint_format_3": lambda: rewrite_checkpoint_header(3),
+        "checkpoint_gru_convention_key": lambda: rewrite_checkpoint_header(
+            edit=lambda config: dict(config, gru_convention="z_gates_state")),
+        "checkpoint_dtype_key": lambda: rewrite_checkpoint_header(
+            edit=lambda config: dict(config, dtype="float64")),
         "stats_not_utf8": lambda: stats.write_bytes(b"lat_min=\xff\n"),
         "ingest_report_not_utf8": lambda: (run_dir / "ingest_report.txt").write_bytes(
             b"rows_read=\xff\n"),
@@ -699,6 +730,11 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "scores_mmsi_not_nine_digits": ("scores.csv", "line 2"),
              "index_day_not_iso": ("test_index.csv", "line 3"),
              "outliers_day_not_iso": ("outliers.csv", "line 2"),
+             "checkpoint_config_not_object": ("epoch_001.ckpt", "`train`"),
+             "checkpoint_format_1": ("format 1", "`train`"),
+             "checkpoint_format_3": ("format 3", "`train`"),
+             "checkpoint_gru_convention_key": ("gru_convention", "`train`"),
+             "checkpoint_dtype_key": ("dtype", "`train`"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:

@@ -5,8 +5,15 @@ import pytest
 from ais_outliers.errors import ShapeError
 from ais_outliers.nn.layers import dense_per_timestep, unroll
 
-from test_cells import random_gru_params, random_rnn_params, zero_gru_params, zero_rnn_params
-from oracles import gru_step_loop, rnn_step_loop, stack_cells
+from oracles import (
+    gru_step_loop,
+    random_gru_params,
+    random_rnn_params,
+    rnn_step_loop,
+    stack_cells,
+    zero_gru_params,
+    zero_rnn_params,
+)
 
 
 def run(seq, cell, direction="forward"):
