@@ -432,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # stdout's reader left (`| head`) after the stage recorded
-        sys.stdout = open(os.devnull, "w")  # so the final flush at exit cannot fail
         return 0
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -442,8 +441,16 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> int:
     """The `ais-outliers` command and `python -m ais_outliers.cli`: `main`,
     then the objects alive are frozen, so interpreter exit skips the
-    collector's sweep over them; atexit handlers and flushes still run."""
+    collector's sweep over them; atexit handlers and flushes still run.
+    Output still buffered when stdout's reader has gone (`| head`) is sent
+    to /dev/null, so the flush at exit cannot fail."""
     code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     gc.freeze()
     return code
 

@@ -3,8 +3,9 @@
 Parses MarineCadastre-style AIS exports into a table of validated records,
 filters vessels by length, and groups the table into time-sorted per-vessel
 tracks. Malformed rows are tallied per reason, never silently dropped.
-The tracks go to the track store, `tracks.bin`: delta-coded and deflated
-rows, packed as int32 counts when every value is one (see `tracks`).
+The tracks go to the track store, `tracks.bin`: rows coded column by
+column as second differences and deflated, packed as int32 counts when
+every value is one (see `tracks`).
 """
 
 from __future__ import annotations

@@ -86,6 +86,8 @@ def _decode(data: bytes) -> RecurrentAutoencoder:
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         loaded[name] = arr.reshape(shape)
+    if offset != len(data):
+        raise ValueError(f"{len(data) - offset} bytes follow its last tensor")
 
     # Layout from config, then fill every tensor by stored name.
     params = ModelParams.zeros(config)

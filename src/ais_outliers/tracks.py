@@ -9,10 +9,12 @@ index:
   one row: 24 packed, 40 float), the rows, the vessels, the rows per block
   and the bytes of the stream;
 - the stream: the rows in blocks of that many rows (the last one may be
-  shorter), each block column by column. A column is integers, each stored
-  as its wrapping difference from the previous row of the block, the
-  first from 0. Consecutive rows of a vessel differ by little (a time step,
-  small moves), so the differences deflate to a few bytes a row;
+  shorter), each block column by column. A column is integers, stored as
+  their second difference: the wrapping difference of each value from the
+  previous row of the block (the first from 0), taken twice. A vessel at
+  steady speed and heading moves by nearly the same step at every report,
+  so its first differences repeat and its second ones lie near 0; they
+  deflate to a few bytes a row;
 - the index: one INDEX_DTYPE entry per vessel, in ascending MMSI order.
 
 The packed layout (PACKED_DTYPE) holds each value as an int32 count of its
@@ -64,15 +66,18 @@ _RANGES = {"t": (-62135596800, 253402300799,
 
 # Magic (its last byte is the format's version), layout, rows, vessels,
 # rows per block, stream bytes.
-_MAGIC = b"AISTRK\x00\x01"
+_MAGIC = b"AISTRK\x00\x02"
+# The starts of the stores of older formats: `tracks.npy`, and format 1,
+# which stored first differences.
+_OLDER = (b"\x93NUMPY", b"AISTRK\x00\x01")
 _HEADER = struct.Struct("<8s5q")
 # Rows per block of the stream, and per chunk when streaming a store back:
 # the reader's memory is set by one block and one chunk (or the largest
 # vessel's track) plus the index, not by the store.
 _CHUNK_ROWS = 1 << 12
-# Deflate level. Level 6 stores a per-minute feed in 1.75 bytes a row
-# instead of 2.40, and 30-minute lanes in 10.35 instead of 10.50, but the
-# write takes about twice as long.
+# Deflate level. Level 6 stores a per-minute feed in 0.81 bytes a row
+# instead of 1.33, and 30-minute lanes in 8.56 instead of 8.99, but the
+# write takes two to three times as long.
 _LEVEL = 1
 # Deflate gives at most 1032 bytes per byte of its stream.
 _MAX_INFLATE = 1032
@@ -183,27 +188,29 @@ def _rows(records: np.ndarray, packed: bool) -> np.ndarray:
 
 
 def _deflate(block: np.ndarray, deflate) -> bytes:
-    """A block's columns, each as the wrapping differences of its values
-    (the first from 0), through `deflate`."""
-    out = []
-    for name in block.dtype.names:
-        column = block[name]
-        delta = np.empty(len(column), column.dtype)
-        delta[:1] = column[:1]
-        np.subtract(column[1:], column[:-1], out=delta[1:])
-        out.append(deflate.compress(delta))
-    return b"".join(out)
+    """A block's columns, each as the second difference of its values,
+    through `deflate`."""
+    return b"".join(deflate.compress(_difference(_difference(block[name])))
+                    for name in block.dtype.names)
+
+
+def _difference(column: np.ndarray) -> np.ndarray:
+    """The wrapping differences of `column`'s values, the first from 0."""
+    delta = np.empty(len(column), column.dtype)
+    delta[:1] = column[:1]
+    np.subtract(column[1:], column[:-1], out=delta[1:])
+    return delta
 
 
 def _undelta(data: bytes, dtype: np.dtype, rows: int) -> np.ndarray:
     """The block of `rows` integer rows of `dtype` whose column-by-column
-    differences `data` holds. A cumulative sum in the column's own dtype
-    wraps back exactly where the differences wrapped."""
+    second differences `data` holds. Two cumulative sums in the column's
+    own dtype wrap back exactly where the differences wrapped."""
     block = np.empty(rows, dtype)
     offset = 0
     for name in dtype.names:
         delta = np.frombuffer(data, dtype[name], rows, offset)
-        np.cumsum(delta, dtype=delta.dtype, out=block[name])
+        np.cumsum(np.cumsum(delta, dtype=delta.dtype), dtype=delta.dtype, out=block[name])
         offset += delta.nbytes
     return block
 
@@ -283,7 +290,7 @@ class TrackReader:
         bytes of the header at the start of `fh`, after checking them
         against each other and against the file's size."""
         head = fh.read(_HEADER.size)
-        if head.startswith(b"\x93NUMPY"):
+        if head.startswith(_OLDER):
             raise DataError(f"track store {self.path} is in an older format "
                             f"(run `ingest` again)")
         if len(head) < _HEADER.size or head[:len(_MAGIC)] != _MAGIC:

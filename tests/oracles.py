@@ -693,13 +693,13 @@ def read_track_store(path):
     """Decode a track store without `TrackReader`: the header's magic,
     layout, rows, vessels, block rows and stream bytes; one
     `zlib.decompress` of the whole stream, cut into blocks of the header's
-    rows, each column by column undone by `np.cumsum` in the column's own
-    dtype; then the index. Returns the rows (int32 counts for the packed
-    layout, float64 values for the float one) and the index as a list of
-    (mmsi, rows)."""
+    rows, each column by column undone by two `np.cumsum`s in the column's
+    own dtype (the column holds second differences); then the index.
+    Returns the rows (int32 counts for the packed layout, float64 values
+    for the float one) and the index as a list of (mmsi, rows)."""
     data = Path(path).read_bytes()
     magic, layout, rows, vessels, block_rows, stream = STORE_HEADER.unpack_from(data)
-    assert magic == b"AISTRK\x00\x01", magic
+    assert magic == b"AISTRK\x00\x02", magic
     ints, values = _STORE_LAYOUTS[layout]
     raw = zlib.decompress(data[STORE_HEADER.size:STORE_HEADER.size + stream])
     assert len(raw) == rows * layout
@@ -708,7 +708,8 @@ def read_track_store(path):
         n = min(block_rows, rows - start)
         for name, dtype in ints:
             deltas = np.frombuffer(raw, dtype, n, at)
-            table[name][start:start + n] = np.cumsum(deltas, dtype=dtype)
+            steps = np.cumsum(deltas, dtype=dtype)
+            table[name][start:start + n] = np.cumsum(steps, dtype=dtype)
             at += deltas.nbytes
     index = np.frombuffer(data, [("mmsi", "<i8"), ("rows", "<i8")],
                           offset=STORE_HEADER.size + stream)

@@ -179,9 +179,9 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
     assert ingest["rows_read"] >= rows and ingest["merge_batches"] >= 1
-    # The synthetic corpus's values pack, and their deltas deflate to 10.59
-    # bytes a row of 24.
-    assert ingest["store_bytes_per_row"] < 12
+    # The synthetic corpus's values pack, and their second differences
+    # deflate to 9.03 bytes a row of 24.
+    assert ingest["store_bytes_per_row"] < 10
     assert ingest["store_bytes_per_row"] == \
         round((run_dir / "tracks.bin").stat().st_size / rows, 2)
     assert preprocess["rows"] == rows and preprocess["chunks"] >= 1
@@ -543,6 +543,7 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
 
 @pytest.mark.parametrize("command, damage", [
     ("score", "truncated_checkpoint"),
+    ("score", "checkpoint_trailing_bytes"),
     ("export-geojson", "short_index_row"),
     ("score", "damaged_stats"),
     ("export-geojson", "short_scores_row"),
@@ -568,6 +569,7 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("preprocess", "tracks_trailing_bytes"),
     ("preprocess", "tracks_parent_format"),
     ("preprocess", "tracks_packed_npy_format"),
+    ("preprocess", "tracks_format_1"),
     ("export-geojson", "truncated_manifest"),
     ("report", "manifest_not_object"),
     ("score", "reordered_index_row"),
@@ -645,6 +647,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
 
     damages = {
         "truncated_checkpoint": lambda: checkpoint.write_bytes(checkpoint.read_bytes()[:-100]),
+        "checkpoint_trailing_bytes": lambda: checkpoint.write_bytes(
+            checkpoint.read_bytes() + b"junk"),
         "short_index_row": lambda: index.write_text(index.read_text() + "2,367000009\n"),
         "damaged_stats": lambda: stats.write_text("lat_min="),
         "short_scores_row": lambda: scores.write_text(scores.read_text() + "367000001\n"),
@@ -683,6 +687,9 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "tracks_parent_format": lambda: save_npy(track_table),
         "tracks_packed_npy_format": lambda: save_npy(
             pack(track_table), np.array([(367000001, 3)], INDEX_DTYPE)),
+        # Format 1 stored first differences under a header laid out as
+        # format 2's: only the magic tells them apart.
+        "tracks_format_1": lambda: rewrite_store(magic=b"AISTRK\x00\x01"),
         "truncated_manifest": lambda: manifest.write_bytes(manifest.read_bytes()[:100]),
         "manifest_not_object": lambda: manifest.write_text('["stages"]\n'),
         "reordered_index_row": lambda: index.write_text(
@@ -731,14 +738,16 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "index_day_not_iso": ("test_index.csv", "line 3"),
              "outliers_day_not_iso": ("outliers.csv", "line 2"),
              "checkpoint_config_not_object": ("epoch_001.ckpt", "`train`"),
+             "checkpoint_trailing_bytes": ("epoch_001.ckpt", "truncated or corrupt", "`train`"),
              "checkpoint_format_1": ("format 1", "`train`"),
              "checkpoint_format_3": ("format 3", "`train`"),
              "checkpoint_gru_convention_key": ("gru_convention", "`train`"),
              "checkpoint_dtype_key": ("dtype", "`train`"),
+             "tracks_format_1": ("tracks.bin", "older format", "`ingest`"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:
-        named[damage] = ("tracks.bin", "`ingest`")
+        named.setdefault(damage, ("tracks.bin", "`ingest`"))
     damages[damage]()
 
     assert main([command, "--run-dir", str(run_dir)]) == 2

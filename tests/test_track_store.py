@@ -3,11 +3,12 @@
 `ingest_files` spills one sorted run per input file and merges the runs in
 batches of whole vessels, or time slabs of a vessel larger than a batch;
 `save_tracks` stores the rows, packed as int32 counts when every value is
-an exact one and as float64 otherwise, delta-coded and deflated in blocks,
-and a per-vessel index after them; `TrackReader` reads either layout back
-in chunks cut at vessel boundaries, as the parsed values' bits. Both are
-checked against the whole-corpus path (`oracles.reference_ingest`) and
-against a decoder of the tests' own (`oracles.read_track_store`).
+an exact one and as float64 otherwise, coded as second differences and
+deflated in blocks, and a per-vessel index after them; `TrackReader` reads
+either layout back in chunks cut at vessel boundaries, as the parsed
+values' bits. Both are checked against the whole-corpus path
+(`oracles.reference_ingest`) and against a decoder of the tests' own
+(`oracles.read_track_store`).
 """
 
 import subprocess
@@ -150,11 +151,12 @@ def test_benchmark_generator_corpora_ingest_like_reference(tmp_path, kind, param
     report, counts = assert_same_ingest(tmp_path, paths)
     assert report.rows_rejected > 0 and counts["merge_batches"] > 1
     # MarineCadastre's decimals (dense) and finer ones (lanes) both pack,
-    # and the deltas of a per-minute feed deflate to under 3 bytes a row
-    # (2.39 at seed 3), of 30-minute lanes to under 12 (10.64), of 24.
+    # and the second differences of a per-minute feed deflate to under 1.6
+    # bytes a row (1.34 at seed 3), of 30-minute lanes to under 10 (9.13),
+    # of 24.
     assert read_track_store(tmp_path / "tracks.bin")[0].dtype == PACKED_DTYPE
     bytes_per_row = (tmp_path / "tracks.bin").stat().st_size / counts["rows_kept"]
-    assert bytes_per_row < {"dense": 3, "lanes": 12}[kind], bytes_per_row
+    assert bytes_per_row < {"dense": 1.6, "lanes": 10}[kind], bytes_per_row
 
 
 @pytest.mark.parametrize("row, row_bytes", [
@@ -342,6 +344,11 @@ _ROUND_TRIPS = {
     "t-falls-across-vessels": (8, [4, 6, 3], True),
     "float-layout": (8, [5, 7, 13, 2], False),
     "module-block-rows": (0, [3000, 5000, 1, 200], True),
+    "lat-lon-alternate-extremes": (8, [11], True),
+    "float-extreme-bits": (8, [11], False),
+    # One vessel in blocks of 4096 rows: a last block of 1, 2, 3, 4095 or
+    # 4096 rows, or a full one and then one of 1 row.
+    **{f"rows-{n}": (0, [n], True) for n in (1, 2, 3, 4095, 4096, 4097)},
 }
 # The unit each packed count is a multiple of.
 _UNITS = {"lat": 1e-7, "lon": 1e-7, "sog": 1e-3, "cog": 1e-3}
@@ -369,8 +376,14 @@ def test_seeded_store_decodes_bit_for_bit_by_both_decoders(tmp_path, monkeypatch
     # a day earlier than the one before it, so that `t` falls between them.
     step = -86_400 if case == "t-falls-across-vessels" else 7 * 86_400
     counts = [_seeded_counts(rng, n, 1_600_000_000 + step * i) for i, n in enumerate(lengths)]
+    odd = np.arange(lengths[0]) % 2 == 1
     if case == "lon-counts-wrap-int32":  # -180e7 beside +180e7: each difference wraps
-        counts[0]["lon"] = np.where(np.arange(lengths[0]) % 2, 1_800_000_000, -1_800_000_000)
+        counts[0]["lon"] = np.where(odd, 1_800_000_000, -1_800_000_000)
+    if case == "lat-lon-alternate-extremes":
+        # ±90e7 and ±180e7 from row to row: LON's first differences wrap
+        # int32, and LAT's second ones (±360e7) do.
+        counts[0]["lat"] = np.where(odd, 900_000_000, -900_000_000)
+        counts[0]["lon"] = np.where(odd, 1_800_000_000, -1_800_000_000)
     records = [np.zeros(n, STORE_DTYPE) for n in lengths]
     for table, vessel in zip(records, counts):
         table["t"] = vessel["t"]
@@ -379,6 +392,11 @@ def test_seeded_store_decodes_bit_for_bit_by_both_decoders(tmp_path, monkeypatch
             # float64 in range, between one count and the next.
             table[name] = (vessel[name] / round(1 / unit) if packed
                            else (vessel[name] + rng.random(len(table))) * unit)
+    if case == "float-extreme-bits":  # sign bits flip and exponents jump row to row
+        records[0]["lat"] = np.where(odd, 90.0, -90.0)
+        records[0]["lon"] = np.where(odd, 180.0, -180.0)
+        records[0]["sog"] = np.where(odd, 1e308, 0.0)
+        records[0]["cog"] = np.where(odd, np.nextafter(360.0, 0.0), 0.0)
     expected = np.concatenate(counts if packed else records)
     tracks = [VesselTrack(367000001 + i, table) for i, table in enumerate(records)]
     path = tmp_path / "tracks.bin"
