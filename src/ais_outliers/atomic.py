@@ -22,7 +22,11 @@ def atomic_write(path, mode: str = "wb", newline: str | None = None):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, newline=newline) as fh:
+        fh = open(tmp, mode, newline=newline)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -72,12 +72,6 @@ def _build_config(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _run_dir(config: RunConfig) -> Path:
-    path = Path(config.run_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _set_paths(run_dir: Path, name: str) -> list[Path]:
     """The tensor and the id sidecar that `split` writes for one subset."""
     return [run_dir / f"{name}.f64", run_dir / f"{name}_index.csv"]
@@ -121,7 +115,8 @@ def cmd_ingest(config: RunConfig):
     if not paths:
         raise ConfigError(f"input glob matched no files: {config.input_glob!r}")
 
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
     tracks_path = run_dir / TRACKS_FILE
     report, counts = ingest_files(paths, tracks_path, run_dir / SPILL_DIR,
                                   config.schema(), config.min_length)
@@ -137,7 +132,7 @@ def cmd_preprocess(config: RunConfig):
     from .preprocess import build_daily_grids, normalize_corpus, save_corpus
     from .tracks import TrackReader
 
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
     tracks = TrackReader(run_dir / TRACKS_FILE)
     grids, summary = build_daily_grids(
         tracks, config.tolerance_s, config.min_entries, config.max_fill)
@@ -165,7 +160,7 @@ def cmd_split(config: RunConfig):
     from .preprocess import load_corpus
     from .sequence import SequenceSet, SplitSpec, save_set, split as split_set
 
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
     sset = SequenceSet(*load_corpus(run_dir / CORPUS_FILE, run_dir / CORPUS_INDEX))
     spec = SplitSpec(test_fraction=config.test_fraction,
                      val_fraction=config.val_fraction, seed=_seeds(config)["split"])
@@ -188,7 +183,7 @@ def cmd_train(config: RunConfig):
     from .nn.train import train as train_model
     from .sequence import load_set
 
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
     train_paths, val_paths = _set_paths(run_dir, "train"), _set_paths(run_dir, "val")
     train_set = load_set(*train_paths)
     val_set = load_set(*val_paths)
@@ -231,7 +226,7 @@ def cmd_score(config: RunConfig, checkpoint: str | None = None):
     from .preprocess import NormalizationStats
     from .sequence import load_set
 
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
     stats_path = run_dir / STATS_FILE
     NormalizationStats.load(stats_path)  # fail fast on a missing or corrupt file
 
@@ -301,7 +296,7 @@ def cmd_export_geojson(config: RunConfig, mmsi: str | None, day: str | None,
             selection = np.array([parse_id(mmsi, day)], IDS_DTYPE)
         except ValueError as exc:  # its message starts with the field's name
             raise ConfigError(f"--{exc}") from None
-    run_dir = _run_dir(config)
+    run_dir = Path(config.run_dir)
     stats = NormalizationStats.load(run_dir / STATS_FILE)
     test_paths = _set_paths(run_dir, "test")
     test_set = load_set(*test_paths)

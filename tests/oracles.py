@@ -694,12 +694,14 @@ def read_track_store(path):
     layout, rows, vessels, block rows and stream bytes; one
     `zlib.decompress` of the whole stream, cut into blocks of the header's
     rows, each column by column undone by two `np.cumsum`s in the column's
-    own dtype (the column holds second differences); then the index.
-    Returns the rows (int32 counts for the packed layout, float64 values
-    for the float one) and the index as a list of (mmsi, rows)."""
+    own dtype (the column holds second differences; in the packed layout
+    zigzagged, as byte planes: its rows' least significant bytes first);
+    then the index. Returns the rows (int32 counts for the packed layout,
+    float64 values for the float one) and the index as a list of
+    (mmsi, rows)."""
     data = Path(path).read_bytes()
     magic, layout, rows, vessels, block_rows, stream = STORE_HEADER.unpack_from(data)
-    assert magic == b"AISTRK\x00\x02", magic
+    assert magic == b"AISTRK\x00\x03", magic
     ints, values = _STORE_LAYOUTS[layout]
     raw = zlib.decompress(data[STORE_HEADER.size:STORE_HEADER.size + stream])
     assert len(raw) == rows * layout
@@ -707,14 +709,32 @@ def read_track_store(path):
     for start in range(0, rows, block_rows):
         n = min(block_rows, rows - start)
         for name, dtype in ints:
-            deltas = np.frombuffer(raw, dtype, n, at)
+            size = np.dtype(dtype).itemsize
+            if layout == 24:
+                deltas = _unzigzag(_gather_planes(raw, at, n, size)).astype(dtype)
+            else:
+                deltas = np.frombuffer(raw, dtype, n, at)
             steps = np.cumsum(deltas, dtype=dtype)
             table[name][start:start + n] = np.cumsum(steps, dtype=dtype)
-            at += deltas.nbytes
+            at += n * size
     index = np.frombuffer(data, [("mmsi", "<i8"), ("rows", "<i8")],
                           offset=STORE_HEADER.size + stream)
     assert len(index) == vessels
     return table.view(values), index.tolist()
+
+
+def _gather_planes(raw, at, n, size):
+    """The `n` uint64 of `size` bytes each whose byte planes start at
+    `raw[at]`: plane k holds byte k (weight 256**k) of every integer."""
+    planes = np.frombuffer(raw, np.uint8, n * size, at).reshape(size, n).astype(np.uint64)
+    return sum(planes[k] << np.uint64(8 * k) for k in range(size))
+
+
+def _unzigzag(codes):
+    """The signed integers (int64) the zigzag codes name: 0, 1, 2, 3, ...
+    are 0, -1, 1, -2, ..."""
+    half = (codes >> np.uint64(1)).astype(np.int64)
+    return np.where(codes & np.uint64(1), -half - 1, half)
 
 
 def rewrite_track_store(path, edit_stream=lambda stream: stream, entries=None, **fields):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -121,6 +122,28 @@ def test_score_without_stats_refused(tmp_path, capsys):
     assert "stats" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["preprocess", "split", "train", "score",
+                                     "export-geojson"])
+def test_stage_after_ingest_leaves_a_missing_run_dir_missing(tmp_path, capsys, command):
+    run_dir = tmp_path / "no" / "run"
+    assert main([command, "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "not found" in err and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
+
+
+def test_failed_atomic_write_names_the_file_asked_for(tmp_path, corpus_dir, capsys):
+    run_dir = tmp_path / "run"
+    for command in ("ingest", "preprocess", "split", "train", "score"):
+        assert main(run_args(corpus_dir, run_dir, command)) == 0
+    capsys.readouterr()
+    out = tmp_path / "no" / "such" / "x.geojson"
+    assert main(run_args(corpus_dir, run_dir, "export-geojson", "--output", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not (tmp_path / "no").exists()
+
+
 def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
@@ -179,9 +202,9 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
     assert ingest["rows_read"] >= rows and ingest["merge_batches"] >= 1
-    # The synthetic corpus's values pack, and their second differences
-    # deflate to 9.03 bytes a row of 24.
-    assert ingest["store_bytes_per_row"] < 10
+    # The synthetic corpus's values pack, and their second differences,
+    # zigzagged in byte planes, deflate to 6.83 bytes a row of 24.
+    assert ingest["store_bytes_per_row"] < 7.5
     assert ingest["store_bytes_per_row"] == \
         round((run_dir / "tracks.bin").stat().st_size / rows, 2)
     assert preprocess["rows"] == rows and preprocess["chunks"] >= 1
@@ -521,9 +544,11 @@ else:  # what the generated console script does with "module:function"
 
 
 def _console_script() -> str:
-    import tomllib
+    """pyproject.toml's `[project.scripts]` entry for `ais-outliers`, read
+    as text: `tomllib` is Python 3.11's, and the floor is 3.10."""
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    return tomllib.loads(pyproject.read_text())["project"]["scripts"]["ais-outliers"]
+    table = pyproject.read_text().split("\n[project.scripts]\n")[1].split("\n[")[0]
+    return re.search(r'^ais-outliers\s*=\s*"([^"]+)"$', table, re.M).group(1)
 
 
 @pytest.mark.parametrize("launch", ["-m", "console-script"])
@@ -570,6 +595,7 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("preprocess", "tracks_parent_format"),
     ("preprocess", "tracks_packed_npy_format"),
     ("preprocess", "tracks_format_1"),
+    ("preprocess", "tracks_format_2"),
     ("export-geojson", "truncated_manifest"),
     ("report", "manifest_not_object"),
     ("score", "reordered_index_row"),
@@ -687,9 +713,11 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         "tracks_parent_format": lambda: save_npy(track_table),
         "tracks_packed_npy_format": lambda: save_npy(
             pack(track_table), np.array([(367000001, 3)], INDEX_DTYPE)),
-        # Format 1 stored first differences under a header laid out as
-        # format 2's: only the magic tells them apart.
+        # Format 1 stored first differences and format 2 packed second ones
+        # without zigzag or byte planes, under a header laid out as format
+        # 3's: only the magic tells them apart.
         "tracks_format_1": lambda: rewrite_store(magic=b"AISTRK\x00\x01"),
+        "tracks_format_2": lambda: rewrite_store(magic=b"AISTRK\x00\x02"),
         "truncated_manifest": lambda: manifest.write_bytes(manifest.read_bytes()[:100]),
         "manifest_not_object": lambda: manifest.write_text('["stages"]\n'),
         "reordered_index_row": lambda: index.write_text(
@@ -744,6 +772,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "checkpoint_gru_convention_key": ("gru_convention", "`train`"),
              "checkpoint_dtype_key": ("dtype", "`train`"),
              "tracks_format_1": ("tracks.bin", "older format", "`ingest`"),
+             "tracks_format_2": ("tracks.bin", "older format", "`ingest`"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:

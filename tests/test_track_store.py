@@ -151,12 +151,12 @@ def test_benchmark_generator_corpora_ingest_like_reference(tmp_path, kind, param
     report, counts = assert_same_ingest(tmp_path, paths)
     assert report.rows_rejected > 0 and counts["merge_batches"] > 1
     # MarineCadastre's decimals (dense) and finer ones (lanes) both pack,
-    # and the second differences of a per-minute feed deflate to under 1.6
-    # bytes a row (1.34 at seed 3), of 30-minute lanes to under 10 (9.13),
-    # of 24.
+    # and the second differences (zigzagged, in byte planes) of a per-minute
+    # feed deflate to under 1.2 bytes a row (1.06 at seed 3), of 30-minute
+    # lanes to under 7.5 (6.96), of 24.
     assert read_track_store(tmp_path / "tracks.bin")[0].dtype == PACKED_DTYPE
     bytes_per_row = (tmp_path / "tracks.bin").stat().st_size / counts["rows_kept"]
-    assert bytes_per_row < {"dense": 1.6, "lanes": 10}[kind], bytes_per_row
+    assert bytes_per_row < {"dense": 1.2, "lanes": 7.5}[kind], bytes_per_row
 
 
 @pytest.mark.parametrize("row, row_bytes", [
