@@ -28,7 +28,10 @@ def atomic_write(path, mode: str = "wb", newline: str | None = None):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as for the open
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

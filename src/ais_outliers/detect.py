@@ -16,13 +16,12 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import DataError
-from .preprocess import FEATURES, id_text, mmsi_text
+from .preprocess import FEATURES, SENTINEL, id_text, mmsi_text
 from .sequence import SequenceSet
 
 DEFAULT_SIGMA_K = 6.0
 DEFAULT_BINS = 50
 DEFAULT_MIN_APPEARANCES = 5
-SENTINEL = -1.0
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """AIS CSV ingestion.
 
 Parses MarineCadastre-style AIS exports into a table of validated records,
-filters vessels by length, and groups the table into time-sorted per-vessel
-tracks. Malformed rows are tallied per reason, never silently dropped.
-The tracks go to the track store, `tracks.bin`: rows coded column by
-column as second differences and deflated, packed as int32 counts when
-every value is one (see `tracks`).
+filters vessels by length, and sorts the table by vessel and time into
+`Tracks`: its rows and a per-vessel index. Malformed rows are tallied per
+reason, never silently dropped. The tracks go to the track store,
+`tracks.bin`: rows coded column by column as second differences and
+deflated, packed as int32 counts when every value is one (see `tracks`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tracks import STORE_DTYPE, VesselTrack, pack, save_tracks
+from .tracks import STORE_DTYPE, Tracks, pack, save_tracks
 
 # Logical field -> column header as shipped by MarineCadastre.gov exports.
 # Extra columns and arbitrary column order are tolerated.
@@ -525,15 +525,12 @@ def _take_rows(table: np.ndarray, index) -> np.ndarray:
     return table[:, None].view(np.uint8)[index].view(table.dtype).reshape(-1)
 
 
-def group_and_sort(
-    records: np.ndarray, report: IngestReport | None = None
-) -> list[VesselTrack]:
-    """Group records per MMSI and sort each track ascending in time.
+def group_and_sort(records: np.ndarray, report: IngestReport | None = None) -> Tracks:
+    """Sort records by MMSI, then time, into Tracks.
 
     Rows sharing (MMSI, timestamp) are collapsed to the first one in input
     order: rows equal to it in every value field tally as "duplicate_row",
     differing rows as "duplicate_timestamp" when a report is supplied.
-    Tracks are returned ordered by MMSI so output is stable across runs.
     """
     # lexsort is stable, so input order survives among equal (mmsi, t).
     order = np.lexsort((records["t"], records["mmsi"]))
@@ -557,16 +554,7 @@ def group_and_sort(
             report.reject("duplicate_timestamp", len(dups) - exact)
     kept = order[heads]
     del order, first, heads  # before the kept rows are copied
-    return _split_tracks(_take_rows(records, kept))
-
-
-def _split_tracks(table: np.ndarray) -> list[VesselTrack]:
-    """Cut a table sorted by (mmsi, t) into one track per MMSI (views)."""
-    if not len(table):
-        return []
-    cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
-    return [VesselTrack(mmsi=int(chunk["mmsi"][0]), records=chunk)
-            for chunk in np.split(table, cuts)]
+    return Tracks.of(_take_rows(records, kept))
 
 
 def ingest_files(paths, tracks_path, spill_dir, schema: dict[str, str] | None = None,
@@ -729,19 +717,19 @@ def _read_rows(fh, raw: np.ndarray) -> None:
         raise DataError(f"ingest spill file {fh.name} is short")
 
 
-def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[VesselTrack]:
-    """Read each batch's rows from the runs, in file order, and group them.
-
-    A vessel cut into time slabs comes out as one track per slab."""
+def _merge_runs(runs, takes: np.ndarray, report: IngestReport) -> Iterator[Tracks]:
+    """Read each batch's rows from the runs, in file order, and group them:
+    one Tracks per batch. A vessel cut into time slabs is in one per slab."""
     with ExitStack() as stack:
         handles = [stack.enter_context(open(run, "rb")) for run, _, _ in runs]
         for take in takes.T:
-            batch = np.empty(int(take.sum()), TRACK_DTYPE)
-            raw, pos = batch.view(np.uint8), 0
-            for fh, n in zip(handles, take.tolist()):
-                _read_rows(fh, raw[pos:pos + n * TRACK_DTYPE.itemsize])
-                pos += n * TRACK_DTYPE.itemsize
-            tracks = group_and_sort(batch, report)
-            del batch, raw
-            yield from tracks
-            del tracks  # before the next batch is read
+            yield group_and_sort(_read_batch(handles, take), report)
+
+
+def _read_batch(handles, take: np.ndarray) -> np.ndarray:
+    """The next `take[i]` rows of each run open as `handles[i]`, in order."""
+    batch = np.empty(int(take.sum()), TRACK_DTYPE)
+    cuts = np.cumsum(take[:-1]) * TRACK_DTYPE.itemsize
+    for fh, raw in zip(handles, np.split(batch.view(np.uint8), cuts)):
+        _read_rows(fh, raw)
+    return batch

@@ -1,9 +1,10 @@
 """Vessel tracks -> normalized per-day feature grids.
 
 Each vessel-day becomes a 48-slot x 4-feature matrix on a 30-minute grid
-anchored at 00:00 UTC. All days of one track are gridded in one array
-pass, as a DayGrids block: every record is snapped to its nearest slot
-since the epoch, the slots are cut into days, and each slot keeps its
+anchored at 00:00 UTC. Every day of a run of whole vessels (one chunk of
+the track store) is gridded in one array pass, as a DayGrids block: every
+record is snapped to its nearest slot since the epoch, a new day row starts
+wherever the vessel or the slot's day changes, and each slot keeps its
 nearest record. Sparse days are dropped, interior gaps are linearly
 interpolated up to a cap, days with too many missing slots are excluded,
 and the surviving days are min-max normalized into one (N, 48, 4) tensor
@@ -26,7 +27,7 @@ from .config import N_SLOTS
 from .errors import ConfigError, DataError, utf8_text
 
 if TYPE_CHECKING:  # for annotations only: split, train and score never load the store
-    from .tracks import VesselTrack
+    from .tracks import Tracks
 
 # Canonical feature order of every matrix artifact in this package.
 FEATURES = ("lat", "lon", "sog", "cog")
@@ -106,6 +107,9 @@ class NormalizationStats:
         if self.minimum.shape != (N_FEATURES,) or self.maximum.shape != (N_FEATURES,):
             raise DataError("normalization stats need one (min, max) pair per feature")
         for j, name in enumerate(FEATURES):
+            for key, value in ((f"{name}_min", self.minimum[j]), (f"{name}_max", self.maximum[j])):
+                if not np.isfinite(value):
+                    raise DataError(f"normalization stats: {key} is not finite: {float(value)!r}")
             if not self.maximum[j] > self.minimum[j]:
                 raise DataError(
                     f"degenerate feature '{name}': min == max == {self.minimum[j]!r}"
@@ -154,36 +158,41 @@ class NormalizationStats:
             return cls.from_text(path.read_text(encoding="utf-8"))
 
 
-def resample_daily(track: VesselTrack, tolerance_s: float = DEFAULT_TOLERANCE_S) -> DayGrids:
-    """Snap the track's records onto the grid of every UTC day it touches.
+def resample_daily(tracks: Tracks, tolerance_s: float = DEFAULT_TOLERANCE_S) -> DayGrids:
+    """Snap each vessel's records onto the grid of every UTC day it touches.
 
     A record belongs to the day of its nearest slot (half a slot rounds
-    up), and every day that holds a record gets a row, even one with no
-    record within tolerance. Slot i takes the record closest to its grid
-    instant within +/- tolerance; ties prefer the earlier record. Each
-    record can fill at most one slot (its nearest one). The track must be
-    sorted by time.
+    up), and every vessel-day that holds a record gets a row, in vessel then
+    day order, even one with no record within tolerance. Slot i takes the
+    record closest to its grid instant within +/- tolerance; ties prefer the
+    earlier record. Each record can fill at most one slot (its nearest one).
+    Each vessel's records must be whole and sorted by time.
     """
     if tolerance_s < 0:
         raise ConfigError("tolerance must be >= 0 seconds")
-    t = track.records["t"]
+    t = tracks.records["t"]
     slot = (t + SLOT_SECONDS // 2) // SLOT_SECONDS  # nearest slot since the epoch
     distance = np.abs(t - slot * SLOT_SECONDS)
-    days, day_row = np.unique(slot // N_SLOTS, return_inverse=True)
+    mmsi = np.repeat(tracks.index["mmsi"], tracks.index["rows"])
+    day = slot // N_SLOTS
+    # (vessel, day) never decreases from row to row: a new day row starts
+    # wherever either changes, so each slot's cell never decreases either.
+    new = (np.diff(mmsi, prepend=mmsi[:1] - 1) != 0) | (np.diff(day, prepend=day[:1]) != 0)
+    starts = np.flatnonzero(new)
+    cell = (np.cumsum(new) - 1) * N_SLOTS + slot % N_SLOTS
     near = np.flatnonzero(distance <= tolerance_s)
-    # Per slot, the nearest record; the stable sort keeps the earlier on ties.
-    near = near[np.lexsort((distance[near], slot[near]))]
-    best = near[np.unique(slot[near], return_index=True)[1]]
+    # Per cell, the nearest record; the stable sort keeps the earlier on ties.
+    near = near[np.lexsort((distance[near], cell[near]))]
+    best = near[np.flatnonzero(np.diff(cell[near], prepend=-1))]
 
-    values = np.full((len(days), N_SLOTS, N_FEATURES), np.nan)
-    mask = np.zeros((len(days), N_SLOTS), dtype=bool)
-    row, col = day_row[best], slot[best] % N_SLOTS
+    values = np.full((len(starts) * N_SLOTS, N_FEATURES), np.nan)
+    mask = np.zeros(len(starts) * N_SLOTS, dtype=bool)
     for j, name in enumerate(FEATURES):
-        values[row, col, j] = track.records[name][best]
-    mask[row, col] = True
-    ids = np.empty(len(days), IDS_DTYPE)
-    ids["mmsi"], ids["day"] = track.mmsi, days.astype("datetime64[D]")
-    return DayGrids(ids, values, mask)
+        values[cell[best], j] = tracks.records[name][best]
+    mask[cell[best]] = True
+    ids = np.empty(len(starts), IDS_DTYPE)
+    ids["mmsi"], ids["day"] = mmsi[starts], day[starts].astype("datetime64[D]")
+    return DayGrids(ids, values.reshape(-1, N_SLOTS, N_FEATURES), mask.reshape(-1, N_SLOTS))
 
 
 def interpolate_gaps(values: np.ndarray, mask: np.ndarray,
@@ -237,28 +246,26 @@ class PreprocessSummary:
 
 
 def build_daily_grids(
-    tracks: Iterable[VesselTrack],
+    tracks: Iterable[Tracks],
     tolerance_s: float = DEFAULT_TOLERANCE_S,
     min_entries: int = DEFAULT_MIN_ENTRIES,
     max_fill: int = DEFAULT_MAX_FILL,
 ) -> tuple[DayGrids, PreprocessSummary]:
     """Resample every vessel-day, drop days with fewer than `min_entries`
-    present slots, interpolate gaps. The tracks are consumed one at a time,
-    so they may be streamed."""
+    present slots, interpolate gaps. The runs of tracks (the track store's
+    chunks, say) are gridded one at a time, so they may be streamed."""
     if not 0 <= min_entries <= N_SLOTS:
         raise ConfigError(f"min_entries must be in [0, {N_SLOTS}]")
     summary = PreprocessSummary()
-    ids = [np.empty(0, IDS_DTYPE)]
-    values, masks = [np.empty((0, N_SLOTS, N_FEATURES))], [np.empty((0, N_SLOTS), bool)]
-    for track in tracks:
-        grids = resample_daily(track, tolerance_s)
+    kept = [(np.empty(0, IDS_DTYPE), np.empty((0, N_SLOTS, N_FEATURES)),
+             np.empty((0, N_SLOTS), bool))]
+    for run in tracks:
+        grids = resample_daily(run, tolerance_s)
         summary.days_total += len(grids)
         grids = grids.take(grids.mask.sum(axis=1) >= min_entries)
         interpolate_gaps(grids.values, grids.mask, max_fill)
-        ids.append(grids.ids)
-        values.append(grids.values)
-        masks.append(grids.mask)
-    grids = DayGrids(np.concatenate(ids), np.concatenate(values), np.concatenate(masks))
+        kept.append((grids.ids, grids.values, grids.mask))
+    grids = DayGrids(*map(np.concatenate, zip(*kept)))
     summary.days_sparse_dropped = summary.days_total - len(grids)
     bins = np.minimum((_missing_fraction(grids.mask) * 10).astype(np.int64), 9)
     summary.missing_histogram = np.bincount(bins, minlength=10).tolist()

@@ -2,6 +2,10 @@
 preprocessing reads, one row per (MMSI, time) sorted by MMSI then time,
 and a per-vessel (MMSI, rows) index.
 
+Tracks travel from ingest to preprocessing as `Tracks`, rows plus their
+slice of that index: one per merge batch into save_tracks, and one per
+chunk out of TrackReader.
+
 The file is a fixed header, one zlib deflate stream of the rows, then the
 index:
 
@@ -90,18 +94,25 @@ _READ_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
-class VesselTrack:
-    """All accepted records of one MMSI, ascending in time, deduplicated.
+class Tracks:
+    """Whole vessels' records, ascending by MMSI then time, deduplicated,
+    and their index: an INDEX_DTYPE (mmsi, rows) entry per vessel, in order.
+    The records are TRACK_DTYPE rows in ingest, where a time slab of the
+    merge counts as a vessel, and STORE_DTYPE rows from TrackReader."""
 
-    `records` is a view into the table the track came from: TRACK_DTYPE
-    rows in ingest, STORE_DTYPE rows when read back by TrackReader.
-    """
-
-    mmsi: int
     records: np.ndarray
+    index: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.records)
+    @classmethod
+    def of(cls, records: np.ndarray) -> "Tracks":
+        """The Tracks of `records`, rows with an `mmsi` field sorted by it."""
+        return cls(records, _index(records["mmsi"], np.ones(len(records), np.int64)))
+
+
+def _index(mmsi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One INDEX_DTYPE entry per run of equal `mmsi`, with the run's `rows` summed."""
+    heads = np.flatnonzero(np.diff(mmsi, prepend=mmsi[:1] - 1))
+    return np.stack([mmsi[heads], np.add.reduceat(rows, heads)], axis=1).view(INDEX_DTYPE)[:, 0]
 
 
 def pack(records: np.ndarray) -> np.ndarray | None:
@@ -131,71 +142,62 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
     return table
 
 
-def save_tracks(path, tracks: Iterable[VesselTrack], packed: bool = False) -> int:
-    """Write tracks, ascending by MMSI, as the track store: the packed
-    layout if `packed` and the float layout if not (see the module's
-    docstring). A track that does not `pack` exactly is a ValueError when
+def save_tracks(path, tracks: Iterable[Tracks], packed: bool = False) -> int:
+    """Write runs of tracks, ascending by MMSI, as the track store: the
+    packed layout if `packed` and the float layout if not (see the module's
+    docstring). Rows that do not `pack` exactly are a ValueError when
     `packed` is set.
 
     The records may be of any dtype that holds STORE_DTYPE's fields as
-    STORE_DTYPE lays them out (TRACK_DTYPE rows of ingest, say).
-    Consecutive tracks of one MMSI (the time slabs of a merge) make one
-    index entry. The rows are deflated as they arrive, so only the track
-    in hand and one block are held, plus the index. A placeholder header
-    goes first and the real one over it once the counts are known.
-    Returns the number of rows written.
+    STORE_DTYPE lays them out (TRACK_DTYPE rows of ingest, say). They are
+    copied, packed and deflated a block at a time as they arrive, so only
+    the run in hand, one block and the index are held. Index entries of one
+    MMSI in a row (the time slabs of a merge) are summed at the end. A
+    placeholder header goes first and the real one over it once the counts
+    are known. Returns the number of rows written.
     """
-    dtype = PACKED_DTYPE if packed else _FLOAT_BITS
-    block, filled = np.empty(_CHUNK_ROWS, dtype), 0
+    block, filled = np.empty(_CHUNK_ROWS, _FLOAT_BITS), 0
+    # The block's bytes, a row each: rows are copied as the bytes of
+    # STORE_DTYPE's fields, since structured-row copies run several times slower.
+    block_bytes = block.view(np.uint8).reshape(_CHUNK_ROWS, STORE_DTYPE.itemsize)
     deflate = zlib.compressobj(_LEVEL)
-    mmsis, counts, stream = [], [], 0
+    indexes, stream = [np.empty(0, INDEX_DTYPE)], 0
     with atomic_write(path) as fh:
         fh.write(bytes(_HEADER.size))
-        for track in tracks:
-            rows = _rows(track.records, packed)
-            while len(rows):
-                take = min(len(rows), len(block) - filled)
-                block[filled:filled + take] = rows[:take]
-                filled, rows = filled + take, rows[take:]
+        for run in tracks:
+            start = run.records.dtype.fields["t"][1]
+            rows = run.records[:, None].view(np.uint8)[:, start:start + STORE_DTYPE.itemsize]
+            done = 0
+            while done < len(rows):
+                take = min(len(rows) - done, len(block) - filled)
+                block_bytes[filled:filled + take] = rows[done:done + take]
+                filled, done = filled + take, done + take
                 if filled == len(block):
-                    stream += fh.write(_deflate(block, deflate))
+                    stream += fh.write(_deflate(block, packed, deflate))
                     filled = 0
-            if mmsis and mmsis[-1] == track.mmsi:
-                counts[-1] += len(track)
-            else:
-                mmsis.append(track.mmsi)
-                counts.append(len(track))
-            del track, rows  # before the next one is made
-        stream += fh.write(_deflate(block[:filled], deflate) + deflate.flush())
-        index = np.empty(len(mmsis), INDEX_DTYPE)
-        index["mmsi"], index["rows"] = mmsis, counts
+            indexes.append(run.index)
+            del run, rows  # before the next one is made
+        stream += fh.write(_deflate(block[:filled], packed, deflate) + deflate.flush())
+        index = np.concatenate(indexes)
+        index = _index(index["mmsi"], index["rows"])
         fh.write(index.data)
-        total = sum(counts)
+        total = int(index["rows"].sum())
         fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, dtype.itemsize, total, len(mmsis), _CHUNK_ROWS, stream))
+        layout = (PACKED_DTYPE if packed else _FLOAT_BITS).itemsize
+        fh.write(_HEADER.pack(_MAGIC, layout, total, len(index), _CHUNK_ROWS, stream))
     return total
 
 
-def _rows(records: np.ndarray, packed: bool) -> np.ndarray:
-    """The integer rows of `records` in the layout `packed` names. Float
-    rows are copied as the bytes of their fields: structured-row copies
-    run several times slower."""
+def _deflate(block: np.ndarray, packed: bool, deflate) -> bytes:
+    """A float-layout block in the layout `packed` names, its columns each
+    as the second difference of its values (zigzagged byte planes in the
+    packed layout), through `deflate`."""
     if packed:
-        rows = pack(records)
-        if rows is None:
+        block = pack(block.view(STORE_DTYPE))
+        if block is None:
             raise ValueError("a track's values are not exact int32 counts of their units")
-        return rows
-    start = records.dtype.fields["t"][1]
-    return np.ascontiguousarray(
-        records[:, None].view(np.uint8)[:, start:start + STORE_DTYPE.itemsize]
-    ).view(_FLOAT_BITS)[:, 0]
-
-
-def _deflate(block: np.ndarray, deflate) -> bytes:
-    """A block's columns, each as the second difference of its values
-    (zigzagged byte planes in the packed layout), through `deflate`."""
     deltas = (_difference(_difference(block[name])) for name in block.dtype.names)
-    if block.dtype == PACKED_DTYPE:
+    if packed:
         deltas = map(_planes, deltas)
     return b"".join(map(deflate.compress, deltas))
 
@@ -236,8 +238,8 @@ def _undelta(data: bytes, dtype: np.dtype, rows: int) -> np.ndarray:
 
 
 class TrackReader:
-    """Streams a store written by save_tracks, of either layout, as
-    VesselTracks of STORE_DTYPE records.
+    """Streams a store written by save_tracks, of either layout, as Tracks
+    of STORE_DTYPE records, one per chunk.
 
     The header and the index are read and checked first; then the rows,
     inflated block by block, in chunks of whole vessels of at most
@@ -245,7 +247,7 @@ class TrackReader:
     one-line DataError naming `ingest`: a missing file, a store of an older
     format, a foreign header or layout, a size other than the header gives,
     MMSIs not strictly ascending, a vessel count below 1 or counts not
-    adding up to the rows (raised before any track); a stream that does not
+    adding up to the rows (raised before any chunk); a stream that does not
     inflate to exactly the header's rows, times not strictly ascending
     within a vessel and times or values outside ingest's ranges (raised
     when the reader reaches them). `rows`, `vessels` and `chunks` count
@@ -256,7 +258,7 @@ class TrackReader:
         self.path = Path(path)
         self.rows = self.vessels = self.chunks = 0
 
-    def __iter__(self) -> Iterator[VesselTrack]:
+    def __iter__(self) -> Iterator[Tracks]:
         if not self.path.exists():
             raise DataError(f"track store not found: {self.path} (run `ingest` first)")
         with open(self.path, "rb") as fh:
@@ -264,8 +266,8 @@ class TrackReader:
             fh.seek(_HEADER.size + stream)
             index = np.empty(vessels, INDEX_DTYPE)
             fh.readinto(index.view(np.uint8))  # the size was checked
-            mmsi, counts = index["mmsi"], index["rows"]
-            if (np.diff(mmsi) <= 0).any():
+            counts = index["rows"]
+            if (np.diff(index["mmsi"]) <= 0).any():
                 raise self._damaged("its index is not sorted by MMSI")
             # Counts of at most n cannot overflow their sum.
             if ((counts < 1) | (counts > n)).any() or counts.sum() != n:
@@ -300,7 +302,7 @@ class TrackReader:
                 self.chunks += 1
                 self.rows += len(table)
                 self.vessels += stop - first
-                yield from map(VesselTrack, mmsi[first:stop].tolist(), np.split(table, cuts))
+                yield Tracks(table, index[first:stop])
                 first, start = stop, int(ends[stop - 1])
             if not n:  # no block was read: the empty stream is checked all the same
                 inflate.finish()

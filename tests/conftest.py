@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ais_outliers.ingest import TRACK_DTYPE
-from ais_outliers.tracks import VesselTrack
+from ais_outliers.tracks import Tracks
 
 
 def utc(y, mo, d, h=0, mi=0, s=0):
@@ -25,7 +25,17 @@ def make_table(records):
 
 
 def make_track(mmsi, records):
-    return VesselTrack(mmsi=int(mmsi), records=make_table(records))
+    """A one-vessel Tracks of `records`, TRACK_DTYPE rows of MMSI `mmsi`."""
+    table = make_table(records)
+    assert (table["mmsi"] == int(mmsi)).all()
+    return Tracks.of(table)
+
+
+def vessels(tracks):
+    """The (mmsi, records) pair of each vessel in an iterable of Tracks."""
+    for run in tracks:
+        yield from zip(run.index["mmsi"].tolist(),
+                       np.split(run.records, np.cumsum(run.index["rows"])[:-1]))
 
 
 @pytest.fixture

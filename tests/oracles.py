@@ -401,19 +401,21 @@ class ReferenceDay:
         return 1.0 - int(self.mask.sum()) / _N_SLOTS
 
 
-def _reference_vessel_days(track):
-    """UTC days touched by the track, judged by each record's nearest slot."""
-    slots = (track.records["t"] + _SLOT_SECONDS // 2) // _SLOT_SECONDS
+def _reference_vessel_days(records):
+    """UTC days touched by a vessel's records, judged by each record's
+    nearest slot."""
+    slots = (records["t"] + _SLOT_SECONDS // 2) // _SLOT_SECONDS
     return [date.fromordinal(_EPOCH_ORDINAL + int(d)) for d in np.unique(slots // _N_SLOTS)]
 
 
-def reference_resample_day(track, day, tolerance_s):
-    """One day's grid from the records whose nearest slot lies in the day:
-    per slot the nearest record within tolerance, the earlier on ties."""
+def reference_resample_day(mmsi, records, day, tolerance_s):
+    """One day's grid from the vessel's records whose nearest slot lies in
+    the day: per slot the nearest record within tolerance, the earlier on
+    ties."""
     start = (day.toordinal() - _EPOCH_ORDINAL) * _DAY_SECONDS
     half = _SLOT_SECONDS // 2
-    lo, hi = np.searchsorted(track.records["t"], [start - half, start + _DAY_SECONDS - half])
-    window = track.records[lo:hi]
+    lo, hi = np.searchsorted(records["t"], [start - half, start + _DAY_SECONDS - half])
+    window = records[lo:hi]
     offset = window["t"] - start
     slot = (offset + half) // _SLOT_SECONDS
     distance = np.abs(offset - slot * _SLOT_SECONDS)
@@ -425,7 +427,7 @@ def reference_resample_day(track, day, tolerance_s):
     for j, name in enumerate(_FEATURES):
         values[slot[best], j] = window[name][best]
     mask[slot[best]] = True
-    return ReferenceDay(track.mmsi, day, values, mask)
+    return ReferenceDay(mmsi, day, values, mask)
 
 
 def reference_interpolate_day(grid, max_fill):
@@ -452,16 +454,17 @@ def reference_interpolate_day(grid, max_fill):
 
 
 def reference_build_daily_grids(tracks, tolerance_s, min_entries, max_fill):
-    """The per-day path: every day a track touches is resampled on its own,
+    """The per-day path over (mmsi, records) pairs, one per vessel, each
+    sorted by time: every day a vessel touches is resampled on its own,
     sparse days are dropped, the rest interpolated one at a time. Returns
     the ReferenceDay list and the summary counts (days_total,
     days_sparse_dropped and the 10-bin missing-fraction histogram)."""
     grids, counts = [], {"days_total": 0, "days_sparse_dropped": 0,
                          "missing_histogram": [0] * 10}
-    for track in tracks:
-        for day in _reference_vessel_days(track):
+    for mmsi, records in tracks:
+        for day in _reference_vessel_days(records):
             counts["days_total"] += 1
-            grid = reference_resample_day(track, day, tolerance_s)
+            grid = reference_resample_day(mmsi, records, day, tolerance_s)
             if int(grid.mask.sum()) < min_entries:
                 counts["days_sparse_dropped"] += 1
                 continue
@@ -597,9 +600,8 @@ def reference_group_and_sort(records, report=None):
     """`ingest.group_and_sort` as it was before it sorted an index: a sorted
     structured copy of the table, each row's group head by a running
     maximum, every value field gathered through it, and `table[first]`.
-    Returns the same VesselTracks and tallies the same duplicates."""
-    from ais_outliers.tracks import VesselTrack
-
+    Returns an (mmsi, records) pair per vessel, of the rows the program
+    keeps, and tallies the same duplicates."""
     # lexsort is stable, so input order survives among equal (mmsi, t).
     table = records[np.lexsort((records["t"], records["mmsi"]))]
     first = np.ones(len(table), dtype=bool)
@@ -622,8 +624,7 @@ def reference_group_and_sort(records, report=None):
     if not len(table):
         return []
     cuts = np.flatnonzero(np.diff(table["mmsi"])) + 1
-    return [VesselTrack(mmsi=int(chunk["mmsi"][0]), records=chunk)
-            for chunk in np.split(table, cuts)]
+    return [(int(chunk["mmsi"][0]), chunk) for chunk in np.split(table, cuts)]
 
 
 def _reference_counts(values, decimals):
@@ -653,8 +654,9 @@ def reference_ingest(paths, schema=None, min_length=20.0):
     length filter and one `reference_group_and_sort`. The stored rows are
     (t, lat, lon, sog, cog), packed (int32 counts, by `_reference_counts`)
     when every length-filtered row's values are exact counts, and float64
-    otherwise. Returns the IngestReport like `ingest_files`, the tracks
-    and the stored rows, in the layout `read_track_store` gives."""
+    otherwise. Returns the IngestReport like `ingest_files`, the (mmsi,
+    records) pair of each vessel and the stored rows, in the layout
+    `read_track_store` gives."""
     from ais_outliers.ingest import TRACK_DTYPE, IngestReport, parse_ais_csv
 
     tables, report = [], IngestReport()
@@ -670,7 +672,7 @@ def reference_ingest(paths, schema=None, min_length=20.0):
                  for name, e in _REFERENCE_DECIMALS.items())
     tracks = reference_group_and_sort(kept, report)
     report.vessels_kept = len(tracks)
-    records = np.concatenate([t.records for t in tracks] or [np.empty(0, TRACK_DTYPE)])
+    records = np.concatenate([r for _, r in tracks] or [np.empty(0, TRACK_DTYPE)])
     rows = np.empty(len(records), _STORE_LAYOUTS[24 if packed else 40][1])
     for name in _STORE_COLUMNS:
         rows[name] = (_reference_counts(records[name], _REFERENCE_DECIMALS[name])

@@ -222,10 +222,10 @@ def test_pipeline_oracle():
         dedup = {k: v for k, v in report.reject_reasons.items()
                  if k.startswith("duplicate")}
         assert dedup == fixture_ais.EXPECTED_DEDUP
-        assert len(tracks) == fixture_ais.EXPECTED_TRACKS
-        assert sum(len(t) for t in tracks) == fixture_ais.EXPECTED_TRACK_ROWS
+        assert len(tracks.index) == fixture_ais.EXPECTED_TRACKS
+        assert len(tracks.records) == fixture_ais.EXPECTED_TRACK_ROWS
 
-        grids, summary = build_daily_grids(tracks, tolerance_s=60.0,
+        grids, summary = build_daily_grids([tracks], tolerance_s=60.0,
                                            min_entries=20, max_fill=20)
         assert summary.days_total == 5
         assert summary.days_sparse_dropped == fixture_ais.EXPECTED_SPARSE_DROPPED

@@ -22,7 +22,7 @@ from ais_outliers.nn.model import ModelConfig, RecurrentAutoencoder
 from ais_outliers.preprocess import IDS_DTYPE, NormalizationStats, save_corpus
 from ais_outliers.tracks import INDEX_DTYPE, STORE_DTYPE, TrackReader, pack, save_tracks
 
-from conftest import make_record, make_table, utc
+from conftest import make_record, make_table, utc, vessels
 from oracles import STORE_HEADER, rewrite_track_store
 from synthetic import generate_days, write_ais_csv
 
@@ -132,26 +132,43 @@ def test_stage_after_ingest_leaves_a_missing_run_dir_missing(tmp_path, capsys, c
     assert not (tmp_path / "no").exists()
 
 
-def test_failed_atomic_write_names_the_file_asked_for(tmp_path, corpus_dir, capsys):
-    run_dir = tmp_path / "run"
+@pytest.fixture(scope="module")
+def scored_run(tmp_path_factory, corpus_dir):
+    """A run directory that every stage up to `score` has run in."""
+    run_dir = tmp_path_factory.mktemp("scored") / "run"
     for command in ("ingest", "preprocess", "split", "train", "score"):
         assert main(run_args(corpus_dir, run_dir, command)) == 0
-    capsys.readouterr()
+    return run_dir
+
+
+def test_failed_atomic_write_names_the_file_asked_for(tmp_path, corpus_dir, scored_run, capsys):
     out = tmp_path / "no" / "such" / "x.geojson"
-    assert main(run_args(corpus_dir, run_dir, "export-geojson", "--output", str(out))) == 2
+    assert main(run_args(corpus_dir, scored_run, "export-geojson", "--output", str(out))) == 2
     err = capsys.readouterr().err
     assert err == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
     assert not (tmp_path / "no").exists()
 
 
+def test_failed_rename_names_the_artifact_not_its_temporary_file(tmp_path, corpus_dir,
+                                                                 scored_run, capsys):
+    out = tmp_path / "x.geojson"
+    out.mkdir()  # the rename over it fails
+    assert main(run_args(corpus_dir, scored_run, "export-geojson", "--output", str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.endswith(f": {str(out)!r}\n"), err
+    assert ".tmp" not in err and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.geojson"] and not any(out.iterdir())
+
+
 def test_multi_file_ingest_merges_tracks(tmp_path, corpus_dir):
     run_dir = tmp_path / "run"
     assert main(run_args(corpus_dir, run_dir, "ingest")) == 0
-    tracks = list(TrackReader(run_dir / "tracks.bin"))
-    assert all(t.records.dtype == STORE_DTYPE for t in tracks)
+    chunks = list(TrackReader(run_dir / "tracks.bin"))
+    assert all(run.records.dtype == STORE_DTYPE for run in chunks)
     # One store, ordered by MMSI then time.
-    assert [t.mmsi for t in tracks] == sorted({t.mmsi for t in tracks})
-    assert all((np.diff(t.records["t"]) > 0).all() for t in tracks)
+    tracks = list(vessels(chunks))
+    assert [mmsi for mmsi, _ in tracks] == sorted({mmsi for mmsi, _ in tracks})
+    assert all((np.diff(records["t"]) > 0).all() for _, records in tracks)
     assert len(tracks) == 10  # 60 days / 6 per vessel
 
 
@@ -197,7 +214,7 @@ def test_ingest_and_preprocess_record_counts_and_peak_rss(tmp_path, corpus_dir):
     for command in ("ingest", "preprocess"):
         assert main(run_args(corpus_dir, run_dir, command)) == 0
     stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
-    rows = sum(map(len, TrackReader(run_dir / "tracks.bin")))
+    rows = sum(len(run.records) for run in TrackReader(run_dir / "tracks.bin"))
     ingest, preprocess = stages["ingest"]["extra"], stages["preprocess"]["extra"]
     assert ingest["files"] == 3 and ingest["rows_kept"] == rows
     assert ingest["vessels_kept"] == preprocess["vessels"] == 10
@@ -571,6 +588,10 @@ def test_both_launches_freeze_the_collector_before_exit(tmp_path, launch, args, 
     ("score", "checkpoint_trailing_bytes"),
     ("export-geojson", "short_index_row"),
     ("score", "damaged_stats"),
+    ("score", "stats_lon_max_inf"),
+    ("export-geojson", "stats_lon_max_inf"),
+    ("score", "stats_lat_min_nan"),
+    ("export-geojson", "stats_lat_min_nan"),
     ("export-geojson", "short_scores_row"),
     ("export-geojson", "short_outliers_row"),
     ("preprocess", "truncated_tracks"),
@@ -636,7 +657,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
     outliers.write_text("rank,mmsi,day,rmse,threshold,k\n1,367000000,2019-03-06,0.5,0.4,6.0\n")
     tracks = run_dir / "tracks.bin"
     track_table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
-    save_tracks(tracks, group_and_sort(track_table), packed=True)
+    save_tracks(tracks, [group_and_sort(track_table)], packed=True)
     manifest = run_dir / "manifest.json"
     RunManifest(run_dir).record_stage("score", "k=6", "0", [stats], [scores, outliers], 0.1)
     index_rows = index.read_text().splitlines()
@@ -677,6 +698,10 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
             checkpoint.read_bytes() + b"junk"),
         "short_index_row": lambda: index.write_text(index.read_text() + "2,367000009\n"),
         "damaged_stats": lambda: stats.write_text("lat_min="),
+        "stats_lon_max_inf": lambda: stats.write_text(
+            stats.read_text().replace("lon_max=1.0", "lon_max=inf")),
+        "stats_lat_min_nan": lambda: stats.write_text(
+            stats.read_text().replace("lat_min=0.0", "lat_min=nan")),
         "short_scores_row": lambda: scores.write_text(scores.read_text() + "367000001\n"),
         "short_outliers_row": lambda: outliers.write_text(outliers.read_text() + "2\n"),
         "truncated_tracks": lambda: tracks.write_bytes(tracks.read_bytes()[:-10]),
@@ -695,7 +720,7 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
         # The stream's last 4 bytes, its checksum, with a header to match.
         "tracks_stream_end_cut": lambda: rewrite_store(lambda stream: stream[:-4]),
         "tracks_float_stream_end_cut": lambda: (
-            save_tracks(tracks, group_and_sort(track_table)),
+            save_tracks(tracks, [group_and_sort(track_table)]),
             rewrite_store(lambda stream: stream[:-4])),
         "tracks_stream_byte_flipped": lambda: rewrite_store(flip_middle_byte),
         "tracks_rows_beyond_stream": lambda: rewrite_store(entries=[(367000001, 4)], rows=4),
@@ -773,6 +798,8 @@ def test_damaged_artifact_is_one_line_data_error(tmp_path, capsys, command, dama
              "checkpoint_dtype_key": ("dtype", "`train`"),
              "tracks_format_1": ("tracks.bin", "older format", "`ingest`"),
              "tracks_format_2": ("tracks.bin", "older format", "`ingest`"),
+             "stats_lon_max_inf": ("lon_max", "not finite"),
+             "stats_lat_min_nan": ("lat_min", "not finite"),
              "empty_stage_entry": ("manifest.json", "'split'"),
              "null_stage_outputs": ("manifest.json", "'score'")}
     if "tracks" in damage:
@@ -798,7 +825,7 @@ def test_store_value_outside_ingest_ranges_is_one_line_data_error(tmp_path, caps
     table = make_table(make_record(ts=utc(2019, 3, 6 + i // 48, i % 48 // 2, 30 * (i % 2)))
                        for i in range(288))
     table[field][100] = value
-    save_tracks(run_dir / "tracks.bin", group_and_sort(table))
+    save_tracks(run_dir / "tracks.bin", [group_and_sort(table)])
     assert main(["preprocess", "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data error:"), err
@@ -810,11 +837,11 @@ def test_store_value_outside_ingest_ranges_is_one_line_data_error(tmp_path, caps
 def test_failed_tracks_write_keeps_previous_store(tmp_path):
     tracks = tmp_path / "tracks.bin"
     table = make_table(make_record(ts=utc(2019, 3, 6, h)) for h in range(3))
-    save_tracks(tracks, group_and_sort(table))
+    save_tracks(tracks, [group_and_sort(table)])
     before = tracks.read_bytes()
 
     def fail_after_one_track():  # the store is streamed: fail mid-write
-        yield from group_and_sort(table[:1])
+        yield group_and_sort(table[:1])
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):

@@ -21,7 +21,7 @@ from ais_outliers.ingest import (
     parse_ais_csv,
 )
 
-from conftest import make_record, make_table, utc
+from conftest import make_record, make_table, utc, vessels
 from oracles import reference_group_and_sort, reference_parse_ais_csv
 
 HEADER = "MMSI,BaseDateTime,LAT,LON,SOG,COG,Length\n"
@@ -566,15 +566,16 @@ def test_length_filter_idempotent(rng):
 def test_tracks_sorted_by_time():
     ts = [utc(2019, 3, 6, h) for h in (3, 1, 2)]
     records = make_table(make_record(ts=t) for t in ts)
-    (track,) = group_and_sort(records)
-    assert track.records["t"].tolist() == [utc(2019, 3, 6, h).timestamp() for h in (1, 2, 3)]
+    tracks = group_and_sort(records)
+    assert tracks.index.tolist() == [(367000001, 3)]
+    assert tracks.records["t"].tolist() == [utc(2019, 3, 6, h).timestamp() for h in (1, 2, 3)]
 
 
 def test_identical_duplicate_rows_collapse():
     report = IngestReport()
     a = make_record()
     tracks = group_and_sort(make_table([a, a]), report)
-    assert len(tracks[0]) == 1
+    assert tracks.index.tolist() == [(367000001, 1)] and len(tracks.records) == 1
     assert report.reject_reasons == {"duplicate_row": 1}
 
 
@@ -582,7 +583,7 @@ def test_unknown_length_duplicates_count_as_identical():
     report = IngestReport()
     a = make_record(length=None)
     tracks = group_and_sort(make_table([a, a, make_record(length=None, lat=31.0)]), report)
-    assert len(tracks[0]) == 1
+    assert tracks.index.tolist() == [(367000001, 1)] and len(tracks.records) == 1
     assert report.reject_reasons == {"duplicate_row": 1, "duplicate_timestamp": 1}
 
 
@@ -590,8 +591,9 @@ def test_conflicting_duplicate_timestamp_keeps_first():
     report = IngestReport()
     first = make_record(lat=30.0)
     second = make_record(lat=31.0)
-    (track,) = group_and_sort(make_table([first, second]), report)
-    assert track.records.tolist() == [first.tolist()]
+    tracks = group_and_sort(make_table([first, second]), report)
+    assert tracks.index.tolist() == [(367000001, 1)]
+    assert tracks.records.tolist() == [first.tolist()]
     assert report.reject_reasons == {"duplicate_timestamp": 1}
 
 
@@ -601,9 +603,10 @@ def test_interleaved_vessels_grouped_and_sorted():
         for mmsi in ("367000003", "367000001", "367000002"):
             records.append(make_record(mmsi=mmsi, ts=utc(2019, 3, 6, hour)))
     tracks = group_and_sort(make_table(records))
-    assert [t.mmsi for t in tracks] == [367000001, 367000002, 367000003]
-    for track in tracks:
-        assert track.records["t"].tolist() == [utc(2019, 3, 6, h).timestamp() for h in (2, 4, 6)]
+    assert tracks.index.tolist() == [(367000001, 3), (367000002, 3), (367000003, 3)]
+    for mmsi, track in vessels([tracks]):
+        assert (track["mmsi"] == mmsi).all()
+        assert track["t"].tolist() == [utc(2019, 3, 6, h).timestamp() for h in (2, 4, 6)]
 
 
 def test_regrouping_preserves_accepted_multiset(rng):
@@ -615,17 +618,15 @@ def test_regrouping_preserves_accepted_multiset(rng):
             lat=float(rng.uniform(-80, 80))))
     report = IngestReport()
     tracks = group_and_sort(make_table(records), report)
-    regrouped = [(t.mmsi, int(r["t"])) for t in tracks for r in t.records]
+    regrouped = [(mmsi, int(r["t"])) for mmsi, track in vessels([tracks]) for r in track]
     # Deduplicate the input the declarative way, keeping the first row of
     # each (mmsi, t) in input order, and compare keys and kept latitudes.
     first = {}
     for r in records:
         first.setdefault((int(r["mmsi"]), int(r["t"])), float(r["lat"]))
     assert regrouped == sorted(first)
-    assert [float(r["lat"]) for t in tracks for r in t.records] == \
-        [first[key] for key in sorted(first)]
-    kept = sum(len(t) for t in tracks)
-    assert kept + report.rows_rejected == len(records)
+    assert [float(r["lat"]) for r in tracks.records] == [first[key] for key in sorted(first)]
+    assert len(tracks.records) + report.rows_rejected == len(records)
 
 
 def _duplicate_heavy_table(rng, n):
@@ -649,9 +650,9 @@ def test_group_and_sort_matches_reference(rng, case):
                                else (IngestReport(), IngestReport()))
     tracks = group_and_sort(table, report)
     expected = reference_group_and_sort(table, expected_report)
-    assert [t.mmsi for t in tracks] == [t.mmsi for t in expected]
-    assert (b"".join(np.ascontiguousarray(t.records).tobytes() for t in tracks)
-            == b"".join(np.ascontiguousarray(t.records).tobytes() for t in expected))
+    assert tracks.index.tolist() == [(mmsi, len(records)) for mmsi, records in expected]
+    assert (tracks.records.tobytes()
+            == b"".join(np.ascontiguousarray(records).tobytes() for _, records in expected))
     assert report == expected_report
     if case in ("unsorted", "filtered"):
         assert set(report.reject_reasons) == {"duplicate_row", "duplicate_timestamp"}

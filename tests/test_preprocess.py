@@ -10,8 +10,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ais_outliers import tracks as track_store
 from ais_outliers.errors import ConfigError, DataError
-from ais_outliers.ingest import ingest_files
+from ais_outliers.ingest import TRACK_DTYPE, ingest_files
 from ais_outliers.preprocess import (
     FEATURES,
     IDS_DTYPE,
@@ -27,9 +28,9 @@ from ais_outliers.preprocess import (
     resample_daily,
     save_corpus,
 )
-from ais_outliers.tracks import TrackReader
+from ais_outliers.tracks import TrackReader, Tracks, save_tracks
 
-from conftest import make_record, make_track, utc
+from conftest import make_record, make_track, utc, vessels
 from oracles import (ReferenceDay, denormalize, reference_build_daily_grids,
                      reference_normalize_corpus)
 
@@ -60,7 +61,7 @@ def resample_day(track, day, tolerance_s=60.0):
     the track does not touch the day."""
     grids = resample_daily(track, tolerance_s)
     for row, (mmsi, grid_day) in enumerate(grids.ids.tolist()):
-        assert mmsi == track.mmsi
+        assert mmsi == track.index["mmsi"][0]
         if grid_day == day:
             return grids.values[row], grids.mask[row]
     return np.full((N_SLOTS, 4), np.nan), np.zeros(N_SLOTS, dtype=bool)
@@ -169,7 +170,7 @@ def test_resample_matches_whole_track_scan(rng):
     days = [DAY - timedelta(days=1) + timedelta(days=i) for i in range(5)]
     for tolerance in (0.0, 60.0, 900.0):
         grids = resample_daily(track, tolerance)
-        assert grids.ids.tolist() == [(track.mmsi, day) for day in days]
+        assert grids.ids.tolist() == [(367000001, day) for day in days]
         for row, day in enumerate(days):
             expected = _resample_by_scan(track, day, tolerance)
             npt.assert_array_equal(grids.values[row], expected)
@@ -189,8 +190,8 @@ def test_day_window_edges():
 
 def test_resample_grids_every_touched_day():
     track = make_track("367000001", [
-        make_record(ts=utc(2019, 3, 6, 23, 59, 40)),  # snaps into 3/7 slot 0
         make_record(ts=utc(2019, 3, 6, 12, 0, 0)),
+        make_record(ts=utc(2019, 3, 6, 23, 59, 40)),  # snaps into 3/7 slot 0
         make_record(ts=utc(2019, 3, 8, 1, 0, 0)),
     ])
     assert [day for _, day in resample_daily(track).ids.tolist()] == \
@@ -453,7 +454,8 @@ def test_normalize_corpus_matches_day_by_day_reference(rng):
 # -- the whole-track pass against the per-day reference ---------------------
 
 def _run_both(tracks, tolerance_s, min_entries, max_fill, max_missing_fraction=0.30):
-    """Build and normalize with the program and with the per-day reference;
+    """Build and normalize a list of Tracks with the program, and their
+    vessels one by one with the per-day reference;
     each side gives (tensor bytes, ids, min bytes, max bytes, counts) or
     the message of its DataError."""
     def program():
@@ -463,7 +465,8 @@ def _run_both(tracks, tolerance_s, min_entries, max_fill, max_missing_fraction=0
                 stats.maximum.tobytes(), summary.to_text())
 
     def reference():
-        grids, counts = reference_build_daily_grids(tracks, tolerance_s, min_entries, max_fill)
+        grids, counts = reference_build_daily_grids(vessels(tracks), tolerance_s, min_entries,
+                                                    max_fill)
         matrices, ids, minimum, maximum = reference_normalize_corpus(grids,
                                                                      max_missing_fraction)
         summary = PreprocessSummary(days_missing_dropped=len(grids) - len(ids),
@@ -537,6 +540,70 @@ def test_every_day_dropped_is_the_same_data_error(tracks):
     program, reference = _run_both(tracks, 60.0, 20, 20)
     assert program == reference == "DataError: cannot compute normalization stats: " \
                                    "no present values"
+
+
+def _vessel_rows(rng, mmsi, times):
+    """TRACK_DTYPE rows of one vessel at `times`, with random values."""
+    table = np.zeros(len(times), TRACK_DTYPE)
+    table["mmsi"], table["t"], table["length"] = mmsi, times, 100.0
+    table["lat"], table["lon"] = rng.uniform(-80, 80, len(times)), rng.uniform(-170, 170, len(times))
+    table["sog"], table["cog"] = rng.uniform(0, 30, len(times)), rng.uniform(0, 360, len(times))
+    return table
+
+
+@pytest.mark.parametrize("tolerance_s", [0.0, 60.0, 900.0])
+@pytest.mark.parametrize("min_entries", [0, 20])
+def test_vessels_sharing_one_reader_chunk_match_per_day_reference(tmp_path, tolerance_s,
+                                                                  min_entries):
+    rng = np.random.default_rng(20190308)
+    day = int(utc(2019, 3, 6).timestamp())
+    slots = 1800 * np.arange(N_SLOTS)
+    # Vessel 1's last record (00:00:20 on 3/7) and vessel 2's first (23:59:50
+    # on 3/6) both fall in slot 0 of 3/7. Vessels 2 and 3 both report at
+    # 12:00:00 on 3/7, and vessel 3 at every slot instant of that day.
+    second = slots[1:] + rng.integers(-90, 91, N_SLOTS - 1)
+    second[23] = 43200
+    table = np.concatenate([
+        _vessel_rows(rng, 367000001, np.append(day + slots + rng.integers(-90, 91, N_SLOTS),
+                                               day + 86400 + 20)),
+        _vessel_rows(rng, 367000002, np.append(day + 86390, day + 86400 + second)),
+        _vessel_rows(rng, 367000003, day + 86400 + slots)])
+    save_tracks(tmp_path / "tracks.bin", [Tracks.of(table)])
+    reader = TrackReader(tmp_path / "tracks.bin")
+    chunks = list(reader)
+    assert reader.chunks == 1 and chunks[0].index["mmsi"].tolist() == [367000001, 367000002,
+                                                                        367000003]
+    program, reference = _run_both(chunks, tolerance_s, min_entries, 20, max_missing_fraction=1.0)
+    assert program == reference
+
+
+def test_vessel_larger_than_a_chunk_is_one_entry_and_grids_like_reference(tmp_path):
+    # A vessel reporting every minute for three days (4,320 rows, more than
+    # a chunk) between two vessels reporting every half hour. Each daily file
+    # holds 1,500 rows, so ingest merges the large vessel in time slabs.
+    rng = np.random.default_rng(20190309)
+    lines = ["MMSI,BaseDateTime,LAT,LON,SOG,COG,Length"]
+    for d in range(3):
+        start = utc(2019, 3, 6 + d)
+        for mmsi, step, n in ((367000001, 1800, 30), (367000002, 60, 1440),
+                              (367000003, 1800, 30)):
+            for k in range(n):
+                ts = start + timedelta(seconds=step * k + int(rng.integers(0, 30)))
+                lines.append(f"{mmsi},{ts:%Y-%m-%dT%H:%M:%S},{rng.uniform(-80, 80):.5f},"
+                             f"{rng.uniform(-170, 170):.5f},{rng.uniform(0, 30):.1f},"
+                             f"{rng.uniform(0, 360):.1f},100.0")
+        (tmp_path / f"day{d}.csv").write_text("\n".join(lines) + "\n")
+        lines = lines[:1]
+    store = tmp_path / "tracks.bin"
+    _, counts = ingest_files(sorted(tmp_path.glob("*.csv")), store, tmp_path / "spill")
+    assert counts["merge_batches"] > 3  # more than one batch for one of three vessels
+    chunks = list(TrackReader(store))
+    assert [run.index.tolist() for run in chunks] == [
+        [(367000001, 90)], [(367000002, 3 * 1440)], [(367000003, 90)]]
+    assert 3 * 1440 > track_store._CHUNK_ROWS
+    for tolerance_s, min_entries, max_fill in ((60.0, 20, 20), (0.0, 0, 3)):
+        program, reference = _run_both(chunks, tolerance_s, min_entries, max_fill)
+        assert program == reference
 
 
 def test_denormalize_examples():

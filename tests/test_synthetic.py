@@ -66,7 +66,7 @@ def test_csv_round_trips_through_ingest(tmp_path):
     assert report.rows_read == 12 * N_SLOTS
     assert report.rows_rejected == 0
     tracks = group_and_sort(filter_by_length(records, 20.0))
-    assert len(tracks) == len({d.mmsi for d in days})
+    assert len(tracks.index) == len({d.mmsi for d in days})
 
 
 def test_labels_csv(tmp_path):

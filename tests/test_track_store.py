@@ -22,10 +22,10 @@ import pytest
 from ais_outliers import tracks as track_store
 from ais_outliers.errors import DataError
 from ais_outliers.ingest import TRACK_DTYPE, IngestReport, group_and_sort, ingest_files
-from ais_outliers.tracks import (INDEX_DTYPE, PACKED_DTYPE, STORE_DTYPE, TrackReader,
-                                 VesselTrack, pack, save_tracks)
+from ais_outliers.tracks import (INDEX_DTYPE, PACKED_DTYPE, STORE_DTYPE, TrackReader, Tracks,
+                                 pack, save_tracks)
 
-from conftest import make_record, make_table, make_track, utc
+from conftest import make_record, make_table, make_track, utc, vessels
 from oracles import (STORE_HEADER, read_track_store, reference_group_and_sort, reference_ingest,
                      rewrite_track_store)
 
@@ -45,7 +45,7 @@ def write(path, rows, header=HEADER):
 def assert_same_ingest(tmp_path, paths, **kwargs):
     """The streamed ingest stores the reference's rows, in its layout, and
     index, with an equal report, and the store reads back as the
-    reference's tracks with the same bits; returns the report and the
+    reference's vessels with the same bits; returns the report and the
     counts but the store's bytes per row, checked as its size over its
     rows."""
     store = tmp_path / "tracks.bin"
@@ -53,7 +53,7 @@ def assert_same_ingest(tmp_path, paths, **kwargs):
     expected, tracks, rows = reference_ingest(paths, **kwargs)
     stored, index = read_track_store(store)
     assert stored.dtype == rows.dtype and stored.tobytes() == rows.tobytes()
-    assert index == [(t.mmsi, len(t)) for t in tracks]
+    assert index == [(mmsi, len(records)) for mmsi, records in tracks]
     assert report == expected
     assert not (tmp_path / "spill").exists()
     _assert_reads_back(store, tracks)
@@ -90,7 +90,7 @@ def test_vessel_in_every_file_and_larger_than_a_merge_batch(tmp_path):
     # The big vessel has 4 * 48 rows, more than any one file (57 rows).
     assert counts["merge_batches"] >= 3
     assert counts["rows_kept"] == 4 * (48 + 9) and report.vessels_kept == 4
-    big = [t for t in TrackReader(tmp_path / "tracks.bin") if t.mmsi == 367000005]
+    big = [r for mmsi, r in vessels(TrackReader(tmp_path / "tracks.bin")) if mmsi == 367000005]
     assert len(big[0]) == 4 * 48
 
 
@@ -268,14 +268,15 @@ def test_group_and_sort_adds_at_most_1_7_times_its_input():
 # -- TrackReader -----------------------------------------------------------
 
 def _store(tmp_path, lengths, packed=True):
-    """A store of vessels with the given row counts, and its tracks."""
+    """A store of vessels with the given row counts, and their (mmsi,
+    records) pairs."""
     tracks = [make_track(f"36700000{i}", [make_record(mmsi=f"36700000{i}",
                                                       ts=utc(2019, 3, 6, h))
                                           for h in range(n)])
               for i, n in enumerate(lengths)]
     path = tmp_path / "tracks.bin"
     save_tracks(path, tracks, packed)
-    return path, tracks
+    return path, list(vessels(tracks))
 
 
 def _stored(records):
@@ -283,13 +284,21 @@ def _stored(records):
     return records[list(STORE_DTYPE.names)].astype(STORE_DTYPE)
 
 
-def _assert_reads_back(path, tracks):
+def _one_vessel(mmsi, records):
+    """One vessel's Tracks of `records`, of any dtype save_tracks takes."""
+    return Tracks(records, np.array([(mmsi, len(records))], INDEX_DTYPE))
+
+
+def _assert_reads_back(path, expected):
+    """The store reads back as the (mmsi, records) pairs `expected`, with
+    their values' bits, and the reader counts their rows and vessels."""
+    expected = list(expected)
     reader = TrackReader(path)
     read = list(reader)
-    assert [t.mmsi for t in read] == [t.mmsi for t in tracks]
-    assert all(t.records.dtype == STORE_DTYPE for t in read)
-    assert [t.records.tobytes() for t in read] == [_stored(t.records).tobytes() for t in tracks]
-    assert (reader.rows, reader.vessels) == (sum(map(len, tracks)), len(tracks))
+    assert all(run.records.dtype == STORE_DTYPE for run in read)
+    assert [(mmsi, records.tobytes()) for mmsi, records in vessels(read)] == \
+        [(mmsi, _stored(records).tobytes()) for mmsi, records in expected]
+    assert (reader.rows, reader.vessels) == (sum(len(r) for _, r in expected), len(expected))
     return reader
 
 
@@ -318,7 +327,7 @@ def test_packed_store_holds_int32_counts_of_each_unit(tmp_path):
     assert rows[["lat", "lon", "sog", "cog"]].tolist() == [
         (-899999999, 1791234567, 2147483647, 359999), (0, -5000000, 1, 0)]
     assert rows["t"].tolist() == table["t"].tolist()
-    _assert_reads_back(path, [make_track("367000001", table)])
+    _assert_reads_back(path, vessels([make_track("367000001", table)]))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -332,7 +341,7 @@ def test_a_value_that_is_not_an_exact_count_does_not_pack(tmp_path, field, value
         save_tracks(path, [make_track("367000001", table)], packed=True)
     assert list(tmp_path.iterdir()) == []  # nothing half written
     save_tracks(path, [make_track("367000001", table)])
-    _assert_reads_back(path, [make_track("367000001", table)])
+    _assert_reads_back(path, vessels([make_track("367000001", table)]))
 
 
 # Per seeded store: rows per block (0: the module's own), the vessels' row
@@ -398,17 +407,16 @@ def test_seeded_store_decodes_bit_for_bit_by_both_decoders(tmp_path, monkeypatch
         records[0]["sog"] = np.where(odd, 1e308, 0.0)
         records[0]["cog"] = np.where(odd, np.nextafter(360.0, 0.0), 0.0)
     expected = np.concatenate(counts if packed else records)
-    tracks = [VesselTrack(367000001 + i, table) for i, table in enumerate(records)]
+    tracks = [_one_vessel(367000001 + i, table) for i, table in enumerate(records)]
     path = tmp_path / "tracks.bin"
     assert save_tracks(path, tracks, packed) == sum(lengths)
 
     stored, index = read_track_store(path)
     assert STORE_HEADER.unpack_from(path.read_bytes())[4] == track_store._CHUNK_ROWS
     assert stored.dtype == expected.dtype and stored.tobytes() == expected.tobytes()
-    assert index == [(t.mmsi, len(t)) for t in tracks]
-    read = list(TrackReader(path))
-    assert [t.mmsi for t in read] == [t.mmsi for t in tracks]
-    assert [t.records.tobytes() for t in read] == [table.tobytes() for table in records]
+    assert index == [(367000001 + i, n) for i, n in enumerate(lengths)]
+    assert [(mmsi, r.tobytes()) for mmsi, r in vessels(TrackReader(path))] == \
+        [(367000001 + i, table.tobytes()) for i, table in enumerate(records)]
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -431,10 +439,10 @@ def test_reader_memory_does_not_grow_with_the_number_of_vessels(tmp_path):
     table["t"] = 1_600_000_000 + 60 * np.arange(rows)
     table["lat"], table["lon"] = 30.0 + 1e-5 * np.arange(rows), -80.0
     stores = {}
-    for vessels in (n, 4 * n):
-        stores[vessels] = tmp_path / f"{vessels}.bin"
-        save_tracks(stores[vessels], (VesselTrack(367000000 + v, table)
-                                      for v in range(vessels)), packed=True)
+    for count in (n, 4 * n):
+        stores[count] = tmp_path / f"{count}.bin"
+        save_tracks(stores[count], (_one_vessel(367000000 + v, table) for v in range(count)),
+                    packed=True)
 
     def drain(path):
         for _ in TrackReader(path):
